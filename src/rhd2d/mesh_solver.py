@@ -513,8 +513,11 @@ def run(
     bcs = boundaries if boundaries is not None else problem.boundaries
     if t_end is None:
         t_end = problem.t_end
-    if t_end < 0.0:
-        raise ConfigurationError("t_end must be non-negative")
+    # A NaN or infinite time would finish at once with NaN output, or never.
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigurationError(f"t_end must be finite and non-negative, got {t_end}")
+    if not all(math.isfinite(t) for t in snapshot_times):
+        raise ConfigurationError(f"snapshot times must be finite, got {tuple(snapshot_times)}")
 
     field = Field.from_primitives(
         grid, problem.initial, eos, average=getattr(problem, "average_init", False)

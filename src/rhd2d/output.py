@@ -24,6 +24,23 @@ def _fmt(value) -> str:
     return _FMT % float(value)
 
 
+def _write_table(path, header: str, grid, values: np.ndarray) -> None:
+    """Header line, then one `x y value...` row per cell, j-outer / i-inner.
+
+    `values` has shape (n_x, n_y, k).  Each row is formatted with one
+    %-string, which gives the same bytes as formatting value by value.
+    Writing one mesh row (fixed j) at a time keeps the text of the whole
+    table out of memory.
+    """
+    xs, ys = np.meshgrid(grid.centers_x(), grid.centers_y(), indexing="ij")
+    table = np.concatenate([xs[..., None], ys[..., None], values], axis=-1)
+    row = " ".join([_FMT] * table.shape[-1]) + "\n"
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        for cells in table.transpose(1, 0, 2):
+            handle.write("".join([row % tuple(r) for r in cells.tolist()]))
+
+
 def write_field(field: Field, eos: EosParams, path) -> None:
     """Cell table `x y rho u v p D mx my E`, j-outer / i-inner order.
 
@@ -32,19 +49,11 @@ def write_field(field: Field, eos: EosParams, path) -> None:
     grid = field.grid
     prim = recovery.recover_primitives(field.interior, eos)
     cons = field.interior
-    xs = grid.centers_x()
-    ys = grid.centers_y()
     header = " ".join(
         ["#", str(grid.n_x), str(grid.n_y)]
         + [_fmt(v) for v in (grid.x_min, grid.x_max, grid.y_min, grid.y_max, field.time, eos.gamma_adiabatic)]
     )
-    lines = [header]
-    for j in range(grid.n_y):
-        for i in range(grid.n_x):
-            values = (xs[i], ys[j], *prim[i, j], *cons[i, j])
-            lines.append(" ".join(_fmt(v) for v in values))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_table(path, header, grid, np.concatenate([prim, cons], axis=-1))
 
 
 def read_field(path):
@@ -108,16 +117,9 @@ def write_schlieren(field: Field, eos: EosParams, path) -> None:
     grad_mag = np.sqrt(grad_x * grad_x + grad_y * grad_y)
     ln_rho = np.log(rho)
     ln_p = np.log(pres)
-    xs = grid.centers_x()
-    ys = grid.centers_y()
-    lines = ["# x y ln_rho ln_p grad_rho_mag"]
-    for j in range(grid.n_y):
-        for i in range(grid.n_x):
-            lines.append(
-                " ".join(_fmt(v) for v in (xs[i], ys[j], ln_rho[i, j], ln_p[i, j], grad_mag[i, j]))
-            )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_table(
+        path, "# x y ln_rho ln_p grad_rho_mag", grid, np.stack([ln_rho, ln_p, grad_mag], axis=-1)
+    )
 
 
 def write_report(entries: Mapping, path) -> None:

@@ -6,11 +6,13 @@ The conserved state determines the pressure through the scalar equation
     gamma(p) = (1 - |m|^2 / (E + p)^2)^(-1/2),
 
 after which u = m / (E + p) and rho = D / gamma follow in closed form.
-A safeguarded Newton iteration with a certified bracket solves every cell
-of a batch at once.  The Lorentz factor is the numerically delicate piece:
-(E + p)^2 - |m|^2 cancels catastrophically for fast flows, so it is formed
-with error-free product splitting before the division.  Pure functions,
-safe for data-parallel sweeps.
+A safeguarded Newton iteration with a certified bracket solves a batch of
+cells together; after the first residual check its sweeps run only on the
+lanes still active, so a lane's result does not depend on the batch.  The
+Lorentz factor is the numerically delicate piece: (E + p)^2 - |m|^2
+cancels catastrophically for fast flows, so it is formed with error-free
+product splitting before the division.  Pure functions, safe for
+data-parallel sweeps.
 """
 
 from __future__ import annotations
@@ -90,12 +92,18 @@ def _psi(p, dens, energy, m2_head, m2_tail, gamma_ratio):
 
 
 def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
-    """Vectorised safeguarded Newton-bisection for the pressure equation.
+    """Safeguarded Newton-bisection for the pressure equation.
 
     Returns (p, iterations).  The bracket [lo, hi] is certified before any
     Newton step: psi(lo) < 0 by admissibility and hi starts at the analytic
-    bound (Gamma - 1)(E - D) >= p_root, doubled until psi(hi) >= 0.
+    bound (Gamma - 1)(E - D) >= p_root, doubled until psi(hi) >= 0.  Lanes
+    are held flat in C order, so error indices are flat indices.  The
+    doubling and Newton sweeps evaluate only the lanes still active, with
+    the per-lane arithmetic of a full-array sweep, so results do not depend
+    on which other lanes share the batch.
     """
+    shape = np.shape(dens)
+    dens, energy, m2_head, m2_tail = (np.ravel(v) for v in (dens, energy, m2_head, m2_tail))
     a = eos.gamma_ratio
     m_abs = np.sqrt(m2_head)
 
@@ -108,28 +116,32 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
         idx = int(np.argmax(psi_lo > 0.0))
         raise RecoveryConvergenceError(
             "pressure bracket cannot be opened: psi(p_lo) > 0",
-            bracket=(float(np.ravel(lo)[idx]), float(np.ravel(hi)[idx])),
+            bracket=(float(lo[idx]), float(hi[idx])),
             index=idx,
         )
 
     psi_hi, _, _, _ = _psi(hi, dens, energy, m2_head, m2_tail, a)
+    need = np.flatnonzero(psi_hi < 0.0)
     for _ in range(64):
-        need = psi_hi < 0.0
-        if not np.any(need):
+        if need.size == 0:
             break
-        hi = np.where(need, 2.0 * hi, hi)
-        psi_hi, _, _, _ = _psi(hi, dens, energy, m2_head, m2_tail, a)
+        hi[need] = 2.0 * hi[need]
+        psi_need, _, _, _ = _psi(
+            hi[need], dens[need], energy[need], m2_head[need], m2_tail[need], a
+        )
+        psi_hi[need] = psi_need
+        need = need[psi_need < 0.0]
     else:
         idx = int(np.argmax(psi_hi < 0.0))
         raise RecoveryConvergenceError(
             "pressure bracket cannot be closed: psi(p_hi) < 0 after expansion",
-            bracket=(float(np.ravel(lo)[idx]), float(np.ravel(hi)[idx])),
+            bracket=(float(lo[idx]), float(hi[idx])),
             index=idx,
         )
     at_end = at_lo | (psi_hi == 0.0)  # an endpoint is the root (e.g. zero momentum)
 
     if hint is not None:
-        p = np.clip(np.asarray(hint, dtype=float), lo, hi)
+        p = np.clip(np.ravel(np.broadcast_to(np.asarray(hint, dtype=float), shape)), lo, hi)
         p = np.where(np.isfinite(p), p, 0.5 * (lo + hi))
     else:
         p = 0.5 * (lo + hi)
@@ -144,30 +156,37 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
     psi, dpsi, _, _ = _psi(p, dens, energy, m2_head, m2_tail, a)
     lo = np.where(psi < 0.0, p, lo)
     hi = np.where(psi >= 0.0, p, hi)
-    done = (np.abs(psi) <= tol) | at_end
+
+    # A lane leaves the active set in the sweep that finishes it, and its p
+    # and bracket are written back then.  Both bracket comparisons are kept:
+    # a NaN residual moves neither end.
+    active = np.flatnonzero(~((np.abs(psi) <= tol) | at_end))
+    lanes = [v[active] for v in (p, psi, dpsi, lo, hi, dens, energy, m2_head, m2_tail, tol)]
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        if np.all(done):
+        if active.size == 0:
             break
-        newton = p - psi / dpsi
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        trial = np.where(inside, newton, 0.5 * (lo + hi))
-        p_new = np.where(done, p, trial)
-        psi_new, dpsi_new, _, _ = _psi(p_new, dens, energy, m2_head, m2_tail, a)
-        lo = np.where(~done & (psi_new < 0.0), p_new, lo)
-        hi = np.where(~done & (psi_new >= 0.0), p_new, hi)
-        p = p_new
-        psi = np.where(done, psi, psi_new)
-        dpsi = np.where(done, dpsi, dpsi_new)
-        resolved = (hi - lo) <= 4.0 * _EPS * hi
-        done = done | (np.abs(psi) <= tol) | resolved
+        p_a, psi_a, dpsi_a, lo_a, hi_a, dens_a, energy_a, mh_a, mt_a, tol_a = lanes
+        newton = p_a - psi_a / dpsi_a
+        inside = np.isfinite(newton) & (newton > lo_a) & (newton < hi_a)
+        p_a = np.where(inside, newton, 0.5 * (lo_a + hi_a))
+        psi_a, dpsi_a, _, _ = _psi(p_a, dens_a, energy_a, mh_a, mt_a, a)
+        lo_a = np.where(psi_a < 0.0, p_a, lo_a)
+        hi_a = np.where(psi_a >= 0.0, p_a, hi_a)
+        lanes = [p_a, psi_a, dpsi_a, lo_a, hi_a, dens_a, energy_a, mh_a, mt_a, tol_a]
+        finished = (np.abs(psi_a) <= tol_a) | ((hi_a - lo_a) <= 4.0 * _EPS * hi_a)
+        if np.any(finished):
+            out = active[finished]
+            p[out], lo[out], hi[out] = p_a[finished], lo_a[finished], hi_a[finished]
+            keep = ~finished
+            active = active[keep]
+            lanes = [v[keep] for v in lanes]
 
-    if not np.all(done):
-        idx = int(np.argmax(~done))
+    if active.size:
         raise RecoveryConvergenceError(
             f"pressure iteration did not converge in {opts.max_iterations} steps",
-            bracket=(float(np.ravel(lo)[idx]), float(np.ravel(hi)[idx])),
-            index=idx,
+            bracket=(float(lanes[3][0]), float(lanes[4][0])),
+            index=int(active[0]),
             iterations=iterations,
         )
 
@@ -179,7 +198,7 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
         newton = p - psi / dpsi
         keep = np.isfinite(newton) & (newton >= lo) & (newton <= hi)
         p = np.where(keep, newton, p)
-    return p, iterations
+    return p.reshape(shape), iterations
 
 
 def recover_primitives(

@@ -422,6 +422,24 @@ class TestRun:
         assert result.field.time == 0.05
         assert result.diagnostics.dt_clamped_steps >= 3
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_end": float("nan")},
+            {"t_end": float("inf")},
+            {"t_end": 0.05, "snapshot_times": [0.01, float("nan")]},
+            {"t_end": 0.05, "snapshot_times": [float("inf")]},
+        ],
+    )
+    def test_non_finite_times_rejected_before_stepping(self, monkeypatch, kwargs):
+        def no_step(*args, **kw):
+            raise AssertionError("run() stepped with a non-finite time")
+
+        monkeypatch.setattr("rhd2d.mesh_solver.step", no_step)
+        spec = problems.sine_wave_problem()
+        with pytest.raises(ConfigurationError):
+            run(spec, spec.default_grid(8), SolverConfig(), **kwargs)
+
     def test_deterministic(self):
         spec = problems.problem_by_name("rp2")
         grid = Grid(16, 16, -1.0, 1.0, -1.0, 1.0)

@@ -5,6 +5,7 @@ from conftest import assert_close
 from rhd2d import cli, output, physics, problems
 from rhd2d.errors import ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
+from rhd2d.recovery import recover_primitives
 
 
 @pytest.fixture
@@ -59,6 +60,37 @@ class TestWriteField:
             output.write_field(result.field, spec.eos, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    def test_bytes_match_per_value_formatting(self, tmp_path, eos53):
+        """Row-at-a-time formatting writes what "%.17g" per value writes."""
+        grid = Grid(3, 2, -0.1, 0.2, 1.0 / 3.0, 1.7)
+        prim = np.array([
+            [[1e-300, -0.0, 0.0, 1.0], [1.0 / 3.0, 0.1234567890123456, -0.0, 2.0 / 3.0]],
+            [[1e150, 0.0, -0.5, 3e149], [1.0, -0.9, 0.3, 1e-5]],
+            [[2.0, 0.0, 0.0, 1.0], [0.7, 0.6, -0.5, 0.3]],
+        ])
+        cells = np.zeros((5, 4, 4))
+        cells[1:-1, 1:-1] = physics.prim_to_cons(prim, eos53)
+        field = Field(grid, cells, time=1.0 / 7.0)
+        path = tmp_path / "field.dat"
+        output.write_field(field, eos53, path)
+
+        def fmt(value):
+            return "%.17g" % float(value)
+
+        back = recover_primitives(field.interior, eos53)
+        header = ["#", "3", "2"] + [fmt(v) for v in (-0.1, 0.2, 1.0 / 3.0, 1.7, 1.0 / 7.0,
+                                                      eos53.gamma_adiabatic)]
+        lines = [" ".join(header)]
+        xs, ys = grid.centers_x(), grid.centers_y()
+        for j in range(grid.n_y):
+            for i in range(grid.n_x):
+                values = (xs[i], ys[j], *back[i, j], *field.interior[i, j])
+                lines.append(" ".join(fmt(v) for v in values))
+        text = path.read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert " -0 " in text and " 1e-300 " in text and " 0.12345678901234557 " in text
 
 
 class TestCutsAndSchlieren:
@@ -183,6 +215,19 @@ class TestCommands:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sine", "--cfl", "2.0"]) == 2
         assert cli.main(["run", "--problem", "not-a-problem", "--n", "8"]) == 2
+
+    @pytest.mark.parametrize(
+        "args", [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0.02", "--snapshots", "0.01,nan"]]
+    )
+    def test_non_finite_time_exit_code(self, tmp_path, monkeypatch, capsys, args):
+        def no_step(*a, **kw):
+            raise AssertionError("run stepped with a non-finite time")
+
+        monkeypatch.setattr("rhd2d.mesh_solver.step", no_step)
+        code = cli.main(["run", "--problem", "sine", "--n", "8", "--out", str(tmp_path), *args])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "field.dat").exists()
 
     def test_pcp_exit_code(self, monkeypatch):
         def boom(*args, **kwargs):

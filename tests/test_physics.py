@@ -141,6 +141,94 @@ class TestAdmissibility:
         assert physics.is_admissible(cons)
 
 
+def reference_admissible(cons):
+    """The compensated predicate on every lane, without the certified filter."""
+    cons = np.asarray(cons, dtype=float)
+    quad = physics._admissibility_quadratic(cons)
+    return (cons[..., physics.DEN] > 0.0) & (cons[..., physics.ENE] > 0.0) & (quad > 0.0)
+
+
+class TestCertifiedAdmissibility:
+    """is_admissible's plain-float filter returns the compensated booleans."""
+
+    def assert_matches_reference(self, cons):
+        with np.errstate(all="ignore"):  # overflow and inf - inf are part of the cases
+            got = physics.is_admissible(cons)
+            want = reference_admissible(cons)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_verification_samplers(self, rng, eos53):
+        n = 20_000
+        prim = verification.sample_primitives(rng, n, eos=eos53)
+        cons = physics.prim_to_cons(prim, eos53)
+        self.assert_matches_reference(cons)
+        self.assert_matches_reference(10.0 ** rng.uniform(-6.0, 6.0, n)[:, None] * cons)
+        prim_b = verification.sample_primitives(
+            rng, n, eos=eos53, gamma_cap=verification.BOUNDARY_GAMMA_CAP,
+            guard=verification.BOUNDARY_GUARD,
+        )
+        cons_b = physics.prim_to_cons(prim_b, eos53)
+        for axis in (0, 1):
+            lam = physics.eigenvalues(prim_b, eos53, axis)
+            flux = physics.physical_flux(prim_b, cons_b, axis)
+            self.assert_matches_reference(lam.lam4[:, None] * cons_b - flux)
+            self.assert_matches_reference(flux - lam.lam1[:, None] * cons_b)
+            # one ulp either side of the extreme eigenvalue
+            for speed in (np.nextafter(lam.lam4, 2.0), np.nextafter(lam.lam4, -2.0)):
+                self.assert_matches_reference(speed[:, None] * cons_b - flux)
+
+    # the second range puts the squares among the subnormals
+    @pytest.mark.parametrize("decades", [(-8.0, 8.0), (-163.0, -158.0)])
+    def test_near_boundary_perturbations(self, rng, decades):
+        n = 20_000
+        dens = 10.0 ** rng.uniform(*decades, n)
+        mom = dens * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        edge = np.hypot(dens, mom)
+        ulps = rng.integers(-20, 21, n)
+        energy = edge * (1.0 + ulps * np.finfo(float).eps)
+        cons = np.stack([dens, mom * np.cos(angle), mom * np.sin(angle), energy], axis=-1)
+        self.assert_matches_reference(cons)
+
+    def test_special_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        inf, nan = np.inf, np.nan
+        cons = np.array([
+            # exact zero margins: E^2 = D^2 + |m|^2
+            [1.0, 0.0, 0.0, 1.0], [3.0, 4.0, 0.0, 5.0], [1.0, 2.0, 2.0, 3.0], [0.0, 3.0, 4.0, 5.0],
+            [3e-150, 4e-150, 0.0, 5e-150], [3e100, 0.0, -4e100, 5e100],
+            # subnormal and underflowing components
+            [tiny, 0.0, 0.0, 2.0 * tiny], [1e-310, 0.0, 0.0, 2e-310], [1e-160, 1e-161, 0.0, 2e-160],
+            [1e-155, 0.0, 0.0, 1e-154], [1e-300, 1e-300, -1e-300, 1e-299], [1e-200, 0.0, 0.0, 1.0],
+            # overflowing squares
+            [1e160, 0.0, 0.0, 2e160], [1e200, 1e199, 0.0, 1e201], [1.0, 0.0, 0.0, 1e170],
+            [1e155, 1e155, 0.0, 1.5e155], [1e154, 1e154, 1e154, 1.8e154], [1e300, 0.0, 0.0, 1e301],
+            [1.0, 1e160, 0.0, 1e160],
+            # infinities and NaN
+            [inf, 0.0, 0.0, inf], [1.0, 0.0, 0.0, inf], [1.0, inf, 0.0, inf], [1.0, 0.0, 0.0, -inf],
+            [-inf, 0.0, 0.0, 1.0], [nan, 0.0, 0.0, 2.0], [1.0, nan, 0.0, 2.0], [1.0, 0.0, 0.0, nan],
+            # signs and signed zeros
+            [-0.0, 0.0, 0.0, 1.0], [1.0, -0.0, -0.0, 2.0], [1.0, 0.0, 0.0, -2.0], [0.0, 0.0, 0.0, 0.0],
+        ])
+        self.assert_matches_reference(cons)
+        for row in cons:
+            self.assert_matches_reference(row)
+
+    def test_shapes(self, rng, eos53):
+        cons = physics.prim_to_cons(
+            verification.sample_primitives(rng, 24, eos=eos53), eos53
+        ).reshape(4, 6, 4)
+        cons[0, 0] = [1.0, 0.0, 0.0, 1.0]  # a lane the filter cannot decide
+        single = physics.is_admissible(cons[1, 2])
+        assert np.ndim(single) == 0 and bool(single) == bool(reference_admissible(cons[1, 2]))
+        assert not physics.is_admissible(cons[0, 0])
+        self.assert_matches_reference(cons)
+        self.assert_matches_reference(cons.reshape(-1, 4))
+        self.assert_matches_reference(cons[1:3, ::2])  # strided view, as a mesh interior
+        self.assert_matches_reference(np.asfortranarray(cons))
+
+
 class TestAdmissibleSetProperties:
     """Closure of the admissible set, at reduced sample count (the acceptance
     suite reruns these at 1e5)."""

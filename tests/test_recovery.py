@@ -92,6 +92,51 @@ class TestRecovery:
         assert 1 <= iterations <= 100
 
 
+class TestLaneIndependence:
+    """A batch recovers each lane exactly as that lane recovers on its own."""
+
+    @pytest.fixture
+    def mixed_batch(self, rng, eos53):
+        prim = verification.sample_primitives(rng, 120, eos=eos53, gamma_cap=100.0,
+                                              guard=verification.RECOVERY_GUARD)
+        prim[::17, 1:3] = 0.0  # zero momentum: an endpoint of the bracket is the root
+        return prim, physics.prim_to_cons(prim, eos53)
+
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_batch_equals_single_lanes(self, mixed_batch, rng, eos53, hinted):
+        prim, cons = mixed_batch
+        hint = prim[:, physics.PRE] * (1.0 + 0.3 * rng.standard_normal(len(prim)))
+        hint[::11] = np.nan
+        hint = hint if hinted else None
+        batch, sweeps = recover_with_iterations(cons, eos53, pressure_hint=hint)
+        singles = [
+            recover_with_iterations(cons[k], eos53, pressure_hint=None if hint is None else hint[k])
+            for k in range(len(cons))
+        ]
+        assert np.array_equal(batch, np.stack([lane for lane, _ in singles]))
+        assert sweeps == max(count for _, count in singles)
+        grid_hint = None if hint is None else hint.reshape(8, 15)
+        meshed, mesh_sweeps = recover_with_iterations(cons.reshape(8, 15, 4), eos53,
+                                                      pressure_hint=grid_hint)
+        assert np.array_equal(meshed.reshape(-1, 4), batch) and mesh_sweeps == sweeps
+
+    def test_error_names_first_lane_that_fails_alone(self, mixed_batch, eos53):
+        _, cons = mixed_batch
+        opts = RecoveryOptions(max_iterations=1)
+        failing = []
+        for k in range(len(cons)):
+            try:
+                recover_with_iterations(cons[k], eos53, opts)
+            except RecoveryConvergenceError as err:
+                failing.append((k, err.bracket))
+        assert failing and failing[0][0] > 0  # the batch starts with a lane that passes
+        with pytest.raises(RecoveryConvergenceError) as err:
+            recover_with_iterations(cons.reshape(8, 15, 4), eos53, opts)
+        assert err.value.index == failing[0][0]
+        assert err.value.bracket == failing[0][1]
+        assert err.value.iterations == 1
+
+
 class TestRoundTripSuite:
     def test_round_trip_accuracy(self, rng):
         for result in verification.recovery_suite(rng, 20_000):
