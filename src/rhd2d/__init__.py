@@ -58,16 +58,12 @@ from .problems import (
 )
 from .recovery import RecoveryOptions, recover_primitives, recover_with_iterations
 from .riemann import (
-    CornerStates,
-    RiemannState,
-    WaveSpeeds2D,
+    fan_speeds,
     hll_flux_1d,
     hll_flux_2d,
     hll_state_1d,
     hll_state_2d,
     quadrant_fan_states,
-    wave_speeds_1d,
-    wave_speeds_2d,
 )
 
 __version__ = "0.1.0"

@@ -165,21 +165,7 @@ def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
     values = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for key in (
-        "problem",
-        "n",
-        "n_x",
-        "n_y",
-        "cfl_sigma",
-        "alpha",
-        "mode",
-        "pcp_audit",
-        "t_end",
-        "out_dir",
-        "levels",
-        "samples",
-        "seed",
-    ):
+    for key in _FILE_KEYS.keys() - {"snapshots", "emit"}:  # these two are parsed below
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag

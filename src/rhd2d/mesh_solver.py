@@ -35,7 +35,7 @@ from .errors import (
 )
 from .physics import EosParams, eigenvalues, is_admissible, physical_flux
 from .recovery import DEFAULT_OPTIONS, RecoveryOptions, recover_with_iterations
-from .riemann import _hll_flux_formula
+from .riemann import corner_fluxes, fan_speeds, hll_flux_1d
 
 GHOST = 1  # ghost-layer width; the stencil is the 3x3 neighbourhood
 
@@ -56,6 +56,8 @@ class Grid:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ConfigurationError("cell counts must be positive")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ConfigurationError("domain bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigurationError("domain bounds must satisfy max > min")
 
@@ -221,41 +223,23 @@ def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
     the fixed beam state on its interval and copies outward elsewhere.
     """
     cells = field.cells
-    inner = slice(GHOST, -GHOST)
-
-    for side, rule in (("left", bcs.left), ("right", bcs.right)):
-        at_min = side == "left"
-        ghost = 0 if at_min else -1
-        adjacent = 1 if at_min else -2
-        wrap = -2 if at_min else 1
-        if rule == "periodic":
-            cells[ghost, inner] = cells[wrap, inner]
-        elif rule == "outflow":
-            cells[ghost, inner] = cells[adjacent, inner]
-        elif rule == "reflect":
-            cells[ghost, inner] = _reflect(cells[adjacent, inner], axis=0)
-        else:
-            beam = physics.prim_to_cons(physics.primitive(*rule.state), eos)
-            ys = field.grid.centers_y()
-            on = (ys >= rule.span[0]) & (ys <= rule.span[1])
-            cells[ghost, inner] = np.where(on[:, None], beam, cells[adjacent, inner])
-
-    for side, rule in (("bottom", bcs.bottom), ("top", bcs.top)):
-        at_min = side == "bottom"
-        ghost = 0 if at_min else -1
-        adjacent = 1 if at_min else -2
-        wrap = -2 if at_min else 1
-        if rule == "periodic":
-            cells[:, ghost] = cells[:, wrap]
-        elif rule == "outflow":
-            cells[:, ghost] = cells[:, adjacent]
-        elif rule == "reflect":
-            cells[:, ghost] = _reflect(cells[:, adjacent], axis=1)
-        else:
-            beam = physics.prim_to_cons(physics.primitive(*rule.state), eos)
-            xs = field.grid.centers_x(with_ghosts=True)
-            on = (xs >= rule.span[0]) & (xs <= rule.span[1])
-            cells[:, ghost] = np.where(on[:, None], beam, cells[:, adjacent])
+    sides = (
+        (0, bcs.left, bcs.right, slice(GHOST, -GHOST), field.grid.centers_y()),
+        (1, bcs.bottom, bcs.top, slice(None), field.grid.centers_x(with_ghosts=True)),
+    )
+    for axis, low, high, span, centers in sides:
+        view = np.swapaxes(cells, 0, axis)  # ghost rows of this axis come first
+        for rule, ghost, adjacent, wrap in ((low, 0, 1, -2), (high, -1, -2, 1)):
+            if rule == "periodic":
+                view[ghost, span] = view[wrap, span]
+            elif rule == "outflow":
+                view[ghost, span] = view[adjacent, span]
+            elif rule == "reflect":
+                view[ghost, span] = _reflect(view[adjacent, span], axis=axis)
+            else:
+                beam = physics.prim_to_cons(physics.primitive(*rule.state), eos)
+                on = (centers >= rule.span[0]) & (centers <= rule.span[1])
+                view[ghost, span] = np.where(on[:, None], beam, view[adjacent, span])
     return field
 
 
@@ -301,13 +285,6 @@ def compute_dt(
     return cfl_sigma * limit
 
 
-def _corner_speeds(lam1, lam4, alpha):
-    """alpha-amplified extremes over the four cells around every corner."""
-    quads1 = [lam1[:-1, :-1], lam1[1:, :-1], lam1[:-1, 1:], lam1[1:, 1:]]
-    quads4 = [lam4[:-1, :-1], lam4[1:, :-1], lam4[:-1, 1:], lam4[1:, 1:]]
-    return alpha * np.minimum.reduce(quads1), alpha * np.maximum.reduce(quads4)
-
-
 def assemble_fluxes(
     field: Field,
     dt: float,
@@ -336,50 +313,43 @@ def assemble_fluxes(
     # 1D fluxes at face centers from the two adjacent cells.
     lft = (slice(0, nx + 1), slice(1, ny + 1))
     rgt = (slice(1, nx + 2), slice(1, ny + 1))
-    sx_minus = alpha * np.minimum(lam_x.lam1[lft], lam_x.lam1[rgt])
-    sx_plus = alpha * np.maximum(lam_x.lam4[lft], lam_x.lam4[rgt])
-    f1 = _hll_flux_formula(cons[lft], flux_x[lft], cons[rgt], flux_x[rgt], sx_minus, sx_plus)
+    sx_minus, sx_plus = fan_speeds(
+        (lam_x.lam1[lft], lam_x.lam1[rgt]), (lam_x.lam4[lft], lam_x.lam4[rgt]), alpha
+    )
+    f1 = hll_flux_1d(cons[lft], flux_x[lft], cons[rgt], flux_x[rgt], sx_minus, sx_plus)
 
     bot = (slice(1, nx + 1), slice(0, ny + 1))
     top = (slice(1, nx + 1), slice(1, ny + 2))
-    sy_minus = alpha * np.minimum(lam_y.lam1[bot], lam_y.lam1[top])
-    sy_plus = alpha * np.maximum(lam_y.lam4[bot], lam_y.lam4[top])
-    g1 = _hll_flux_formula(cons[bot], flux_y[bot], cons[top], flux_y[top], sy_minus, sy_plus)
+    sy_minus, sy_plus = fan_speeds(
+        (lam_y.lam1[bot], lam_y.lam1[top]), (lam_y.lam4[bot], lam_y.lam4[top]), alpha
+    )
+    g1 = hll_flux_1d(cons[bot], flux_y[bot], cons[top], flux_y[top], sy_minus, sy_plus)
 
     if config.mode == "dimension_split":
         return f1, g1
 
     # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny uses the
     # piecewise-constant cell averages of its four surrounding cells.
-    ld = (slice(0, nx + 1), slice(0, ny + 1))
-    rd = (slice(1, nx + 2), slice(0, ny + 1))
-    lu = (slice(0, nx + 1), slice(1, ny + 2))
-    ru = (slice(1, nx + 2), slice(1, ny + 2))
-    s_l, s_r = _corner_speeds(lam_x.lam1, lam_x.lam4, alpha)
-    s_d, s_u = _corner_speeds(lam_y.lam1, lam_y.lam4, alpha)
+    quads = [
+        (slice(0, nx + 1), slice(0, ny + 1)),  # left-down
+        (slice(1, nx + 2), slice(0, ny + 1)),  # right-down
+        (slice(0, nx + 1), slice(1, ny + 2)),  # left-up
+        (slice(1, nx + 2), slice(1, ny + 2)),  # right-up
+    ]
+    s_l, s_r = fan_speeds([lam_x.lam1[q] for q in quads], [lam_x.lam4[q] for q in quads], alpha)
+    s_d, s_u = fan_speeds([lam_y.lam1[q] for q in quads], [lam_y.lam4[q] for q in quads], alpha)
+    corners = [(cons[q], flux_x[q], flux_y[q]) for q in quads]
+    f2d, g2d = corner_fluxes(corners, (s_l, s_r, s_d, s_u))
     slm = np.minimum(s_l, 0.0)[..., None]
     srp = np.maximum(s_r, 0.0)[..., None]
     sdm = np.minimum(s_d, 0.0)[..., None]
     sup = np.maximum(s_u, 0.0)[..., None]
-
-    f_up = _hll_flux_formula(cons[lu], flux_x[lu], cons[ru], flux_x[ru], s_l, s_r)
-    f_down = _hll_flux_formula(cons[ld], flux_x[ld], cons[rd], flux_x[rd], s_l, s_r)
-    g_right = _hll_flux_formula(cons[rd], flux_y[rd], cons[ru], flux_y[ru], s_d, s_u)
-    g_left = _hll_flux_formula(cons[ld], flux_y[ld], cons[lu], flux_y[lu], s_d, s_u)
-    diff_g = (flux_y[ru] - flux_y[rd]) - (flux_y[lu] - flux_y[ld])
-    diff_f = (flux_x[ru] - flux_x[rd]) - (flux_x[lu] - flux_x[ld])
 
     # A corner fan feeds the composite only when it is genuinely two-sided in
     # both axes; one-signed fans fall back to the 1D solver (their corner
     # correction is zero below), which keeps every constituent of the update
     # an admissible 1D or corner fan state.
     two_sided = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
-    den_x = srp - slm
-    den_y = sup - sdm
-    safe_x = np.where(den_x == 0.0, 1.0, den_x)
-    safe_y = np.where(den_y == 0.0, 1.0, den_y)
-    f2d = f_down + (sup * (f_up - f_down) - (2.0 * slm * srp / safe_x) * diff_g) / safe_y
-    g2d = g_left + (srp * (g_right - g_left) - (2.0 * sdm * sup / safe_y) * diff_f) / safe_x
 
     # Composite: each face blends its 1D flux with the corner fluxes of the
     # two fan triangles that sweep across it during dt.

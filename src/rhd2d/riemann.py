@@ -1,121 +1,43 @@
 """Approximate Riemann solvers: 1D HLL and the four-state corner HLL.
 
-Signal speeds are amplified extreme characteristic speeds (factor alpha,
-alpha = 2 gives the positivity guarantee).  Flux formulas are written in
-difference form, f_left + (corrections built from state and flux
-differences); this keeps equal-state, supersonic, and one-dimensional
+Everything here takes plain arrays.  A 1D fan is given by its two states'
+conserved arrays U and physical fluxes F along the fan's axis; a corner fan
+by four (U, F, G) triples in (left-down, right-down, left-up, right-up)
+order, F and G being the x- and y-fluxes, and by its speeds
+(s_left, s_right, s_down, s_up).  Signal speeds are amplified extreme
+characteristic speeds (factor alpha, alpha = 2 gives the positivity
+guarantee), reduced over the fan's states by `fan_speeds`.  Flux formulas
+are written in difference form, f_left + (corrections built from state and
+flux differences); this keeps equal-state, supersonic, and one-dimensional
 reductions exact in floating point, which the mesh update relies on.
 All functions broadcast over leading axes and are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from . import recovery
 from .errors import AdmissibilityError, DegenerateFanError, DispatchError
-from .physics import EosParams, eigenvalues, is_admissible, physical_flux, prim_to_cons
+from .physics import is_admissible
+
+_CORNER_NAMES = ("left_down", "right_down", "left_up", "right_up")
 
 
-@dataclass(frozen=True)
-class RiemannState:
-    """A conserved state with its primitive companion cached alongside."""
+def fan_speeds(lam1s, lam4s, alpha=2.0):
+    """(alpha * min of lam1s, alpha * max of lam4s) over the states of a fan.
 
-    cons: np.ndarray
-    prim: np.ndarray
-
-    @classmethod
-    def from_primitive(cls, prim: np.ndarray, eos: EosParams) -> "RiemannState":
-        prim = np.asarray(prim, dtype=float)
-        return cls(prim_to_cons(prim, eos), prim)
-
-    @classmethod
-    def from_conserved(cls, cons: np.ndarray, eos: EosParams) -> "RiemannState":
-        cons = np.asarray(cons, dtype=float)
-        return cls(cons, recovery.recover_primitives(cons, eos))
-
-
-@dataclass(frozen=True)
-class CornerStates:
-    """The four constant states meeting at a grid vertex."""
-
-    left_down: RiemannState
-    right_down: RiemannState
-    left_up: RiemannState
-    right_up: RiemannState
-
-    def __post_init__(self):
-        for name in ("left_down", "right_down", "left_up", "right_up"):
-            state = getattr(self, name)
-            if not np.all(is_admissible(state.cons)):
-                raise AdmissibilityError(f"corner state {name} is not admissible")
-
-
-@dataclass(frozen=True)
-class WaveSpeeds2D:
-    """Signal-speed bounds of a corner fan and their sign-clipped forms."""
-
-    s_left: np.ndarray
-    s_right: np.ndarray
-    s_down: np.ndarray
-    s_up: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.s_left) > np.asarray(self.s_right)) or np.any(
-            np.asarray(self.s_down) > np.asarray(self.s_up)
-        ):
-            raise ValueError("wave speeds must satisfy s_left <= s_right, s_down <= s_up")
-
-    @property
-    def s_left_minus(self):
-        return np.minimum(self.s_left, 0.0)
-
-    @property
-    def s_right_plus(self):
-        return np.maximum(self.s_right, 0.0)
-
-    @property
-    def s_down_minus(self):
-        return np.minimum(self.s_down, 0.0)
-
-    @property
-    def s_up_plus(self):
-        return np.maximum(self.s_up, 0.0)
-
-
-def _check_alpha(alpha):
+    The arrays are reduced pairwise, so views into a mesh are never
+    stacked into a copy.
+    """
     if not alpha >= 1.0:
         raise ValueError(f"speed amplifier alpha must be >= 1, got {alpha}")
+    return alpha * reduce(np.minimum, lam1s), alpha * reduce(np.maximum, lam4s)
 
 
-def wave_speeds_1d(left: RiemannState, right: RiemannState, eos: EosParams, axis: int, alpha=2.0):
-    """(alpha * min lam1, alpha * max lam4) over the two adjacent states."""
-    _check_alpha(alpha)
-    lam_l = eigenvalues(left.prim, eos, axis)
-    lam_r = eigenvalues(right.prim, eos, axis)
-    s_minus = alpha * np.minimum(lam_l.lam1, lam_r.lam1)
-    s_plus = alpha * np.maximum(lam_l.lam4, lam_r.lam4)
-    return s_minus, s_plus
-
-
-def wave_speeds_2d(corners: CornerStates, eos: EosParams, alpha=2.0) -> WaveSpeeds2D:
-    """Extreme eigenvalues over all four corner states, amplified by alpha."""
-    _check_alpha(alpha)
-    states = (corners.left_down, corners.right_down, corners.left_up, corners.right_up)
-    lam_x = [eigenvalues(s.prim, eos, 0) for s in states]
-    lam_y = [eigenvalues(s.prim, eos, 1) for s in states]
-    return WaveSpeeds2D(
-        s_left=alpha * np.minimum.reduce([lam.lam1 for lam in lam_x]),
-        s_right=alpha * np.maximum.reduce([lam.lam4 for lam in lam_x]),
-        s_down=alpha * np.minimum.reduce([lam.lam1 for lam in lam_y]),
-        s_up=alpha * np.maximum.reduce([lam.lam4 for lam in lam_y]),
-    )
-
-
-def _hll_flux_formula(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Clipped-fan HLL flux in difference form.
+def hll_flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
+    """Clipped-fan HLL flux in difference form, valid in every regime.
 
     With sl = min(s_minus, 0), sr = max(s_plus, 0):
         flux = f_l + sl * (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl),
@@ -132,67 +54,44 @@ def _hll_flux_formula(u_l, f_l, u_r, f_r, s_minus, s_plus):
     return np.where(sl == 0.0, f_l, np.where(sr == 0.0, f_r, mid))
 
 
-def _state_formula(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Single intermediate fan state in difference form (unclipped speeds)."""
+def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
+    """Intermediate HLL state (S_R U_R - S_L U_L + F_L - F_R) / (S_R - S_L).
+
+    Unclipped speeds; the subsonic case s_minus < 0 < s_plus is the
+    caller's contract.
+    """
     sl = np.asarray(s_minus, dtype=float)[..., None]
     sr = np.asarray(s_plus, dtype=float)[..., None]
+    if np.any(sl == sr):
+        raise DegenerateFanError("degenerate fan: s_minus == s_plus")
     return u_l + (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl)
 
 
-def hll_state_1d(left: RiemannState, right: RiemannState, axis: int, speeds) -> np.ndarray:
-    """Intermediate HLL state (S_R U_R - S_L U_L + F_L - F_R) / (S_R - S_L).
-
-    `speeds` is the (s_minus, s_plus) pair; the subsonic case
-    s_minus < 0 < s_plus is the caller's contract.
-    """
-    s_minus, s_plus = (np.asarray(s, dtype=float) for s in speeds)
-    if np.any(s_minus == s_plus):
-        raise DegenerateFanError("degenerate fan: s_minus == s_plus")
-    f_l = physical_flux(left.prim, left.cons, axis)
-    f_r = physical_flux(right.prim, right.cons, axis)
-    return _state_formula(left.cons, f_l, right.cons, f_r, s_minus, s_plus)
+def _check_corner_fan(corners, speeds):
+    """Reject non-admissible corner states and unordered speeds."""
+    for name, (u, _, _) in zip(_CORNER_NAMES, corners):
+        if not np.all(is_admissible(u)):
+            raise AdmissibilityError(f"corner state {name} is not admissible")
+    s_l, s_r, s_d, s_u = (np.asarray(s) for s in speeds)
+    if np.any(s_l > s_r) or np.any(s_d > s_u):
+        raise ValueError("wave speeds must satisfy s_left <= s_right, s_down <= s_up")
 
 
-def hll_flux_1d(left: RiemannState, right: RiemannState, axis: int, speeds) -> np.ndarray:
-    """HLL flux with speeds clipped against zero, valid in every regime."""
-    s_minus, s_plus = (np.asarray(s, dtype=float) for s in speeds)
-    f_l = physical_flux(left.prim, left.cons, axis)
-    f_r = physical_flux(right.prim, right.cons, axis)
-    return _hll_flux_formula(left.cons, f_l, right.cons, f_r, s_minus, s_plus)
-
-
-def _corner_arrays(corners: CornerStates):
-    ld, rd, lu, ru = (
-        corners.left_down,
-        corners.right_down,
-        corners.left_up,
-        corners.right_up,
-    )
-    fx = {k: physical_flux(s.prim, s.cons, 0) for k, s in (("ld", ld), ("rd", rd), ("lu", lu), ("ru", ru))}
-    fy = {k: physical_flux(s.prim, s.cons, 1) for k, s in (("ld", ld), ("rd", rd), ("lu", lu), ("ru", ru))}
-    uu = {"ld": ld.cons, "rd": rd.cons, "lu": lu.cons, "ru": ru.cons}
-    return uu, fx, fy
-
-
-def _require_subsonic(speeds: WaveSpeeds2D):
-    ok = (
-        (np.asarray(speeds.s_left) < 0.0)
-        & (np.asarray(speeds.s_right) > 0.0)
-        & (np.asarray(speeds.s_down) < 0.0)
-        & (np.asarray(speeds.s_up) > 0.0)
-    )
-    if not np.all(ok):
+def _require_subsonic(speeds):
+    s_l, s_r, s_d, s_u = (np.asarray(s) for s in speeds)
+    if not np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)):
         raise DispatchError(
             "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up; "
             "one-signed fans belong to the 1D solver"
         )
 
 
-def _lanes_equal(a: RiemannState, b: RiemannState) -> np.ndarray:
-    return np.all((a.cons == b.cons) & (a.prim == b.prim), axis=-1)
+def _lanes_equal(a, b) -> np.ndarray:
+    (u_a, f_a, g_a), (u_b, f_b, g_b) = a, b
+    return np.all((u_a == u_b) & (f_a == f_b) & (g_a == g_b), axis=-1)
 
 
-def hll_state_2d(corners: CornerStates, speeds: WaveSpeeds2D) -> np.ndarray:
+def hll_state_2d(corners, speeds) -> np.ndarray:
     """Intermediate state of the four-state corner Riemann fan.
 
     U* combines the four states and both flux families,
@@ -203,61 +102,50 @@ def hll_state_2d(corners: CornerStates, speeds: WaveSpeeds2D) -> np.ndarray:
     Lanes whose corner data are invariant along one axis are routed through
     the 1D formula so the documented reduction holds exactly.
     """
+    _check_corner_fan(corners, speeds)
     _require_subsonic(speeds)
-    uu, fx, fy = _corner_arrays(corners)
-    sl = np.asarray(speeds.s_left, dtype=float)
-    sr = np.asarray(speeds.s_right, dtype=float)
-    sd = np.asarray(speeds.s_down, dtype=float)
-    su = np.asarray(speeds.s_up, dtype=float)
+    ld, rd, lu, ru = corners
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    sl, sr, sd, su = (np.asarray(s, dtype=float) for s in speeds)
 
     slv, srv, sdv, suv = (s[..., None] for s in (sl, sr, sd, su))
     span = (srv - slv) * (suv - sdv)
-    states = srv * suv * uu["ru"] + slv * sdv * uu["ld"] - srv * sdv * uu["rd"] - slv * suv * uu["lu"]
-    xflux = suv * (fx["ru"] - fx["lu"]) - sdv * (fx["rd"] - fx["ld"])
-    yflux = srv * (fy["ru"] - fy["rd"]) - slv * (fy["lu"] - fy["ld"])
+    states = srv * suv * u_ru + slv * sdv * u_ld - srv * sdv * u_rd - slv * suv * u_lu
+    xflux = suv * (f_ru - f_lu) - sdv * (f_rd - f_ld)
+    yflux = srv * (g_ru - g_rd) - slv * (g_lu - g_ld)
     general = (states - xflux - yflux) / span
 
-    y_inv = _lanes_equal(corners.left_down, corners.left_up) & _lanes_equal(
-        corners.right_down, corners.right_up
-    )
-    x_inv = _lanes_equal(corners.left_down, corners.right_down) & _lanes_equal(
-        corners.left_up, corners.right_up
-    )
+    y_inv = _lanes_equal(ld, lu) & _lanes_equal(rd, ru)
+    x_inv = _lanes_equal(ld, rd) & _lanes_equal(lu, ru)
     if np.any(y_inv):
-        x_pair = _state_formula(
-            uu["ld"], fx["ld"], uu["rd"], fx["rd"], sl, sr
-        )
+        x_pair = hll_state_1d(u_ld, f_ld, u_rd, f_rd, sl, sr)
         general = np.where(y_inv[..., None], x_pair, general)
     if np.any(x_inv):
-        y_pair = _state_formula(
-            uu["ld"], fy["ld"], uu["lu"], fy["lu"], sd, su
-        )
+        y_pair = hll_state_1d(u_ld, g_ld, u_lu, g_lu, sd, su)
         general = np.where((x_inv & ~y_inv)[..., None], y_pair, general)
     return general
 
 
-def quadrant_fan_states(corners: CornerStates, speeds: WaveSpeeds2D):
+def quadrant_fan_states(corners, speeds):
     """The four per-quadrant composites U - F/S_x - G/S_y (subsonic fans only).
 
     Each is admissible when the speeds carry amplifier alpha = 2, and the
     corner state is their convex combination with weights
     S_L S_D / B, -S_R S_D / B, -S_L S_U / B, S_R S_U / B.
     """
+    _check_corner_fan(corners, speeds)
     _require_subsonic(speeds)
-    uu, fx, fy = _corner_arrays(corners)
-    sl = np.asarray(speeds.s_left, dtype=float)[..., None]
-    sr = np.asarray(speeds.s_right, dtype=float)[..., None]
-    sd = np.asarray(speeds.s_down, dtype=float)[..., None]
-    su = np.asarray(speeds.s_up, dtype=float)[..., None]
-    h_ld = uu["ld"] - fx["ld"] / sl - fy["ld"] / sd
-    h_rd = uu["rd"] - fx["rd"] / sr - fy["rd"] / sd
-    h_lu = uu["lu"] - fx["lu"] / sl - fy["lu"] / su
-    h_ru = uu["ru"] - fx["ru"] / sr - fy["ru"] / su
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    sl, sr, sd, su = (np.asarray(s, dtype=float)[..., None] for s in speeds)
+    h_ld = u_ld - f_ld / sl - g_ld / sd
+    h_rd = u_rd - f_rd / sr - g_rd / sd
+    h_lu = u_lu - f_lu / sl - g_lu / su
+    h_ru = u_ru - f_ru / sr - g_ru / su
     return h_ld, h_rd, h_lu, h_ru
 
 
-def hll_flux_2d(corners: CornerStates, speeds: WaveSpeeds2D):
-    """(flux_x, flux_y) of the corner fan, valid in every speed regime.
+def corner_fluxes(corners, speeds):
+    """(flux_x, flux_y) of the corner fan, without input checks.
 
     Built from the four clipped 1D fluxes of the fan's edge pairs plus a
     transverse flux-difference correction:
@@ -267,33 +155,47 @@ def hll_flux_2d(corners: CornerStates, speeds: WaveSpeeds2D):
 
     with dG = (G_RU - G_RD) - (G_LU - G_LD), and symmetrically for flux_y.
     The difference-form grouping makes one-dimensional corner data reproduce
-    the matching 1D flux exactly.
+    the matching 1D flux exactly.  A vanished clipped spread divides by one
+    instead, so the mesh update, whose cells recovery has already certified,
+    calls this kernel directly; `hll_flux_2d` is its checked form.
     """
-    uu, fx, fy = _corner_arrays(corners)
-    sl = np.asarray(speeds.s_left, dtype=float)
-    sr = np.asarray(speeds.s_right, dtype=float)
-    sd = np.asarray(speeds.s_down, dtype=float)
-    su = np.asarray(speeds.s_up, dtype=float)
-    slm = np.minimum(sl, 0.0)[..., None]
-    srp = np.maximum(sr, 0.0)[..., None]
-    sdm = np.minimum(sd, 0.0)[..., None]
-    sup = np.maximum(su, 0.0)[..., None]
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    s_l, s_r, s_d, s_u = speeds
+    slm = np.minimum(s_l, 0.0)[..., None]
+    srp = np.maximum(s_r, 0.0)[..., None]
+    sdm = np.minimum(s_d, 0.0)[..., None]
+    sup = np.maximum(s_u, 0.0)[..., None]
+
+    f_up = hll_flux_1d(u_lu, f_lu, u_ru, f_ru, s_l, s_r)
+    f_down = hll_flux_1d(u_ld, f_ld, u_rd, f_rd, s_l, s_r)
+    g_right = hll_flux_1d(u_rd, g_rd, u_ru, g_ru, s_d, s_u)
+    g_left = hll_flux_1d(u_ld, g_ld, u_lu, g_lu, s_d, s_u)
+    diff_g = (g_ru - g_rd) - (g_lu - g_ld)
+    diff_f = (f_ru - f_rd) - (f_lu - f_ld)
+
     den_x = srp - slm
     den_y = sup - sdm
+    safe_x = np.where(den_x == 0.0, 1.0, den_x)
+    safe_y = np.where(den_y == 0.0, 1.0, den_y)
+    flux_x = f_down + (sup * (f_up - f_down) - (2.0 * slm * srp / safe_x) * diff_g) / safe_y
+    flux_y = g_left + (srp * (g_right - g_left) - (2.0 * sdm * sup / safe_y) * diff_f) / safe_x
+    return flux_x, flux_y
+
+
+def hll_flux_2d(corners, speeds):
+    """(flux_x, flux_y) of the corner fan, valid in every speed regime.
+
+    `corner_fluxes` after the input checks; a fan whose clipped speed
+    spread vanishes on either axis raises DegenerateFanError.
+    """
+    _check_corner_fan(corners, speeds)
+    s_l, s_r, s_d, s_u = speeds
+    den_x = np.maximum(s_r, 0.0) - np.minimum(s_l, 0.0)
+    den_y = np.maximum(s_u, 0.0) - np.minimum(s_d, 0.0)
     if np.any(den_x == 0.0) or np.any(den_y == 0.0):
         raise DegenerateFanError(
             "corner fan degenerate: clipped speed spread vanished "
             "(callers may substitute the clipped 1D flux; the spread is "
             "positive for any admissible corner data)"
         )
-
-    f_up = _hll_flux_formula(uu["lu"], fx["lu"], uu["ru"], fx["ru"], sl, sr)
-    f_down = _hll_flux_formula(uu["ld"], fx["ld"], uu["rd"], fx["rd"], sl, sr)
-    g_right = _hll_flux_formula(uu["rd"], fy["rd"], uu["ru"], fy["ru"], sd, su)
-    g_left = _hll_flux_formula(uu["ld"], fy["ld"], uu["lu"], fy["lu"], sd, su)
-    diff_g = (fy["ru"] - fy["rd"]) - (fy["lu"] - fy["ld"])
-    diff_f = (fx["ru"] - fx["rd"]) - (fx["lu"] - fx["ld"])
-
-    flux_x = f_down + (sup * (f_up - f_down) - (2.0 * slm * srp / den_x) * diff_g) / den_y
-    flux_y = g_left + (srp * (g_right - g_left) - (2.0 * sdm * sup / den_y) * diff_f) / den_x
-    return flux_x, flux_y
+    return corner_fluxes(corners, speeds)

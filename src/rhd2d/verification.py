@@ -188,6 +188,27 @@ def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosP
     return results
 
 
+def _fan_speeds_2d(prims, eos, alpha):
+    """(s_left, s_right, s_down, s_up) over four primitive arrays."""
+    speeds = ()
+    for axis in (0, 1):
+        lam = [physics.eigenvalues(p, eos, axis) for p in prims]
+        speeds += riemann.fan_speeds([l.lam1 for l in lam], [l.lam4 for l in lam], alpha)
+    return speeds
+
+
+def _corner_fan(prims, eos, alpha):
+    """Corner-solver input from four primitive arrays in (ld, rd, lu, ru) order:
+    the (U, F, G) triple of each state and the fan speeds."""
+    corners = []
+    for prim in prims:
+        cons = physics.prim_to_cons(prim, eos)
+        corners.append(
+            (cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1))
+        )
+    return corners, _fan_speeds_2d(prims, eos, alpha)
+
+
 def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
     """Draw corner quadruples until n of them have two-sided fans."""
     kept_prims, kept = [], 0
@@ -200,12 +221,7 @@ def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
             )
             for _ in range(4)
         ]
-        lam_x = [physics.eigenvalues(p, eos, 0) for p in prims]
-        lam_y = [physics.eigenvalues(p, eos, 1) for p in prims]
-        s_l = alpha * np.minimum.reduce([l.lam1 for l in lam_x])
-        s_r = alpha * np.maximum.reduce([l.lam4 for l in lam_x])
-        s_d = alpha * np.minimum.reduce([l.lam1 for l in lam_y])
-        s_u = alpha * np.maximum.reduce([l.lam4 for l in lam_y])
+        s_l, s_r, s_d, s_u = _fan_speeds_2d(prims, eos, alpha)
         keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
         kept_prims.append([p[keep] for p in prims])
         kept += int(np.sum(keep))
@@ -214,9 +230,7 @@ def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
 
 def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams(), alpha=2.0):
     """Admissibility of the corner intermediate state and its quadrant parts."""
-    prims = _subsonic_corners(rng, n, eos, alpha)
-    corners = riemann.CornerStates(*(riemann.RiemannState.from_primitive(p, eos) for p in prims))
-    speeds = riemann.wave_speeds_2d(corners, eos, alpha)
+    corners, speeds = _corner_fan(_subsonic_corners(rng, n, eos, alpha), eos, alpha)
     star = riemann.hll_state_2d(corners, speeds)
     results = [_count("corner intermediate state admissible (alpha = 2)", physics.is_admissible(star))]
 
@@ -226,10 +240,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosPa
     prims_b = _subsonic_corners(
         rng, n, eos, alpha, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
     )
-    corners_b = riemann.CornerStates(
-        *(riemann.RiemannState.from_primitive(p, eos) for p in prims_b)
-    )
-    speeds_b = riemann.wave_speeds_2d(corners_b, eos, alpha)
+    corners_b, speeds_b = _corner_fan(prims_b, eos, alpha)
     names = ("left-down", "right-down", "left-up", "right-up")
     for name, h in zip(names, riemann.quadrant_fan_states(corners_b, speeds_b)):
         results.append(_count(f"{name} quadrant composite admissible", physics.is_admissible(h)))

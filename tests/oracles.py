@@ -173,20 +173,10 @@ def corner_fluxes_from_states(u, fx, fy, speeds):
     return out_x, out_y
 
 
-def corner_constituents(corners, eos):
-    """Float64 (u, fx, fy) dicts of a CornerStates batch (library values)."""
-    import numpy as np
-
-    from rhd2d.physics import physical_flux
-
-    names = {"ld": "left_down", "rd": "right_down", "lu": "left_up", "ru": "right_up"}
-    u, fx, fy = {}, {}, {}
-    for key, attr in names.items():
-        state = getattr(corners, attr)
-        u[key] = np.asarray(state.cons, dtype=float)
-        fx[key] = physical_flux(state.prim, state.cons, 0)
-        fy[key] = physical_flux(state.prim, state.cons, 1)
-    return u, fx, fy
+def corner_constituents(corners):
+    """(u, fx, fy) dicts of a corner batch's (U, F, G) triples (library values)."""
+    keys = ("ld", "rd", "lu", "ru")
+    return tuple({key: triple[m] for key, triple in zip(keys, corners)} for m in range(3))
 
 
 def pressure_root(cons, gamma):

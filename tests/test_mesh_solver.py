@@ -51,7 +51,15 @@ class TestGrid:
         assert_close(grid.centers_x()[0], 0.05, rel=1e-15)
         assert grid.centers_x(with_ghosts=True).shape == (12,)
 
-    @pytest.mark.parametrize("args", [(0, 4, 0, 1, 0, 1), (4, 4, 1, 0, 0, 1)])
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 4, 0, 1, 0, 1), (4, 4, 1, 0, 0, 1)]
+        + [
+            (4, 4) + tuple(bad if k == bound else (0.0, 1.0, 0.0, 1.0)[k] for k in range(4))
+            for bound in range(4)
+            for bad in (np.inf, -np.inf, np.nan)
+        ],
+    )
     def test_validation(self, args):
         with pytest.raises(ConfigurationError):
             Grid(*args)

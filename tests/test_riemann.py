@@ -5,189 +5,195 @@ import oracles
 from conftest import assert_close
 from rhd2d import physics, riemann, verification
 from rhd2d.errors import AdmissibilityError, DegenerateFanError, DispatchError
-from rhd2d.riemann import CornerStates, RiemannState, WaveSpeeds2D
 
-SOD_LEFT = (1.0, 0.0, 0.0, 1.0)
-SOD_RIGHT = (0.125, 0.0, 0.0, 0.1)
-
-
-def state(eos, rho, vx, vy, p):
-    return RiemannState.from_primitive(physics.primitive(rho, vx, vy, p), eos)
+SOD_LEFT = physics.primitive(1.0, 0.0, 0.0, 1.0)
+SOD_RIGHT = physics.primitive(0.125, 0.0, 0.0, 0.1)
+CORNER_SOLVERS = (riemann.hll_state_2d, riemann.quadrant_fan_states, riemann.hll_flux_2d)
 
 
-def random_states(rng, eos, n, **kwargs):
-    prim = verification.sample_primitives(rng, n, eos=eos, **kwargs)
-    return RiemannState.from_primitive(prim, eos)
+def ufg(eos, prim):
+    """(U, F, G) of a primitive state: the per-state input of the solvers."""
+    cons = physics.prim_to_cons(prim, eos)
+    return cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1)
 
 
-class TestRiemannState:
-    def test_from_conserved_round_trip(self, eos53):
-        prim = physics.primitive(0.5, 0.3, -0.2, 0.7)
-        cons = physics.prim_to_cons(prim, eos53)
-        rs = RiemannState.from_conserved(cons, eos53)
-        assert_close(rs.prim, prim, rel=1e-11, abs_tol=1e-300)
+def pair_speeds(eos, prims, axis, alpha=2.0):
+    lam = [physics.eigenvalues(p, eos, axis) for p in prims]
+    return riemann.fan_speeds([l.lam1 for l in lam], [l.lam4 for l in lam], alpha)
 
-    def test_corner_states_validate(self, eos53):
-        good = state(eos53, 1.0, 0.0, 0.0, 1.0)
-        bad = RiemannState(np.array([1.0, 3.0, 0.0, 2.0]), np.array([1.0, 0.9, 0.0, 1.0]))
-        with pytest.raises(AdmissibilityError):
-            CornerStates(good, good, good, bad)
+
+def corner_fan(eos, prims, alpha=2.0):
+    """(corners, speeds) of four primitive states in (ld, rd, lu, ru) order."""
+    return verification._corner_fan(prims, eos, alpha)
+
+
+def random_prims(rng, eos, n, **kwargs):
+    return verification.sample_primitives(rng, n, eos=eos, **kwargs)
 
 
 class TestWaveSpeeds1D:
     def test_rest_pair_amplified(self, eos53):
-        rest = state(eos53, 1.0, 0.0, 0.0, 1.0)
-        s_minus, s_plus = riemann.wave_speeds_1d(rest, rest, eos53, 0, alpha=2.0)
+        rest = physics.primitive(1.0, 0.0, 0.0, 1.0)
+        s_minus, s_plus = pair_speeds(eos53, (rest, rest), 0, alpha=2.0)
         assert_close(s_minus, -1.3801311186847084356, rel=1e-15)
         assert_close(s_plus, 1.3801311186847084356, rel=1e-15)
 
     def test_identical_states_alpha_one(self, eos53):
-        s = state(eos53, 0.4, 0.3, 0.1, 0.2)
-        lam = physics.eigenvalues(s.prim, eos53, 1)
-        s_minus, s_plus = riemann.wave_speeds_1d(s, s, eos53, 1, alpha=1.0)
+        s = physics.primitive(0.4, 0.3, 0.1, 0.2)
+        lam = physics.eigenvalues(s, eos53, 1)
+        s_minus, s_plus = pair_speeds(eos53, (s, s), 1, alpha=1.0)
         assert s_minus == lam.lam1 and s_plus == lam.lam4
 
     def test_ordering(self, rng, eos53):
-        left = random_states(rng, eos53, 2_000)
-        right = random_states(rng, eos53, 2_000)
-        s_minus, s_plus = riemann.wave_speeds_1d(left, right, eos53, 0)
+        left = random_prims(rng, eos53, 2_000)
+        right = random_prims(rng, eos53, 2_000)
+        s_minus, s_plus = pair_speeds(eos53, (left, right), 0)
         assert np.all(s_minus < s_plus)
 
     def test_alpha_validated(self, eos53):
-        rest = state(eos53, 1.0, 0.0, 0.0, 1.0)
+        rest = physics.primitive(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            riemann.wave_speeds_1d(rest, rest, eos53, 0, alpha=0.5)
+            pair_speeds(eos53, (rest, rest), 0, alpha=0.5)
 
 
 class TestWaveSpeeds2D:
     def test_rest_corners(self, eos53):
-        rest = state(eos53, 1.0, 0.0, 0.0, 1.0)
-        sp = riemann.wave_speeds_2d(CornerStates(rest, rest, rest, rest), eos53, alpha=2.0)
-        for got in (sp.s_left, sp.s_down):
+        rest = physics.primitive(1.0, 0.0, 0.0, 1.0)
+        s_l, s_r, s_d, s_u = corner_fan(eos53, [rest] * 4, alpha=2.0)[1]
+        for got in (s_l, s_d):
             assert_close(got, -1.3801311186847084356, rel=1e-15)
-        for got in (sp.s_right, sp.s_up):
+        for got in (s_r, s_u):
             assert_close(got, 1.3801311186847084356, rel=1e-15)
 
-    def test_transverse_symmetry_and_clipping(self, eos53):
-        moving = state(eos53, 1.0, 0.5, 0.0, 1.0)
-        sp = riemann.wave_speeds_2d(CornerStates(moving, moving, moving, moving), eos53)
-        assert sp.s_down == -sp.s_up
-        assert sp.s_left != -sp.s_right
-        assert sp.s_left_minus <= 0.0 <= sp.s_right_plus
-        assert sp.s_down_minus <= 0.0 <= sp.s_up_plus
+    def test_transverse_symmetry(self, eos53):
+        moving = physics.primitive(1.0, 0.5, 0.0, 1.0)
+        s_l, s_r, s_d, s_u = corner_fan(eos53, [moving] * 4)[1]
+        assert s_d == -s_u
+        assert s_l != -s_r
 
     def test_alpha_scaling_exact(self, rng, eos53):
-        corners = CornerStates(*(random_states(rng, eos53, 500) for _ in range(4)))
-        one = riemann.wave_speeds_2d(corners, eos53, alpha=1.0)
-        two = riemann.wave_speeds_2d(corners, eos53, alpha=2.0)
-        assert np.array_equal(two.s_left, 2.0 * one.s_left)
-        assert np.array_equal(two.s_up, 2.0 * one.s_up)
+        prims = [random_prims(rng, eos53, 500) for _ in range(4)]
+        one = corner_fan(eos53, prims, alpha=1.0)[1]
+        two = corner_fan(eos53, prims, alpha=2.0)[1]
+        assert np.array_equal(two[0], 2.0 * one[0])
+        assert np.array_equal(two[3], 2.0 * one[3])
 
-    def test_speed_ordering_validated(self):
-        with pytest.raises(ValueError):
-            WaveSpeeds2D(s_left=1.0, s_right=-1.0, s_down=-1.0, s_up=1.0)
+    def test_speed_ordering_validated(self, eos53):
+        rest = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
+        for solver in CORNER_SOLVERS:
+            with pytest.raises(ValueError):
+                solver([rest] * 4, (1.0, -1.0, -1.0, 1.0))
 
 
 class TestHll1D:
     def test_state_consistency_bitwise(self, eos53):
-        s = state(eos53, 0.8, 0.2, -0.1, 0.5)
-        speeds = riemann.wave_speeds_1d(s, s, eos53, 0)
-        assert np.array_equal(riemann.hll_state_1d(s, s, 0, speeds), s.cons)
+        s = physics.primitive(0.8, 0.2, -0.1, 0.5)
+        u, f, _ = ufg(eos53, s)
+        speeds = pair_speeds(eos53, (s, s), 0)
+        assert np.array_equal(riemann.hll_state_1d(u, f, u, f, *speeds), u)
 
     def test_state_sod_oracle(self, eos53):
-        left = state(eos53, *SOD_LEFT)
-        right = state(eos53, *SOD_RIGHT)
-        speeds = riemann.wave_speeds_1d(left, right, eos53, 0, alpha=2.0)
-        got = riemann.hll_state_1d(left, right, 0, speeds)
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, SOD_LEFT), ufg(eos53, SOD_RIGHT)
+        speeds = pair_speeds(eos53, (SOD_LEFT, SOD_RIGHT), 0, alpha=2.0)
+        got = riemann.hll_state_1d(u_l, f_l, u_r, f_r, *speeds)
         ref = oracles.hll_state(SOD_LEFT, SOD_RIGHT, eos53.gamma_adiabatic, 0,
                                 float(speeds[0]), float(speeds[1]))
         assert_close(got, [float(v) for v in ref], rel=1e-13, abs_tol=1e-300)
         assert physics.is_admissible(got)
-        assert min(SOD_LEFT[0], SOD_RIGHT[0]) < got[physics.DEN] < 2.0 * max(SOD_LEFT[0], SOD_RIGHT[0])
+        rho_l, rho_r = SOD_LEFT[physics.RHO], SOD_RIGHT[physics.RHO]
+        assert min(rho_l, rho_r) < got[physics.DEN] < 2.0 * max(rho_l, rho_r)
 
     def test_state_compression_raises_energy(self, eos53):
-        left = state(eos53, 1.0, 0.5, 0.0, 1.0)
-        right = state(eos53, 1.0, -0.5, 0.0, 1.0)
-        speeds = riemann.wave_speeds_1d(left, right, eos53, 0, alpha=2.0)
-        got = riemann.hll_state_1d(left, right, 0, speeds)
-        assert got[physics.ENE] > min(left.cons[physics.ENE], right.cons[physics.ENE])
+        left = physics.primitive(1.0, 0.5, 0.0, 1.0)
+        right = physics.primitive(1.0, -0.5, 0.0, 1.0)
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, left), ufg(eos53, right)
+        speeds = pair_speeds(eos53, (left, right), 0, alpha=2.0)
+        got = riemann.hll_state_1d(u_l, f_l, u_r, f_r, *speeds)
+        assert got[physics.ENE] > min(u_l[physics.ENE], u_r[physics.ENE])
 
     def test_state_degenerate_fan(self, eos53):
-        left = state(eos53, 1.0, 0.0, 0.0, 1.0)
+        u, f, _ = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
         with pytest.raises(DegenerateFanError):
-            riemann.hll_state_1d(left, left, 0, (np.array(0.3), np.array(0.3)))
+            riemann.hll_state_1d(u, f, u, f, np.array(0.3), np.array(0.3))
 
     def test_flux_consistency_bitwise(self, eos53):
-        s = state(eos53, 0.8, 0.2, -0.1, 0.5)
-        speeds = riemann.wave_speeds_1d(s, s, eos53, 0)
-        flux = physics.physical_flux(s.prim, s.cons, 0)
-        assert np.array_equal(riemann.hll_flux_1d(s, s, 0, speeds), flux)
+        s = physics.primitive(0.8, 0.2, -0.1, 0.5)
+        u, f, _ = ufg(eos53, s)
+        speeds = pair_speeds(eos53, (s, s), 0)
+        assert np.array_equal(riemann.hll_flux_1d(u, f, u, f, *speeds), f)
 
     def test_flux_supersonic_upwind_bitwise(self, eos53):
-        left = state(eos53, 0.1, 0.99, 0.0, 1.0)
-        right = state(eos53, 0.2, 0.99, 0.0, 0.5)
-        speeds = riemann.wave_speeds_1d(left, right, eos53, 0, alpha=2.0)
+        left = physics.primitive(0.1, 0.99, 0.0, 1.0)
+        right = physics.primitive(0.2, 0.99, 0.0, 0.5)
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, left), ufg(eos53, right)
+        speeds = pair_speeds(eos53, (left, right), 0, alpha=2.0)
         assert np.all(speeds[0] > 0)
-        got = riemann.hll_flux_1d(left, right, 0, speeds)
-        assert np.array_equal(got, physics.physical_flux(left.prim, left.cons, 0))
+        got = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, *speeds)
+        assert np.array_equal(got, f_l)
         # mirrored: supersonic leftward selects the right flux
-        lm = state(eos53, 0.1, -0.99, 0.0, 1.0)
-        rm = state(eos53, 0.2, -0.99, 0.0, 0.5)
-        speeds = riemann.wave_speeds_1d(lm, rm, eos53, 0, alpha=2.0)
-        got = riemann.hll_flux_1d(lm, rm, 0, speeds)
-        assert np.array_equal(got, physics.physical_flux(rm.prim, rm.cons, 0))
+        lm = physics.primitive(0.1, -0.99, 0.0, 1.0)
+        rm = physics.primitive(0.2, -0.99, 0.0, 0.5)
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, lm), ufg(eos53, rm)
+        speeds = pair_speeds(eos53, (lm, rm), 0, alpha=2.0)
+        got = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, *speeds)
+        assert np.array_equal(got, f_r)
 
     def test_flux_sod_oracle(self, eos53):
-        left = state(eos53, *SOD_LEFT)
-        right = state(eos53, *SOD_RIGHT)
-        speeds = riemann.wave_speeds_1d(left, right, eos53, 0, alpha=2.0)
-        got = riemann.hll_flux_1d(left, right, 0, speeds)
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, SOD_LEFT), ufg(eos53, SOD_RIGHT)
+        speeds = pair_speeds(eos53, (SOD_LEFT, SOD_RIGHT), 0, alpha=2.0)
+        got = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, *speeds)
         ref = oracles.hll_flux(SOD_LEFT, SOD_RIGHT, eos53.gamma_adiabatic, 0,
                                float(speeds[0]), float(speeds[1]))
         assert_close(got, [float(v) for v in ref], rel=1e-13, abs_tol=1e-300)
 
 
-def random_subsonic_corners(rng, eos, n, tame=False):
+def random_subsonic_prims(rng, eos, n, tame=False):
     kwargs = {"gamma_cap": 10.0, "guard": verification.BOUNDARY_GUARD} if tame else {}
-    prims = verification._subsonic_corners(rng, n, eos, 2.0, **kwargs)
-    return CornerStates(*(RiemannState.from_primitive(p, eos) for p in prims))
+    return verification._subsonic_corners(rng, n, eos, 2.0, **kwargs)
 
 
 class TestHll2D:
+    def test_corner_states_validate(self, eos53):
+        good = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
+        bad_cons = np.array([1.0, 3.0, 0.0, 2.0])
+        bad_prim = np.array([1.0, 0.9, 0.0, 1.0])
+        bad = (
+            bad_cons,
+            physics.physical_flux(bad_prim, bad_cons, 0),
+            physics.physical_flux(bad_prim, bad_cons, 1),
+        )
+        for solver in CORNER_SOLVERS:
+            with pytest.raises(AdmissibilityError):
+                solver([good, good, good, bad], (-1.0, 1.0, -1.0, 1.0))
+
     def test_state_identical_corners_bitwise(self, eos53):
-        s = state(eos53, 0.8, 0.1, -0.2, 0.6)
-        corners = CornerStates(s, s, s, s)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
-        assert np.array_equal(riemann.hll_state_2d(corners, speeds), s.cons)
+        s = physics.primitive(0.8, 0.1, -0.2, 0.6)
+        corners, speeds = corner_fan(eos53, [s] * 4)
+        assert np.array_equal(riemann.hll_state_2d(corners, speeds), corners[0][0])
 
     def test_state_y_invariant_reduces_bitwise(self, eos53):
-        left = state(eos53, *SOD_LEFT)
-        right = state(eos53, *SOD_RIGHT)
-        corners = CornerStates(left, right, left, right)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_RIGHT, SOD_LEFT, SOD_RIGHT])
         got = riemann.hll_state_2d(corners, speeds)
-        ref = riemann.hll_state_1d(left, right, 0, (speeds.s_left, speeds.s_right))
+        (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
+        ref = riemann.hll_state_1d(u_l, f_l, u_r, f_r, speeds[0], speeds[1])
         assert np.array_equal(got, ref)
 
     def test_state_x_invariant_reduces_bitwise(self, eos53):
-        down = state(eos53, *SOD_LEFT)
-        up = state(eos53, *SOD_RIGHT)
-        corners = CornerStates(down, down, up, up)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_LEFT, SOD_RIGHT, SOD_RIGHT])
         got = riemann.hll_state_2d(corners, speeds)
-        ref = riemann.hll_state_1d(down, up, 1, (speeds.s_down, speeds.s_up))
+        (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
+        ref = riemann.hll_state_1d(u_d, g_d, u_u, g_u, speeds[2], speeds[3])
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("tame,rel", [(True, 1e-13), (False, 3e-12)])
     def test_state_oracle_and_fan_decomposition(self, rng, eos53, tame, rel):
-        corners = random_subsonic_corners(rng, eos53, 200, tame=tame)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, random_subsonic_prims(rng, eos53, 200, tame=tame))
         got = riemann.hll_state_2d(corners, speeds)
 
         # spot-check lanes against the exact combination of the constituents
-        u, fx_all, fy_all = oracles.corner_constituents(corners, eos53)
+        u, fx_all, fy_all = oracles.corner_constituents(corners)
         for k in (7, 23, 101):
-            sp = [float(np.asarray(s)[k]) for s in (speeds.s_left, speeds.s_right, speeds.s_down, speeds.s_up)]
+            sp = [float(np.asarray(s)[k]) for s in speeds]
             ref = oracles.corner_state_from_states(
                 {key: v[k] for key, v in u.items()},
                 {key: v[k] for key, v in fx_all.items()},
@@ -199,57 +205,48 @@ class TestHll2D:
 
         # every lane equals the convex combination of the quadrant composites
         h_ld, h_rd, h_lu, h_ru = riemann.quadrant_fan_states(corners, speeds)
-        sl = np.asarray(speeds.s_left)[:, None]
-        sr = np.asarray(speeds.s_right)[:, None]
-        sd = np.asarray(speeds.s_down)[:, None]
-        su = np.asarray(speeds.s_up)[:, None]
+        sl, sr, sd, su = (np.asarray(s)[:, None] for s in speeds)
         span = (sr - sl) * (su - sd)
         combo = (sl * sd * h_ld - sr * sd * h_rd - sl * su * h_lu + sr * su * h_ru) / span
         scale = np.max(np.abs(got), axis=-1, keepdims=True)
         assert np.max(np.abs(got - combo) / scale) <= rel
 
     def test_state_requires_subsonic(self, eos53):
-        fast = state(eos53, 0.1, 0.99, 0.0, 1.0)
-        corners = CornerStates(fast, fast, fast, fast)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        fast = physics.primitive(0.1, 0.99, 0.0, 1.0)
+        corners, speeds = corner_fan(eos53, [fast] * 4)
         with pytest.raises(DispatchError):
             riemann.hll_state_2d(corners, speeds)
         with pytest.raises(DispatchError):
             riemann.quadrant_fan_states(corners, speeds)
 
     def test_flux_identical_corners_bitwise(self, eos53):
-        s = state(eos53, 0.8, 0.1, -0.2, 0.6)
-        corners = CornerStates(s, s, s, s)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        s = physics.primitive(0.8, 0.1, -0.2, 0.6)
+        corners, speeds = corner_fan(eos53, [s] * 4)
         fx, fy = riemann.hll_flux_2d(corners, speeds)
-        assert np.array_equal(fx, physics.physical_flux(s.prim, s.cons, 0))
-        assert np.array_equal(fy, physics.physical_flux(s.prim, s.cons, 1))
+        _, f, g = ufg(eos53, s)
+        assert np.array_equal(fx, f)
+        assert np.array_equal(fy, g)
 
     def test_flux_y_invariant_reduces_bitwise(self, eos53):
-        left = state(eos53, *SOD_LEFT)
-        right = state(eos53, *SOD_RIGHT)
-        corners = CornerStates(left, right, left, right)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_RIGHT, SOD_LEFT, SOD_RIGHT])
         fx, _ = riemann.hll_flux_2d(corners, speeds)
-        ref = riemann.hll_flux_1d(left, right, 0, (speeds.s_left, speeds.s_right))
+        (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
+        ref = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, speeds[0], speeds[1])
         assert np.array_equal(fx, ref)
 
     def test_flux_x_invariant_reduces_bitwise(self, eos53):
-        down = state(eos53, *SOD_LEFT)
-        up = state(eos53, *SOD_RIGHT)
-        corners = CornerStates(down, down, up, up)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_LEFT, SOD_RIGHT, SOD_RIGHT])
         _, fy = riemann.hll_flux_2d(corners, speeds)
-        ref = riemann.hll_flux_1d(down, up, 1, (speeds.s_down, speeds.s_up))
+        (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
+        ref = riemann.hll_flux_1d(u_d, g_d, u_u, g_u, speeds[2], speeds[3])
         assert np.array_equal(fy, ref)
 
     def test_flux_oracle(self, rng, eos53):
-        corners = random_subsonic_corners(rng, eos53, 50)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        corners, speeds = corner_fan(eos53, random_subsonic_prims(rng, eos53, 50))
         fx, fy = riemann.hll_flux_2d(corners, speeds)
-        u, fx_all, fy_all = oracles.corner_constituents(corners, eos53)
+        u, fx_all, fy_all = oracles.corner_constituents(corners)
         for k in (3, 11, 29):
-            sp = [float(np.asarray(s)[k]) for s in (speeds.s_left, speeds.s_right, speeds.s_down, speeds.s_up)]
+            sp = [float(np.asarray(s)[k]) for s in speeds]
             ref_x, ref_y = oracles.corner_fluxes_from_states(
                 {key: v[k] for key, v in u.items()},
                 {key: v[k] for key, v in fx_all.items()},
@@ -262,40 +259,22 @@ class TestHll2D:
             assert np.max(np.abs(fy[k] - [float(v) for v in ref_y])) <= 1e-13 * scale_y
 
     def test_flux_degenerate_raises(self, eos53):
-        s = state(eos53, 1.0, 0.0, 0.0, 1.0)
-        corners = CornerStates(s, s, s, s)
-        speeds = WaveSpeeds2D(s_left=0.0, s_right=0.0, s_down=-1.0, s_up=1.0)
+        s = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
         with pytest.raises(DegenerateFanError):
-            riemann.hll_flux_2d(corners, speeds)
+            riemann.hll_flux_2d([s] * 4, (0.0, 0.0, -1.0, 1.0))
 
     def test_scaling_covariance_at_fixed_speeds(self, rng, eos53):
-        corners = random_subsonic_corners(rng, eos53, 200)
-        speeds = riemann.wave_speeds_2d(corners, eos53)
+        prims = random_subsonic_prims(rng, eos53, 200)
+        corners, speeds = corner_fan(eos53, prims)
         kappa = 3.7
-        scaled = CornerStates(
-            *(
-                RiemannState(kappa * getattr(corners, n).cons, getattr(corners, n).prim)
-                for n in ("left_down", "right_down", "left_up", "right_up")
-            )
-        )
         # primitives of the scaled states share the velocity and scale rho, p;
         # fluxes are linear in (cons, p) so build them from scaled primitives
-        scaled = CornerStates(
-            *(
-                RiemannState.from_primitive(
-                    np.stack(
-                        [
-                            kappa * getattr(corners, n).prim[:, 0],
-                            getattr(corners, n).prim[:, 1],
-                            getattr(corners, n).prim[:, 2],
-                            kappa * getattr(corners, n).prim[:, 3],
-                        ],
-                        axis=-1,
-                    ),
-                    eos53,
-                )
-                for n in ("left_down", "right_down", "left_up", "right_up")
-            )
+        scaled, _ = corner_fan(
+            eos53,
+            [
+                np.stack([kappa * p[:, 0], p[:, 1], p[:, 2], kappa * p[:, 3]], axis=-1)
+                for p in prims
+            ],
         )
         u1 = riemann.hll_state_2d(corners, speeds)
         u2 = riemann.hll_state_2d(scaled, speeds)
