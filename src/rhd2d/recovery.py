@@ -85,8 +85,9 @@ def _psi(p, dens, energy, m2_head, m2_tail, gamma_ratio):
     gam = w / root_z
     gam2 = (w * w) / z
     psi = dens * gam + gamma_ratio * p * gam2 - w
-    # d(gamma)/dp = -gamma |m|^2 / (z w);  d(gamma^2)/dp = 2 gamma gamma'
-    dgam = -gam * m2_head / (z * w)
+    # d(gamma)/dp = -gamma |m|^2 / (z w);  d(gamma^2)/dp = 2 gamma gamma'.
+    # Grouped so no intermediate grows like w^3, which overflows at E + p ~ 5e102.
+    dgam = -(gam / w) * (m2_head / z)
     dpsi = dens * dgam + gamma_ratio * (gam2 + 2.0 * p * gam * dgam) - 1.0
     return psi, dpsi, z, w
 

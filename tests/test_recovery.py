@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ class TestRecovery:
     def test_ultra_relativistic_near_vacuum(self, eos53):
         prim = physics.primitive(1e-8, 0.9999, 0.0, 1e-10)
         assert roundtrip_error(prim, eos53) <= 1e-8
+
+    def test_large_scale_keeps_newton_derivative(self, eos53):
+        """At E + p ~ 1e150 the derivative's w^3 intermediate would overflow;
+        the state must recover, warning-free, in the unit-scale sweep count."""
+        sweeps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for scale in (1.0, 1e150):
+                prim = physics.primitive(scale, 0.0, -0.5, 0.3 * scale)
+                cons = physics.prim_to_cons(prim, eos53)
+                back, iterations = recover_with_iterations(cons, eos53)
+                assert_close(back, prim, rel=1e-10)
+                sweeps.append(iterations)
+        assert sweeps[1] == sweeps[0]
 
     def test_against_high_precision_root(self, eos53):
         cons = physics.prim_to_cons(physics.primitive(0.7, 0.6, -0.5, 0.3), eos53)
