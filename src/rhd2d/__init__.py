@@ -2,8 +2,11 @@
 
 A first-order Godunov scheme on uniform Cartesian meshes whose interface
 fluxes blend 1D HLL fluxes with genuinely multidimensional corner-fan
-fluxes.  With wave-speed amplifier 2 and CFL number at most one half, every
-update preserves positive density and pressure and sub-luminal velocity.
+fluxes.  With wave-speed amplifier 2 and CFL number at most one half, the
+update is designed to preserve positive density and pressure and
+sub-luminal velocity.  It does on the benchmark problems; on generic
+admissible data a multidimensional step can still leave the admissible
+set, which the PCP audit reports (an open defect, see ROADMAP.md).
 """
 
 from .errors import (

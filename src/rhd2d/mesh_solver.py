@@ -10,7 +10,11 @@ assembly composes, per x-face,
 where the corner fluxes and speeds come from each corner's own four-state
 fan and F1D from the two face-adjacent cells; the y-face flux is symmetric.
 With amplifier alpha = 2 and CFL number sigma <= 1/2 every updated cell
-stays admissible, which the optional audit enforces.
+should stay admissible, which the optional audit enforces.  That holds on
+the benchmark problems but not yet on generic admissible data: one step on
+16x16 periodic meshes of random states fails the audit in 39 of 40 trials
+in multidimensional mode and in none in dimension-split mode (open, see
+ROADMAP.md).
 
 Fluxes are written into arrays before any cell is touched, so results do
 not depend on traversal order.  The composite is evaluated in difference
