@@ -59,7 +59,7 @@ from .problems import (
     problem_names,
     symmetry_deviation,
 )
-from .recovery import RecoveryOptions, recover_primitives, recover_with_iterations
+from .recovery import RecoveryOptions, recover_with_iterations
 from .riemann import (
     fan_speeds,
     hll_flux_1d,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time as _time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,7 +57,6 @@ class RunConfig:
     levels: int = 4
     samples: int = 100_000
     seed: int = 20260808
-    config_keys: tuple = dataclass_field(default=(), repr=False)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -165,14 +164,12 @@ def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
     values = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for key in _FILE_KEYS.keys() - {"snapshots", "emit"}:  # these two are parsed below
+    for key, parse in _FILE_KEYS.items():
         flag = getattr(args, key, None)
+        if isinstance(flag, str):  # flag text reads like the config-file value
+            flag = parse(flag)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "snapshots", None):
-        values["snapshots"] = tuple(float(t) for t in args.snapshots.split(","))
-    if getattr(args, "emit", None):
-        values["emit"] = tuple(s.strip() for s in args.emit.split(","))
 
     if "mode" in values:
         mode = values["mode"]
@@ -205,7 +202,7 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 
 
 def _diagnostics_entries(result) -> dict:
-    return {f"diag_{key}": value for key, value in result.diagnostics.to_dict().items()}
+    return {f"diag_{key}": value for key, value in asdict(result.diagnostics).items()}
 
 
 def _cmd_run(config: RunConfig) -> int:
@@ -328,9 +325,7 @@ def _cmd_compare_symmetry(config: RunConfig) -> int:
     t_end = config.t_end if config.t_end is not None else spec.t_end
     deviations = {}
     for mode in ("multidimensional", "dimension_split"):
-        solver_config = SolverConfig(
-            cfl_sigma=config.cfl_sigma, alpha=config.alpha, mode=mode, pcp_audit=config.pcp_audit
-        )
+        solver_config = replace(config.solver_config(), mode=mode)
         result = run_solver(spec, grid, solver_config, t_end=t_end)
         deviations[mode] = problems.symmetry_deviation(result.field, spec.eos)
         print(f"{mode}: symmetry deviation {deviations[mode]:.6e}")

@@ -251,41 +251,25 @@ def compute_dt(
     field: Field,
     eos: EosParams,
     cfl_sigma: float,
-    alpha: float = 2.0,
-    prim: Optional[np.ndarray] = None,
+    alpha: float,
+    prim: np.ndarray,
 ) -> float:
     """CFL time step against the scheme's signal speeds.
 
     dt = sigma * min over cells of min(dx, dy over alpha * max(|lam1|, |lam4|))
     per axis.  The amplified speeds are the ones the Riemann fans actually
     use, so sigma <= 1/2 keeps every fan inside its half cell (the raw
-    eigenvalues would need sigma <= 1/4 for that).  When `prim` carries the
-    recovered primitives of the full ghosted array, the ghost layer joins
-    the speed survey; boundary fans (an inflow jet, say) respect the bound
-    too.  Landing on requested output times is the run driver's job, never
-    done here.  Raises AdmissibilityError naming the first offending cell.
+    eigenvalues would need sigma <= 1/4 for that).  `prim` holds the
+    recovered primitives of the full ghosted array, so the ghost layer
+    joins the speed survey and boundary fans (an inflow jet, say) respect
+    the bound too; recovery has already certified every cell admissible.
+    Landing on requested output times is left to run().
     """
-    interior = field.interior
-    ok = is_admissible(interior)
-    if not np.all(ok):
-        i, j = np.argwhere(~ok)[0]
-        mass, margin = physics.admissibility_margin(interior[i, j])
-        raise AdmissibilityError(
-            f"non-admissible cell ({i}, {j}) before time-step estimate",
-            mass=float(mass),
-            margin=float(margin),
-            index=(int(i), int(j)),
-        )
-    if prim is None:
-        prim, _ = recover_with_iterations(interior, eos)
-    lam_x = eigenvalues(prim, eos, 0)
-    lam_y = eigenvalues(prim, eos, 1)
-    fastest_x = alpha * np.maximum(np.abs(lam_x.lam1), np.abs(lam_x.lam4))
-    fastest_y = alpha * np.maximum(np.abs(lam_y.lam1), np.abs(lam_y.lam4))
-    limit = min(
-        float(np.min(field.grid.dx / fastest_x)),
-        float(np.min(field.grid.dy / fastest_y)),
-    )
+    limit = math.inf
+    for axis, width in ((0, field.grid.dx), (1, field.grid.dy)):
+        lam = eigenvalues(prim, eos, axis)
+        fastest = alpha * np.maximum(np.abs(lam.lam1), np.abs(lam.lam4))
+        limit = min(limit, float(np.min(width / fastest)))
     return cfl_sigma * limit
 
 
@@ -294,43 +278,38 @@ def assemble_fluxes(
     dt: float,
     eos: EosParams,
     config: SolverConfig,
-    prim: Optional[np.ndarray] = None,
+    prim: np.ndarray,
 ):
     """Composite interface fluxes (x-faces, y-faces) for one Euler step.
 
-    Ghosts must be filled and dt must come from compute_dt (the corner
-    contributions are weighted by dt).  `prim` may carry the recovered
-    primitives of the full ghosted array to avoid recomputing them.
-    Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
+    Ghosts must be filled, `prim` must hold the recovered primitives of the
+    full ghosted array, and dt must come from compute_dt (the corner
+    contributions are weighted by dt).  Both axes run through the same code
+    on np.swapaxes views whose first index is the face-normal axis, as in
+    fill_ghosts.  Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and
+    (n_x, n_y+1, 4).
     """
     grid = field.grid
     nx, ny = grid.n_x, grid.n_y
     cons = field.cells
-    if prim is None:
-        prim, _ = recover_with_iterations(cons, eos)
-    flux_x = physical_flux(prim, cons, 0)
-    flux_y = physical_flux(prim, cons, 1)
-    lam_x = eigenvalues(prim, eos, 0)
-    lam_y = eigenvalues(prim, eos, 1)
     alpha = config.alpha
+    lam = [eigenvalues(prim, eos, axis) for axis in (0, 1)]
+    flux = [physical_flux(prim, cons, axis) for axis in (0, 1)]
 
     # 1D fluxes at face centers from the two adjacent cells.
-    lft = (slice(0, nx + 1), slice(1, ny + 1))
-    rgt = (slice(1, nx + 2), slice(1, ny + 1))
-    sx_minus, sx_plus = fan_speeds(
-        (lam_x.lam1[lft], lam_x.lam1[rgt]), (lam_x.lam4[lft], lam_x.lam4[rgt]), alpha
-    )
-    f1 = hll_flux_1d(cons[lft], flux_x[lft], cons[rgt], flux_x[rgt], sx_minus, sx_plus)
-
-    bot = (slice(1, nx + 1), slice(0, ny + 1))
-    top = (slice(1, nx + 1), slice(1, ny + 2))
-    sy_minus, sy_plus = fan_speeds(
-        (lam_y.lam1[bot], lam_y.lam1[top]), (lam_y.lam4[bot], lam_y.lam4[top]), alpha
-    )
-    g1 = hll_flux_1d(cons[bot], flux_y[bot], cons[top], flux_y[top], sy_minus, sy_plus)
+    low = (slice(0, -1), slice(GHOST, -GHOST))
+    high = (slice(1, None), slice(GHOST, -GHOST))
+    face = []
+    for axis in (0, 1):
+        u, f, lam1, lam4 = (
+            np.swapaxes(a, 0, axis) for a in (cons, flux[axis], lam[axis].lam1, lam[axis].lam4)
+        )
+        s_minus, s_plus = fan_speeds((lam1[low], lam1[high]), (lam4[low], lam4[high]), alpha)
+        f1 = hll_flux_1d(u[low], f[low], u[high], f[high], s_minus, s_plus)
+        face.append(np.swapaxes(f1, 0, axis))
 
     if config.mode == "dimension_split":
-        return f1, g1
+        return tuple(face)
 
     # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny uses the
     # piecewise-constant cell averages of its four surrounding cells.
@@ -340,53 +319,46 @@ def assemble_fluxes(
         (slice(0, nx + 1), slice(1, ny + 2)),  # left-up
         (slice(1, nx + 2), slice(1, ny + 2)),  # right-up
     ]
-    s_l, s_r = fan_speeds([lam_x.lam1[q] for q in quads], [lam_x.lam4[q] for q in quads], alpha)
-    s_d, s_u = fan_speeds([lam_y.lam1[q] for q in quads], [lam_y.lam4[q] for q in quads], alpha)
-    corners = [(cons[q], flux_x[q], flux_y[q]) for q in quads]
-    f2d, g2d = corner_fluxes(corners, (s_l, s_r, s_d, s_u))
-    slm = np.minimum(s_l, 0.0)[..., None]
-    srp = np.maximum(s_r, 0.0)[..., None]
-    sdm = np.minimum(s_d, 0.0)[..., None]
-    sup = np.maximum(s_u, 0.0)[..., None]
+    speeds = [
+        fan_speeds([lam[axis].lam1[q] for q in quads], [lam[axis].lam4[q] for q in quads], alpha)
+        for axis in (0, 1)
+    ]
+    corners = [(cons[q], flux[0][q], flux[1][q]) for q in quads]
+    corner_flux = corner_fluxes(corners, (*speeds[0], *speeds[1]))
 
     # A corner fan feeds the composite only when it is genuinely two-sided in
     # both axes; one-signed fans fall back to the 1D solver (their corner
     # correction is zero below), which keeps every constituent of the update
     # an admissible 1D or corner fan state.
+    (s_l, s_r), (s_d, s_u) = speeds
     two_sided = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
 
     # Composite: each face blends its 1D flux with the corner fluxes of the
-    # two fan triangles that sweep across it during dt.
-    cx = dt / (2.0 * grid.dy)
-    sup_below = sup[:, :-1]
-    sdm_above = sdm[:, 1:]
-    if config.pcp_audit:
-        weight = 1.0 - cx * (sup_below - sdm_above)
-        if np.any(weight < 0.0):
-            raise CflViolationError(
-                "negative 1D-flux weight in x-face composite; "
-                f"dt = {dt:.6e} violates the corner CFL bound"
-            )
-    fhat = f1 + cx * (
-        sup_below * np.where(two_sided[:, :-1, None], f2d[:, :-1] - f1, 0.0)
-        - sdm_above * np.where(two_sided[:, 1:, None], f2d[:, 1:] - f1, 0.0)
-    )
-
-    cy = dt / (2.0 * grid.dx)
-    srp_left = srp[:-1, :]
-    slm_right = slm[1:, :]
-    if config.pcp_audit:
-        weight = 1.0 - cy * (srp_left - slm_right)
-        if np.any(weight < 0.0):
-            raise CflViolationError(
-                "negative 1D-flux weight in y-face composite; "
-                f"dt = {dt:.6e} violates the corner CFL bound"
-            )
-    ghat = g1 + cy * (
-        srp_left * np.where(two_sided[:-1, :, None], g2d[:-1, :] - g1, 0.0)
-        - slm_right * np.where(two_sided[1:, :, None], g2d[1:, :] - g1, 0.0)
-    )
-    return fhat, ghat
+    # two fan triangles that sweep across it during dt.  In each axis's view
+    # the second index runs across the face, so [:, :-1] is the corner on
+    # its low side and [:, 1:] the corner on its high side.
+    composite = []
+    for axis, name, across in ((0, "x", grid.dy), (1, "y", grid.dx)):
+        f1, f2d, side = (
+            np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis], two_sided[..., None])
+        )
+        t_minus, t_plus = (np.swapaxes(s, 0, axis)[..., None] for s in speeds[1 - axis])
+        plus_low = np.maximum(t_plus[:, :-1], 0.0)
+        minus_high = np.minimum(t_minus[:, 1:], 0.0)
+        weight_scale = dt / (2.0 * across)
+        if config.pcp_audit:
+            weight = 1.0 - weight_scale * (plus_low - minus_high)
+            if np.any(weight < 0.0):
+                raise CflViolationError(
+                    f"negative 1D-flux weight in {name}-face composite; "
+                    f"dt = {dt:.6e} violates the corner CFL bound"
+                )
+        blend = f1 + weight_scale * (
+            plus_low * np.where(side[:, :-1], f2d[:, :-1] - f1, 0.0)
+            - minus_high * np.where(side[:, 1:], f2d[:, 1:] - f1, 0.0)
+        )
+        composite.append(np.swapaxes(blend, 0, axis))
+    return tuple(composite)
 
 
 def step(field: Field, dt: float, fluxes, config: SolverConfig) -> Field:
@@ -442,22 +414,6 @@ class RunDiagnostics:
         gam = physics.lorentz_factor(prim[..., physics.VX], prim[..., physics.VY])
         self.min_lorentz = min(self.min_lorentz, float(np.min(gam)))
         self.max_lorentz = max(self.max_lorentz, float(np.max(gam)))
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "min_density": self.min_density,
-            "max_density": self.max_density,
-            "min_pressure": self.min_pressure,
-            "max_pressure": self.max_pressure,
-            "min_lorentz": self.min_lorentz,
-            "max_lorentz": self.max_lorentz,
-            "recovery_sweeps_max": self.recovery_sweeps_max,
-            "recovery_sweeps_total": self.recovery_sweeps_total,
-            "dt_clamped_steps": self.dt_clamped_steps,
-            "pcp_audit": self.pcp_audit,
-            "pcp_audit_passed": self.pcp_audit_passed,
-        }
 
 
 @dataclass

@@ -47,7 +47,7 @@ def write_field(field: Field, eos: EosParams, path) -> None:
     The header line carries `# nx ny xmin xmax ymin ymax t gamma`.
     """
     grid = field.grid
-    prim = recovery.recover_primitives(field.interior, eos)
+    prim, _ = recovery.recover_with_iterations(field.interior, eos)
     cons = field.interior
     header = " ".join(
         ["#", str(grid.n_x), str(grid.n_y)]
@@ -82,7 +82,7 @@ def write_cuts(field: Field, eos: EosParams, path, rays=("y-axis", "diagonal")) 
     Profiles are taken from the cells nearest each ray.
     """
     grid = field.grid
-    prim = recovery.recover_primitives(field.interior, eos)
+    prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., 0]
     xs = grid.centers_x()
     ys = grid.centers_y()
@@ -110,7 +110,7 @@ def write_schlieren(field: Field, eos: EosParams, path) -> None:
     One-sided differences are used on the boundary rows and columns.
     """
     grid = field.grid
-    prim = recovery.recover_primitives(field.interior, eos)
+    prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., 0]
     pres = prim[..., 3]
     grad_x, grad_y = np.gradient(rho, grid.dx, grid.dy)

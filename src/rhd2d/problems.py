@@ -350,7 +350,7 @@ def error_norms(field: Field, eos: EosParams, exact: Callable, t: Optional[float
     if t is None:
         t = field.time
     grid = field.grid
-    prim = recovery.recover_primitives(field.interior, eos)
+    prim, _ = recovery.recover_with_iterations(field.interior, eos)
     xs = grid.centers_x()[:, None]
     ys = grid.centers_y()[None, :]
     err = prim[..., RHO] - np.asarray(exact(t, xs, ys), dtype=float)[..., RHO]
@@ -380,7 +380,7 @@ def symmetry_deviation(field: Field, eos: EosParams) -> float:
     grid = field.grid
     if grid.n_x != grid.n_y or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
         raise ConfigurationError("symmetry deviation needs a square grid")
-    prim = recovery.recover_primitives(field.interior, eos)
+    prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., RHO]
     xs = grid.centers_x()
     ys = grid.centers_y()

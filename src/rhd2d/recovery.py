@@ -30,23 +30,16 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class RecoveryOptions:
-    """Iteration controls.
-
-    pressure_floor only opens the bracket's lower end; results are never
-    clipped to it.
-    """
+    """Iteration controls: the relative residual tolerance and the sweep cap."""
 
     rel_tolerance: float = 1e-12
     max_iterations: int = 100
-    pressure_floor: float = 1e-30
 
     def __post_init__(self):
         if not self.rel_tolerance > 0.0:
             raise ValueError("rel_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.pressure_floor > 0.0:
-            raise ValueError("pressure_floor must be positive")
 
 
 DEFAULT_OPTIONS = RecoveryOptions()
@@ -96,19 +89,20 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
     """Safeguarded Newton-bisection for the pressure equation.
 
     Returns (p, iterations).  The bracket [lo, hi] is certified before any
-    Newton step: psi(lo) < 0 by admissibility and hi starts at the analytic
-    bound (Gamma - 1)(E - D) >= p_root, doubled until psi(hi) >= 0.  Lanes
-    are held flat in C order, so error indices are flat indices.  The
-    doubling and Newton sweeps evaluate only the lanes still active, with
-    the per-lane arithmetic of a full-array sweep, so results do not depend
-    on which other lanes share the batch.
+    Newton step: psi(lo) < 0 by admissibility (at p = 0 it is
+    D E / sqrt(E^2 - |m|^2) - E < 0, so no positive floor is needed) and hi
+    starts at the analytic bound (Gamma - 1)(E - D) >= p_root, doubled until
+    psi(hi) >= 0.  Lanes are held flat in C order, so error indices are
+    flat indices.  The doubling and Newton sweeps evaluate only the lanes
+    still active, with the per-lane arithmetic of a full-array sweep, so
+    results do not depend on which other lanes share the batch.
     """
     shape = np.shape(dens)
     dens, energy, m2_head, m2_tail = (np.ravel(v) for v in (dens, energy, m2_head, m2_tail))
     a = eos.gamma_ratio
     m_abs = np.sqrt(m2_head)
 
-    lo = np.maximum(opts.pressure_floor, m_abs - energy + 4.0 * _EPS * energy)
+    lo = np.maximum(0.0, m_abs - energy + 4.0 * _EPS * energy)
     hi = np.maximum((eos.gamma_adiabatic - 1.0) * (energy - dens), 2.0 * lo)
 
     psi_lo, _, _, _ = _psi(lo, dens, energy, m2_head, m2_tail, a)
@@ -202,30 +196,21 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
     return p.reshape(shape), iterations
 
 
-def recover_primitives(
-    cons: np.ndarray,
-    eos: EosParams,
-    opts: RecoveryOptions = DEFAULT_OPTIONS,
-    pressure_hint=None,
-) -> np.ndarray:
-    """Invert prim_to_cons for a batch of admissible conserved states.
-
-    pressure_hint, when given, seeds the iteration (typically the previous
-    time level's pressure); otherwise the certified bracket midpoint is used.
-    Raises AdmissibilityError for non-admissible input and
-    RecoveryConvergenceError when the iteration cannot close its bracket.
-    """
-    prim, _ = recover_with_iterations(cons, eos, opts, pressure_hint)
-    return prim
-
-
 def recover_with_iterations(
     cons: np.ndarray,
     eos: EosParams,
     opts: RecoveryOptions = DEFAULT_OPTIONS,
     pressure_hint=None,
 ):
-    """recover_primitives plus the Newton sweep count (for run diagnostics)."""
+    """Invert prim_to_cons for a batch of admissible conserved states.
+
+    Returns (prim, sweeps): the primitives and the number of Newton sweeps
+    the batch took (for run diagnostics).  pressure_hint, when given, seeds
+    the iteration (typically the previous time level's pressure); otherwise
+    the certified bracket midpoint is used.  Raises AdmissibilityError for
+    non-admissible input and RecoveryConvergenceError when the iteration
+    cannot close its bracket.
+    """
     cons = np.asarray(cons, dtype=float)
     ok = physics.is_admissible(cons)
     if not np.all(ok):

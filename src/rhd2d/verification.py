@@ -80,11 +80,6 @@ def sample_primitives(
     return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
 
 
-def sample_admissible(rng, n, *, eos, **kwargs) -> np.ndarray:
-    """Random admissible conserved states via the forward map."""
-    return physics.prim_to_cons(sample_primitives(rng, n, eos=eos, **kwargs), eos)
-
-
 @dataclass
 class SuiteResult:
     name: str

@@ -148,18 +148,26 @@ class TestFillGhosts:
         assert np.array_equal(field.cells[-1, 0], field.cells[-1, 1])  # outside nozzle
 
 
+def ghosted_prim(field, eos, bcs=None):
+    """Fill the ghosts (periodic unless given) and recover the ghosted array, as run() does."""
+    fill_ghosts(field, periodic_boundaries() if bcs is None else bcs, eos)
+    prim, _ = recover_with_iterations(field.cells, eos)
+    return prim
+
+
 class TestComputeDt:
     def test_uniform_rest_value(self, eos53):
         # sigma * dx / (alpha * c_s) with c_s = 0.6900655593423542
         grid = Grid(10, 10, 0.0, 1.0, 0.0, 1.0)
         field = uniform_field(grid, eos53)
-        dt = compute_dt(field, eos53, 0.45, alpha=2.0)
+        dt = compute_dt(field, eos53, 0.45, 2.0, ghosted_prim(field, eos53))
         assert_close(dt, 0.45 * 0.1 / (2.0 * 0.6900655593423542178), rel=1e-14)
 
     def test_linear_in_sigma(self, eos53):
         grid = Grid(8, 8, 0.0, 1.0, 0.0, 1.0)
         field = smooth_periodic_field(grid, eos53)
-        assert compute_dt(field, eos53, 0.9) == 2.0 * compute_dt(field, eos53, 0.45)
+        prim = ghosted_prim(field, eos53)
+        assert compute_dt(field, eos53, 0.9, 2.0, prim) == 2.0 * compute_dt(field, eos53, 0.45, 2.0, prim)
 
     def test_halves_under_refinement(self, eos53):
         coarse = smooth_periodic_field(Grid(8, 8, 0.0, 1.0, 0.0, 1.0), eos53)
@@ -167,16 +175,22 @@ class TestComputeDt:
         # frozen comparison on matching extrema: refine a uniform field instead
         cu = uniform_field(Grid(8, 8, 0.0, 1.0, 0.0, 1.0), eos53)
         fu = uniform_field(Grid(16, 16, 0.0, 1.0, 0.0, 1.0), eos53)
-        assert compute_dt(fu, eos53, 0.45) == 0.5 * compute_dt(cu, eos53, 0.45)
-        assert compute_dt(fine, eos53, 0.45) <= compute_dt(coarse, eos53, 0.45)
+
+        def dt(field):
+            return compute_dt(field, eos53, 0.45, 2.0, ghosted_prim(field, eos53))
+
+        assert dt(fu) == 0.5 * dt(cu)
+        assert dt(fine) <= dt(coarse)
 
     def test_non_admissible_cell_identified(self, eos53):
+        """Recovery certifies the cells compute_dt reads; it names the bad one."""
         grid = Grid(4, 4, 0.0, 1.0, 0.0, 1.0)
         field = uniform_field(grid, eos53)
         field.interior[2, 3] = [1.0, 3.0, 0.0, 2.0]
+        fill_ghosts(field, BoundarySpec(), eos53)  # outflow: no ghost copy precedes the cell
         with pytest.raises(AdmissibilityError) as err:
-            compute_dt(field, eos53, 0.45)
-        assert err.value.index == (2, 3)
+            recover_with_iterations(field.cells, eos53)
+        assert err.value.index == np.ravel_multi_index((2 + 1, 3 + 1), field.cells.shape[:2])
 
 
 class TestAssembleFluxes:
@@ -216,10 +230,14 @@ class TestAssembleFluxes:
         assert np.all(multi[1][:, 1:] == multi[1][:, :-1])
         assert np.all(split[1][:, 1:] == split[1][:, :-1])
 
-    def test_matches_term_by_term_oracle_on_rp1(self, eos53):
-        """First-step composite fluxes against a scalar recomposition."""
+    @pytest.mark.parametrize("n_x, n_y", [(4, 4), (5, 3)], ids=["4x4", "5x3"])
+    def test_matches_term_by_term_oracle_on_rp1(self, eos53, n_x, n_y):
+        """First-step composite fluxes against a scalar recomposition.
+
+        The non-square grid tells the x-face and y-face roles apart.
+        """
         spec = problems.problem_by_name("rp1")
-        grid = Grid(4, 4, -1.0, 1.0, -1.0, 1.0)
+        grid = Grid(n_x, n_y, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, eos53)
         fill_ghosts(field, spec.boundaries, eos53)
         prim, _ = recover_with_iterations(field.cells, eos53)

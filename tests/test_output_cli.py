@@ -5,7 +5,7 @@ from conftest import assert_close
 from rhd2d import cli, output, physics, problems
 from rhd2d.errors import ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
-from rhd2d.recovery import recover_primitives
+from rhd2d.recovery import recover_with_iterations
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestWriteField:
         def fmt(value):
             return "%.17g" % float(value)
 
-        back = recover_primitives(field.interior, eos53)
+        back, _ = recover_with_iterations(field.interior, eos53)
         header = ["#", "3", "2"] + [fmt(v) for v in (-0.1, 0.2, 1.0 / 3.0, 1.7, 1.0 / 7.0,
                                                       eos53.gamma_adiabatic)]
         lines = [" ".join(header)]
@@ -161,6 +161,17 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             cli.parse_config(["run", "--n", "10"])
 
+    @pytest.mark.parametrize(
+        "key, text", [("snapshots", "0.05,"), ("snapshots", "0.02, 0.05"), ("emit", "report,"),
+                      ("emit", "field, cuts")]
+    )
+    def test_flag_parses_like_config_file_line(self, tmp_path, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = sine\n{key} = {text}\n")
+        _, from_file = cli.parse_config(["run", "--config", str(cfg)])
+        _, from_flag = cli.parse_config(["run", "--problem", "sine", f"--{key}", text])
+        assert from_flag == from_file
+
     def test_nx_requires_ny(self):
         _, config = cli.parse_config(["run", "--problem", "sine", "--nx", "10"])
         with pytest.raises(ConfigurationError):
@@ -186,6 +197,14 @@ class TestCommands:
         ])
         assert code == 0
         assert (tmp_path / "field_t0.01.dat").exists()
+
+    def test_trailing_commas_in_list_flags(self, tmp_path):
+        code = cli.main([
+            "run", "--problem", "sine", "--n", "8", "--t-end", "0.1",
+            "--snapshots", "0.05,", "--emit", "report,", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
     def test_converge_report(self, tmp_path, capsys):
         code = cli.main([

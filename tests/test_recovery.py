@@ -7,12 +7,12 @@ import oracles
 from conftest import assert_close
 from rhd2d import physics, verification
 from rhd2d.errors import AdmissibilityError, RecoveryConvergenceError
-from rhd2d.recovery import RecoveryOptions, recover_primitives, recover_with_iterations
+from rhd2d.recovery import RecoveryOptions, recover_with_iterations
 
 
 def roundtrip_error(prim, eos):
     cons = physics.prim_to_cons(prim, eos)
-    back = recover_primitives(cons, eos)
+    back, _ = recover_with_iterations(cons, eos)
     scale = np.maximum(np.abs(prim), np.finfo(float).tiny)
     return np.max(np.abs(back - prim) / scale)
 
@@ -22,11 +22,8 @@ class TestOptions:
         opts = RecoveryOptions()
         assert opts.rel_tolerance == 1e-12
         assert opts.max_iterations == 100
-        assert opts.pressure_floor == 1e-30
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"rel_tolerance": 0.0}, {"max_iterations": 0}, {"pressure_floor": -1.0}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"rel_tolerance": 0.0}, {"max_iterations": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RecoveryOptions(**kwargs)
@@ -34,7 +31,7 @@ class TestOptions:
 
 class TestRecovery:
     def test_rest_state_exact(self, eos53):
-        prim = recover_primitives(np.array([1.0, 0.0, 0.0, 2.5]), eos53)
+        prim, _ = recover_with_iterations(np.array([1.0, 0.0, 0.0, 2.5]), eos53)
         assert np.array_equal(prim, [1.0, 0.0, 0.0, 1.0])
 
     def test_fast_flow(self, eos53):
@@ -59,10 +56,19 @@ class TestRecovery:
                 sweeps.append(iterations)
         assert sweeps[1] == sweeps[0]
 
+    def test_tiny_scale_opens_bracket_at_zero(self, eos53):
+        """An admissible state whose pressure root lies below 1e-30: the
+        bracket's lower end must not sit above the root."""
+        prim = physics.primitive(1e-150, 0.0, -0.5, 3e-151)
+        cons = physics.prim_to_cons(prim, eos53)
+        assert physics.is_admissible(cons)
+        back, _ = recover_with_iterations(cons, eos53)
+        assert_close(back, prim, rel=1e-10)
+
     def test_against_high_precision_root(self, eos53):
         cons = physics.prim_to_cons(physics.primitive(0.7, 0.6, -0.5, 0.3), eos53)
         p_ref = float(oracles.pressure_root([float(v) for v in cons], eos53.gamma_adiabatic))
-        prim = recover_primitives(cons, eos53)
+        prim, _ = recover_with_iterations(cons, eos53)
         assert_close(prim[physics.PRE], p_ref, rel=1e-12)
 
     def test_forward_map_closure(self, rng, eos53):
@@ -70,7 +76,7 @@ class TestRecovery:
         prim = verification.sample_primitives(rng, 5_000, eos=eos53, gamma_cap=100.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
-        again = physics.prim_to_cons(recover_primitives(cons, eos53), eos53)
+        again = physics.prim_to_cons(recover_with_iterations(cons, eos53)[0], eos53)
         scale = np.maximum(np.max(np.abs(cons), axis=-1, keepdims=True), 1e-300)
         assert np.max(np.abs(again - cons) / scale) <= 1e-11
 
@@ -78,7 +84,7 @@ class TestRecovery:
         prim = verification.sample_primitives(rng, 2_000, eos=eos53, gamma_cap=50.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
-        back = recover_primitives(cons, eos53)
+        back, _ = recover_with_iterations(cons, eos53)
         w = cons[:, physics.ENE] + back[:, physics.PRE]
         assert_close(back[:, physics.VX], cons[:, physics.MOMX] / w, rel=1e-14, abs_tol=1e-300)
 
@@ -86,20 +92,20 @@ class TestRecovery:
         prim = verification.sample_primitives(rng, 2_000, eos=eos53, gamma_cap=50.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
-        cold = recover_primitives(cons, eos53)
-        hinted = recover_primitives(cons, eos53, pressure_hint=prim[:, physics.PRE])
+        cold, _ = recover_with_iterations(cons, eos53)
+        hinted, _ = recover_with_iterations(cons, eos53, pressure_hint=prim[:, physics.PRE])
         assert_close(hinted, cold, rel=1e-9, abs_tol=1e-300)
 
     def test_non_admissible_rejected(self, eos53):
         with pytest.raises(AdmissibilityError) as err:
-            recover_primitives(np.array([1.0, 3.0, 0.0, 2.0]), eos53)
+            recover_with_iterations(np.array([1.0, 3.0, 0.0, 2.0]), eos53)
         assert err.value.margin < 0
 
     def test_iteration_budget_enforced(self, eos53):
         cons = physics.prim_to_cons(physics.primitive(0.1, 0.9, 0.2, 0.5), eos53)
         opts = RecoveryOptions(rel_tolerance=1e-12, max_iterations=1)
         with pytest.raises(RecoveryConvergenceError) as err:
-            recover_primitives(cons, eos53, opts)
+            recover_with_iterations(cons, eos53, opts)
         assert err.value.bracket is not None
 
     def test_iterations_reported(self, eos53):
@@ -163,7 +169,7 @@ class TestRoundTripSuite:
         prim = verification.sample_primitives(rng, 5_000, eos=eos53, gamma_cap=100.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
-        back = recover_primitives(cons, eos53)
+        back, _ = recover_with_iterations(cons, eos53)
         ld = np.longdouble
         dens, energy = ld(cons[:, 0]), ld(cons[:, 3])
         m_sq = ld(cons[:, 1]) ** 2 + ld(cons[:, 2]) ** 2
