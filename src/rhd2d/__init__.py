@@ -39,7 +39,6 @@ from .physics import (
     EigenSpeeds,
     EosParams,
     admissibility_margin,
-    conserved,
     eigenvalues,
     is_admissible,
     lorentz_factor,
@@ -63,7 +62,6 @@ from .recovery import RecoveryOptions, recover_with_iterations
 from .riemann import (
     fan_speeds,
     hll_flux_1d,
-    hll_flux_2d,
     hll_state_1d,
     hll_state_2d,
     quadrant_fan_states,

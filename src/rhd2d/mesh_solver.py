@@ -25,7 +25,7 @@ dimension-split modes agree bitwise on one-dimensional fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     PcpAuditError,
 )
 from .physics import EosParams, eigenvalues, is_admissible, physical_flux
-from .recovery import DEFAULT_OPTIONS, RecoveryOptions, recover_with_iterations
+from .recovery import recover_with_iterations
 from .riemann import corner_fluxes, fan_speeds, hll_flux_1d
 
 GHOST = 1  # ghost-layer width; the stencil is the 3x3 neighbourhood
@@ -159,16 +159,12 @@ class Field:
     def interior(self) -> np.ndarray:
         return self.cells[GHOST:-GHOST, GHOST:-GHOST]
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.cells.copy(), self.time)
-
     @classmethod
     def from_primitives(
         cls,
         grid: Grid,
         initial: Callable,
         eos: EosParams,
-        time: float = 0.0,
         average: bool = False,
     ) -> "Field":
         """Initialise the interior cells from a primitive-valued function.
@@ -208,7 +204,7 @@ class Field:
             )
         cells = np.zeros((grid.n_x + 2 * GHOST, grid.n_y + 2 * GHOST, 4))
         cells[GHOST:-GHOST, GHOST:-GHOST] = cons
-        return cls(grid, cells, time)
+        return cls(grid, cells)
 
 
 def _reflect(cons: np.ndarray, axis: int) -> np.ndarray:
@@ -420,7 +416,6 @@ class RunDiagnostics:
 class RunResult:
     field: Field
     diagnostics: RunDiagnostics
-    snapshots: list = dataclass_field(default_factory=list)
 
 
 def run(
@@ -430,8 +425,6 @@ def run(
     t_end: Optional[float] = None,
     snapshot_times: Sequence[float] = (),
     on_snapshot: Optional[Callable] = None,
-    boundaries: Optional[BoundarySpec] = None,
-    recovery_options: RecoveryOptions = DEFAULT_OPTIONS,
 ) -> RunResult:
     """Advance a problem to t_end: fill ghosts, recover, step, audit.
 
@@ -440,7 +433,6 @@ def run(
     time; the returned diagnostics track field extremes and recovery cost.
     """
     eos = problem.eos
-    bcs = boundaries if boundaries is not None else problem.boundaries
     if t_end is None:
         t_end = problem.t_end
     # A NaN or infinite time would finish at once with NaN output, or never.
@@ -456,18 +448,15 @@ def run(
     targets = sorted({float(t) for t in snapshot_times if 0.0 < t <= t_end} | {t_end})
     pressure_hint = None
 
-    result = RunResult(field, diag)
     if t_end == 0.0:
         if on_snapshot is not None:
             on_snapshot(field)
-        return result
+        return RunResult(field, diag)
 
     for target in targets:
         while field.time < target:
-            fill_ghosts(field, bcs, eos)
-            prim, sweeps = recover_with_iterations(
-                field.cells, eos, recovery_options, pressure_hint
-            )
+            fill_ghosts(field, problem.boundaries, eos)
+            prim, sweeps = recover_with_iterations(field.cells, eos, pressure_hint=pressure_hint)
             diag.recovery_sweeps_max = max(diag.recovery_sweeps_max, sweeps)
             diag.recovery_sweeps_total += sweeps
             diag.observe(prim[GHOST:-GHOST, GHOST:-GHOST])
@@ -484,9 +473,7 @@ def run(
         field.time = target
         if on_snapshot is not None:
             on_snapshot(field)
-        if target != t_end:
-            result.snapshots.append(target)
 
-    final_prim, _ = recover_with_iterations(field.interior, eos, recovery_options)
+    final_prim, _ = recover_with_iterations(field.interior, eos)
     diag.observe(final_prim)
-    return result
+    return RunResult(field, diag)

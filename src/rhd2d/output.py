@@ -74,29 +74,27 @@ def read_field(path):
     return meta, data
 
 
-def write_cuts(field: Field, eos: EosParams, path, rays=("y-axis", "diagonal")) -> None:
+def write_cuts(field: Field, eos: EosParams, path) -> None:
     """Density profiles along the y-axis and the diagonal y = x.
 
     Two `coord value` blocks; the coordinate is the signed distance from the
     origin along the ray (y itself on the axis, sqrt(2) x on the diagonal).
-    Profiles are taken from the cells nearest each ray.
+    Profiles are taken from the cells nearest each ray.  The diagonal cut
+    needs a square grid.
     """
     grid = field.grid
+    if grid.n_x != grid.n_y:
+        raise ConfigurationError("diagonal cut needs a square grid")
     prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., 0]
     xs = grid.centers_x()
-    ys = grid.centers_y()
+    col = int(np.argmin(np.abs(xs - 1e-15)))  # ties go to the positive side
+    cuts = (
+        ("y-axis", grid.centers_y(), rho[col, :]),
+        ("diagonal", math.sqrt(2.0) * xs, np.diagonal(rho)),
+    )
     blocks = []
-    for ray in rays:
-        if ray == "y-axis":
-            col = int(np.argmin(np.abs(xs - 1e-15)))  # ties go to the positive side
-            coords, values = ys, rho[col, :]
-        elif ray == "diagonal":
-            if grid.n_x != grid.n_y:
-                raise ConfigurationError("diagonal cut needs a square grid")
-            coords, values = math.sqrt(2.0) * xs, np.diagonal(rho)
-        else:
-            raise ConfigurationError(f"unknown cut ray {ray!r}")
+    for ray, coords, values in cuts:
         lines = [f"# cut: {ray}"]
         lines += [f"{_fmt(c)} {_fmt(v)}" for c, v in zip(coords, values)]
         blocks.append("\n".join(lines))

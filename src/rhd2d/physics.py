@@ -69,14 +69,6 @@ def primitive(rho, vel_x, vel_y, pressure) -> np.ndarray:
     return np.stack([rho, vel_x, vel_y, pressure], axis=-1)
 
 
-def conserved(mass_lab, mom_x, mom_y, energy_lab) -> np.ndarray:
-    """Stack a conserved state (D, m_x, m_y, E); admissibility is a predicate."""
-    parts = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (mass_lab, mom_x, mom_y, energy_lab))
-    )
-    return np.stack(parts, axis=-1)
-
-
 def lorentz_factor(vel_x, vel_y) -> np.ndarray:
     """1 / sqrt(1 - |u|^2); raises SuperluminalError when |u| >= 1."""
     vel_x = np.asarray(vel_x, dtype=float)
@@ -185,7 +177,10 @@ def eigenvalues(prim: np.ndarray, eos: EosParams, axis: int) -> EigenSpeeds:
 # and is used directly; S > 1e-290 keeps underflowed squares, whose error is
 # absolute rather than relative, out of that filter.  Every other lane (near
 # the boundary, underflowed, overflowed, inf or NaN) takes the compensated
-# reference, so the predicate returns the reference's booleans exactly.
+# reference, so the predicate returns the reference's booleans exactly.  The
+# reference scales each lane by the power of two that puts its largest
+# |component| in [0.5, 1), so no square leaves float range through the
+# state's scale alone; recovery solves in the same units.
 
 _CERTIFIED_RATIO = 8.0 * float(np.finfo(float).eps)
 _CERTIFIED_FLOOR = 1e-290
@@ -211,9 +206,17 @@ def _two_sum(a, b):
     return s, err
 
 
+def _lane_exponent(cons: np.ndarray) -> np.ndarray:
+    """Per-lane frexp exponent of the largest |component|; 0 if that is 0, inf or NaN."""
+    a = np.abs(cons)
+    top = np.maximum(np.maximum(a[..., DEN], a[..., MOMX]), np.maximum(a[..., MOMY], a[..., ENE]))
+    return np.frexp(top)[1]
+
+
 def _admissibility_quadratic(cons: np.ndarray) -> np.ndarray:
-    """E^2 - D^2 - m_x^2 - m_y^2 with compensated products and sums."""
+    """E^2 - D^2 - m_x^2 - m_y^2 of the scaled lanes, compensated (sign-exact)."""
     cons = np.asarray(cons, dtype=float)
+    cons = np.ldexp(cons, -_lane_exponent(cons)[..., None])
     total = np.zeros(cons.shape[:-1], dtype=float)
     comp = np.zeros_like(total)
     for idx, sign in ((ENE, 1.0), (DEN, -1.0), (MOMX, -1.0), (MOMY, -1.0)):
@@ -230,10 +233,12 @@ def is_admissible(cons: np.ndarray) -> np.ndarray:
     cons = np.asarray(cons, dtype=float)
     dens = cons[..., DEN]
     energy = cons[..., ENE]
-    e2, d2, mx2, my2 = (v * v for v in (energy, dens, cons[..., MOMX], cons[..., MOMY]))
-    quad = ((e2 - d2) - mx2) - my2
-    scale = ((e2 + d2) + mx2) + my2
-    certain = (np.abs(quad) > _CERTIFIED_RATIO * scale) & (scale > _CERTIFIED_FLOOR)
+    # Overflowed squares and inf - inf only make a lane uncertain here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2, d2, mx2, my2 = (v * v for v in (energy, dens, cons[..., MOMX], cons[..., MOMY]))
+        quad = ((e2 - d2) - mx2) - my2
+        scale = ((e2 + d2) + mx2) + my2
+        certain = (np.abs(quad) > _CERTIFIED_RATIO * scale) & (scale > _CERTIFIED_FLOOR)
     if not np.all(certain):
         unsure = np.flatnonzero(~certain)
         quad = np.ravel(quad)  # C order, like the lane indices; 0-d becomes (1,)
@@ -245,10 +250,9 @@ def is_admissible(cons: np.ndarray) -> np.ndarray:
 def admissibility_margin(cons: np.ndarray):
     """(D, E - sqrt(D^2 + |m|^2)) for diagnostics and error messages.
 
-    The margin is evaluated in plain float arithmetic; use is_admissible for
-    the round-off-safe predicate.
+    Plain float arithmetic, with np.hypot so no square leaves float range;
+    use is_admissible for the round-off-safe predicate.
     """
     cons = np.asarray(cons, dtype=float)
     dens = cons[..., DEN]
-    mom_sq = cons[..., MOMX] ** 2 + cons[..., MOMY] ** 2
-    return dens, cons[..., ENE] - np.sqrt(dens * dens + mom_sq)
+    return dens, cons[..., ENE] - np.hypot(dens, np.hypot(cons[..., MOMX], cons[..., MOMY]))

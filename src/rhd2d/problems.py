@@ -339,21 +339,19 @@ class Norms(NamedTuple):
     linf: float
 
 
-def error_norms(field: Field, eos: EosParams, exact: Callable, t: Optional[float] = None) -> Norms:
+def error_norms(field: Field, eos: EosParams, exact: Callable) -> Norms:
     """Domain-mean l1/l2 norms and the max norm of the density error.
 
     l1 = sum |e| dx dy / |Omega|, l2 = sqrt(sum e^2 dx dy / |Omega|),
-    linf = max |e|, with e the cell-center density error.
+    linf = max |e|, with e the cell-center density error at field.time.
     """
     if exact is None:
         raise ConfigurationError("error norms need an exact solution")
-    if t is None:
-        t = field.time
     grid = field.grid
     prim, _ = recovery.recover_with_iterations(field.interior, eos)
     xs = grid.centers_x()[:, None]
     ys = grid.centers_y()[None, :]
-    err = prim[..., RHO] - np.asarray(exact(t, xs, ys), dtype=float)[..., RHO]
+    err = prim[..., RHO] - np.asarray(exact(field.time, xs, ys), dtype=float)[..., RHO]
     cell = grid.dx * grid.dy
     area = (grid.x_max - grid.x_min) * (grid.y_max - grid.y_min)
     l1 = float(np.sum(np.abs(err)) * cell / area)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import physics
 from .errors import AdmissibilityError, RecoveryConvergenceError
-from .physics import DEN, ENE, MOMX, MOMY, EosParams, _square_dd, _two_sum
+from .physics import DEN, ENE, MOMX, MOMY, EosParams, _lane_exponent, _square_dd, _two_sum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -210,6 +210,9 @@ def recover_with_iterations(
     the certified bracket midpoint is used.  Raises AdmissibilityError for
     non-admissible input and RecoveryConvergenceError when the iteration
     cannot close its bracket.
+
+    Lanes are solved in the power-of-two units that put E in [0.5, 1), as psi
+    is homogeneous in (D, m, E, p); rho, p and brackets scale back exactly.
     """
     cons = np.asarray(cons, dtype=float)
     ok = physics.is_admissible(cons)
@@ -225,10 +228,19 @@ def recover_with_iterations(
             index=flat,
         )
 
+    exponent = _lane_exponent(cons)
+    cons = np.ldexp(cons, -exponent[..., None])
+    if pressure_hint is not None:
+        pressure_hint = np.ldexp(np.asarray(pressure_hint, dtype=float), -exponent)
     dens = cons[..., DEN]
     energy = cons[..., ENE]
     m2_head, m2_tail = _momentum_sq_dd(cons)
-    p, iterations = _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, pressure_hint)
+    try:
+        p, iterations = _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, pressure_hint)
+    except RecoveryConvergenceError as err:
+        lane_e = np.ravel(exponent)[err.index]
+        err.bracket = tuple(float(np.ldexp(end, lane_e)) for end in err.bracket)
+        raise
 
     z, w = _inv_gamma_sq(p, energy, m2_head, m2_tail)
     if not np.all(z > 0.0):
@@ -236,6 +248,7 @@ def recover_with_iterations(
         raise RecoveryConvergenceError(
             "recovered velocity is not sub-luminal", index=idx, iterations=iterations
         )
-    rho = dens * np.sqrt(z) / w
+    rho = np.ldexp(dens * np.sqrt(z) / w, exponent)
+    p = np.ldexp(p, exponent)
     prim = np.stack([rho, cons[..., MOMX] / w, cons[..., MOMY] / w, p], axis=-1)
     return prim, iterations

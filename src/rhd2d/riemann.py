@@ -6,11 +6,14 @@ by four (U, F, G) triples in (left-down, right-down, left-up, right-up)
 order, F and G being the x- and y-fluxes, and by its speeds
 (s_left, s_right, s_down, s_up).  Signal speeds are amplified extreme
 characteristic speeds (factor alpha, alpha = 2 gives the positivity
-guarantee), reduced over the fan's states by `fan_speeds`.  Flux formulas
-are written in difference form, f_left + (corrections built from state and
+guarantee), reduced over the fan's states by `fan_speeds`.  Formulas are
+written in difference form, left value + (corrections built from state and
 flux differences); this keeps equal-state, supersonic, and one-dimensional
-reductions exact in floating point, which the mesh update relies on.
-All functions broadcast over leading axes and are pure.
+reductions exact in floating point, which the mesh update relies on.  The
+corner state and fluxes are both built from the 1D HLL pieces of the fan's
+edge pairs.  `hll_state_2d` and `quadrant_fan_states` check their input;
+`corner_fluxes`, the mesh kernel, does not.  All functions broadcast over
+leading axes and are pure.
 """
 
 from __future__ import annotations
@@ -67,63 +70,44 @@ def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
     return u_l + (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl)
 
 
-def _check_corner_fan(corners, speeds):
-    """Reject non-admissible corner states and unordered speeds."""
+def _checked_corner_fan(corners, speeds):
+    """Check a corner fan's input; return its speeds as float arrays."""
     for name, (u, _, _) in zip(_CORNER_NAMES, corners):
         if not np.all(is_admissible(u)):
             raise AdmissibilityError(f"corner state {name} is not admissible")
-    s_l, s_r, s_d, s_u = (np.asarray(s) for s in speeds)
+    s_l, s_r, s_d, s_u = (np.asarray(s, dtype=float) for s in speeds)
     if np.any(s_l > s_r) or np.any(s_d > s_u):
         raise ValueError("wave speeds must satisfy s_left <= s_right, s_down <= s_up")
-
-
-def _require_subsonic(speeds):
-    s_l, s_r, s_d, s_u = (np.asarray(s) for s in speeds)
     if not np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)):
         raise DispatchError(
             "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up; "
             "one-signed fans belong to the 1D solver"
         )
-
-
-def _lanes_equal(a, b) -> np.ndarray:
-    (u_a, f_a, g_a), (u_b, f_b, g_b) = a, b
-    return np.all((u_a == u_b) & (f_a == f_b) & (g_a == g_b), axis=-1)
+    return s_l, s_r, s_d, s_u
 
 
 def hll_state_2d(corners, speeds) -> np.ndarray:
     """Intermediate state of the four-state corner Riemann fan.
 
-    U* combines the four states and both flux families,
-        [S_R S_U U_RU + S_L S_D U_LD - S_R S_D U_RD - S_L S_U U_LU
-         - S_U (F_RU - F_LU) + S_D (F_RD - F_LD)
-         - S_R (G_RU - G_RD) + S_L (G_LU - G_LD)] / ((S_R - S_L)(S_U - S_D)).
+    Built, like `corner_fluxes`, from the 1D HLL states U_D* and U_U* of
+    the down and up edge pairs plus a transverse flux-difference correction:
 
-    Lanes whose corner data are invariant along one axis are routed through
-    the 1D formula so the documented reduction holds exactly.
+        U* = U_D* + [S_U (U_U* - U_D*) - dG_L
+                     - S_R (dG_R - dG_L) / (S_R - S_L)] / (S_U - S_D),
+
+    with dG_L = G_LU - G_LD and dG_R = G_RU - G_RD.  This regroups the
+    four-state formula, the combination of `quadrant_fan_states`, so corner
+    data invariant along either axis give `hll_state_1d` exactly, per lane.
     """
-    _check_corner_fan(corners, speeds)
-    _require_subsonic(speeds)
-    ld, rd, lu, ru = corners
+    sl, sr, sd, su = _checked_corner_fan(corners, speeds)
     (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
-    sl, sr, sd, su = (np.asarray(s, dtype=float) for s in speeds)
-
+    u_down = hll_state_1d(u_ld, f_ld, u_rd, f_rd, sl, sr)
+    u_up = hll_state_1d(u_lu, f_lu, u_ru, f_ru, sl, sr)
+    dg_left = g_lu - g_ld
+    dg_right = g_ru - g_rd
     slv, srv, sdv, suv = (s[..., None] for s in (sl, sr, sd, su))
-    span = (srv - slv) * (suv - sdv)
-    states = srv * suv * u_ru + slv * sdv * u_ld - srv * sdv * u_rd - slv * suv * u_lu
-    xflux = suv * (f_ru - f_lu) - sdv * (f_rd - f_ld)
-    yflux = srv * (g_ru - g_rd) - slv * (g_lu - g_ld)
-    general = (states - xflux - yflux) / span
-
-    y_inv = _lanes_equal(ld, lu) & _lanes_equal(rd, ru)
-    x_inv = _lanes_equal(ld, rd) & _lanes_equal(lu, ru)
-    if np.any(y_inv):
-        x_pair = hll_state_1d(u_ld, f_ld, u_rd, f_rd, sl, sr)
-        general = np.where(y_inv[..., None], x_pair, general)
-    if np.any(x_inv):
-        y_pair = hll_state_1d(u_ld, g_ld, u_lu, g_lu, sd, su)
-        general = np.where((x_inv & ~y_inv)[..., None], y_pair, general)
-    return general
+    transverse = dg_left + srv * (dg_right - dg_left) / (srv - slv)
+    return u_down + (suv * (u_up - u_down) - transverse) / (suv - sdv)
 
 
 def quadrant_fan_states(corners, speeds):
@@ -133,10 +117,8 @@ def quadrant_fan_states(corners, speeds):
     corner state is their convex combination with weights
     S_L S_D / B, -S_R S_D / B, -S_L S_U / B, S_R S_U / B.
     """
-    _check_corner_fan(corners, speeds)
-    _require_subsonic(speeds)
     (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
-    sl, sr, sd, su = (np.asarray(s, dtype=float)[..., None] for s in speeds)
+    sl, sr, sd, su = (s[..., None] for s in _checked_corner_fan(corners, speeds))
     h_ld = u_ld - f_ld / sl - g_ld / sd
     h_rd = u_rd - f_rd / sr - g_rd / sd
     h_lu = u_lu - f_lu / sl - g_lu / su
@@ -157,7 +139,7 @@ def corner_fluxes(corners, speeds):
     The difference-form grouping makes one-dimensional corner data reproduce
     the matching 1D flux exactly.  A vanished clipped spread divides by one
     instead, so the mesh update, whose cells recovery has already certified,
-    calls this kernel directly; `hll_flux_2d` is its checked form.
+    calls this kernel directly.
     """
     (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
     s_l, s_r, s_d, s_u = speeds
@@ -181,21 +163,3 @@ def corner_fluxes(corners, speeds):
     flux_y = g_left + (srp * (g_right - g_left) - (2.0 * sdm * sup / safe_y) * diff_f) / safe_x
     return flux_x, flux_y
 
-
-def hll_flux_2d(corners, speeds):
-    """(flux_x, flux_y) of the corner fan, valid in every speed regime.
-
-    `corner_fluxes` after the input checks; a fan whose clipped speed
-    spread vanishes on either axis raises DegenerateFanError.
-    """
-    _check_corner_fan(corners, speeds)
-    s_l, s_r, s_d, s_u = speeds
-    den_x = np.maximum(s_r, 0.0) - np.minimum(s_l, 0.0)
-    den_y = np.maximum(s_u, 0.0) - np.minimum(s_d, 0.0)
-    if np.any(den_x == 0.0) or np.any(den_y == 0.0):
-        raise DegenerateFanError(
-            "corner fan degenerate: clipped speed spread vanished "
-            "(callers may substitute the clipped 1D flux; the spread is "
-            "positive for any admissible corner data)"
-        )
-    return corner_fluxes(corners, speeds)

@@ -140,6 +140,27 @@ class TestAdmissibility:
         cons = physics.prim_to_cons(prim, eos53)
         assert physics.is_admissible(cons)
 
+    def test_scale_sweep(self, eos53):
+        """rho, v = (0, -0.5), p = 0.3 rho: the squares leave float range at
+        both ends of the sweep, and neither the predicate nor the margin
+        may depend on that."""
+
+        def state(rho):
+            return physics.prim_to_cons(physics.primitive(rho, 0.0, -0.5, 0.3 * rho), eos53)
+
+        unit = state(1.0)
+        ratio = physics.admissibility_margin(unit)[1] / unit[physics.ENE]
+        for rho in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e160, 1e300):
+            cons = state(rho)
+            assert physics.is_admissible(cons), rho
+            mass, margin = physics.admissibility_margin(cons)
+            assert mass == cons[physics.DEN]
+            assert_close(margin / cons[physics.ENE], ratio, rel=1e-13)
+            # the same state with E just below sqrt(D^2 + |m|^2) is not admissible
+            below = cons.copy()
+            below[physics.ENE] = np.hypot(cons[physics.DEN], cons[physics.MOMY]) * (1.0 - 1e-12)
+            assert not physics.is_admissible(below), rho
+
 
 def reference_admissible(cons):
     """The compensated predicate on every lane, without the certified filter."""

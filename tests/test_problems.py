@@ -200,7 +200,7 @@ class TestErrorNorms:
         spec = problems.sine_wave_problem()
         grid = spec.default_grid(16)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
-        norms = error_norms(field, spec.eos, spec.exact, t=0.0)
+        norms = error_norms(field, spec.eos, spec.exact)
         assert norms.l1 < 1e-13 and norms.l2 < 1e-13 and norms.linf < 1e-12
 
     def test_constant_offset(self, eos53):
@@ -208,7 +208,7 @@ class TestErrorNorms:
         grid = spec.default_grid(16)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
         offset = lambda t, x, y: spec.exact(t, x, y) + np.array([0.25, 0, 0, 0])
-        norms = error_norms(field, spec.eos, offset, t=0.0)
+        norms = error_norms(field, spec.eos, offset)
         assert_close(norms.l1, 0.25, rel=1e-12)
         assert_close(norms.linf, 0.25, rel=1e-12)
         assert_close(norms.l2, 0.25, rel=1e-12)
@@ -219,8 +219,8 @@ class TestErrorNorms:
         field = Field.from_primitives(grid, spec.initial, spec.eos)
         small = lambda t, x, y: spec.exact(t, x, y) + np.array([0.1, 0, 0, 0])
         big = lambda t, x, y: spec.exact(t, x, y) + np.array([0.3, 0, 0, 0])
-        n_small = error_norms(field, spec.eos, small, t=0.0)
-        n_big = error_norms(field, spec.eos, big, t=0.0)
+        n_small = error_norms(field, spec.eos, small)
+        n_big = error_norms(field, spec.eos, big)
         assert_close(n_big.l1, 3.0 * n_small.l1, rel=1e-12)
 
     def test_requires_exact(self, eos53):

@@ -65,6 +65,26 @@ class TestRecovery:
         back, _ = recover_with_iterations(cons, eos53)
         assert_close(back, prim, rel=1e-10)
 
+    def test_scale_sweep(self, eos53):
+        """rho, v = (0, -0.5), p = 0.3 rho from 1e-300 to 1e300: every state
+        recovers, cold and hinted, in the unit-scale sweep counts."""
+        sweeps = {}
+        for rho in (1.0, 1e-300, 1e-200, 1e-150, 1e150, 1e160, 1e300):
+            prim = physics.primitive(rho, 0.0, -0.5, 0.3 * rho)
+            cons = physics.prim_to_cons(prim, eos53)
+            for hint in (None, 0.3 * rho):
+                back, iterations = recover_with_iterations(cons, eos53, pressure_hint=hint)
+                assert_close(back, prim, rel=1e-14)
+                assert iterations == sweeps.setdefault(hint is None, iterations), rho
+
+    def test_bracket_reported_unscaled(self, eos53):
+        prim = physics.primitive(1e300, 0.0, -0.5, 3e299)
+        cons = physics.prim_to_cons(prim, eos53)
+        with pytest.raises(RecoveryConvergenceError) as err:
+            recover_with_iterations(cons, eos53, RecoveryOptions(max_iterations=1))
+        lo, hi = err.value.bracket
+        assert 0.0 <= lo <= prim[physics.PRE] <= hi <= cons[physics.ENE]
+
     def test_against_high_precision_root(self, eos53):
         cons = physics.prim_to_cons(physics.primitive(0.7, 0.6, -0.5, 0.3), eos53)
         p_ref = float(oracles.pressure_root([float(v) for v in cons], eos53.gamma_adiabatic))

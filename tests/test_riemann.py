@@ -8,7 +8,7 @@ from rhd2d.errors import AdmissibilityError, DegenerateFanError, DispatchError
 
 SOD_LEFT = physics.primitive(1.0, 0.0, 0.0, 1.0)
 SOD_RIGHT = physics.primitive(0.125, 0.0, 0.0, 0.1)
-CORNER_SOLVERS = (riemann.hll_state_2d, riemann.quadrant_fan_states, riemann.hll_flux_2d)
+CORNER_SOLVERS = (riemann.hll_state_2d, riemann.quadrant_fan_states)
 
 
 def ufg(eos, prim):
@@ -152,6 +152,25 @@ def random_subsonic_prims(rng, eos, n, tame=False):
     return verification._subsonic_corners(rng, n, eos, 2.0, **kwargs)
 
 
+def mixed_reduction_batch(rng, eos, n=100):
+    """One corner batch mixing y-invariant (a, b, a, b), x-invariant
+    (a, a, b, b) and generic lanes, keeping the lanes that stay two-sided.
+
+    Returns (corners, speeds, y_inv, x_inv) with boolean lane masks.
+    """
+    ld, rd, lu, _ = random_subsonic_prims(rng, eos, n)
+    generic = random_subsonic_prims(rng, eos, n)
+    quads = zip([ld, rd, ld, rd], [ld, ld, lu, lu], generic)
+    prims = [np.concatenate(lanes) for lanes in quads]
+    kind = np.repeat([0, 1, 2], n)
+    s_l, s_r, s_d, s_u = corner_fan(eos, prims)[1]
+    keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
+    corners, speeds = corner_fan(eos, [p[keep] for p in prims])
+    y_inv, x_inv = kind[keep] == 0, kind[keep] == 1
+    assert y_inv.any() and x_inv.any() and (kind[keep] == 2).any()
+    return corners, speeds, y_inv, x_inv
+
+
 class TestHll2D:
     def test_corner_states_validate(self, eos53):
         good = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
@@ -171,19 +190,33 @@ class TestHll2D:
         corners, speeds = corner_fan(eos53, [s] * 4)
         assert np.array_equal(riemann.hll_state_2d(corners, speeds), corners[0][0])
 
-    def test_state_y_invariant_reduces_bitwise(self, eos53):
+    def test_state_y_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_RIGHT, SOD_LEFT, SOD_RIGHT])
         got = riemann.hll_state_2d(corners, speeds)
         (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
         ref = riemann.hll_state_1d(u_l, f_l, u_r, f_r, speeds[0], speeds[1])
         assert np.array_equal(got, ref)
 
-    def test_state_x_invariant_reduces_bitwise(self, eos53):
+        corners, speeds, y_inv, _ = mixed_reduction_batch(rng, eos53)
+        got = riemann.hll_state_2d(corners, speeds)
+        (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
+        for k in np.flatnonzero(y_inv):
+            ref = riemann.hll_state_1d(u_l[k], f_l[k], u_r[k], f_r[k], speeds[0][k], speeds[1][k])
+            assert np.array_equal(got[k], ref)
+
+    def test_state_x_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_LEFT, SOD_RIGHT, SOD_RIGHT])
         got = riemann.hll_state_2d(corners, speeds)
         (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
         ref = riemann.hll_state_1d(u_d, g_d, u_u, g_u, speeds[2], speeds[3])
         assert np.array_equal(got, ref)
+
+        corners, speeds, _, x_inv = mixed_reduction_batch(rng, eos53)
+        got = riemann.hll_state_2d(corners, speeds)
+        (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
+        for k in np.flatnonzero(x_inv):
+            ref = riemann.hll_state_1d(u_d[k], g_d[k], u_u[k], g_u[k], speeds[2][k], speeds[3][k])
+            assert np.array_equal(got[k], ref)
 
     @pytest.mark.parametrize("tame,rel", [(True, 1e-13), (False, 3e-12)])
     def test_state_oracle_and_fan_decomposition(self, rng, eos53, tame, rel):
@@ -222,28 +255,42 @@ class TestHll2D:
     def test_flux_identical_corners_bitwise(self, eos53):
         s = physics.primitive(0.8, 0.1, -0.2, 0.6)
         corners, speeds = corner_fan(eos53, [s] * 4)
-        fx, fy = riemann.hll_flux_2d(corners, speeds)
+        fx, fy = riemann.corner_fluxes(corners, speeds)
         _, f, g = ufg(eos53, s)
         assert np.array_equal(fx, f)
         assert np.array_equal(fy, g)
 
-    def test_flux_y_invariant_reduces_bitwise(self, eos53):
+    def test_flux_y_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_RIGHT, SOD_LEFT, SOD_RIGHT])
-        fx, _ = riemann.hll_flux_2d(corners, speeds)
+        fx, _ = riemann.corner_fluxes(corners, speeds)
         (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
         ref = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, speeds[0], speeds[1])
         assert np.array_equal(fx, ref)
 
-    def test_flux_x_invariant_reduces_bitwise(self, eos53):
+        corners, speeds, y_inv, _ = mixed_reduction_batch(rng, eos53)
+        fx, _ = riemann.corner_fluxes(corners, speeds)
+        (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
+        for k in np.flatnonzero(y_inv):
+            ref = riemann.hll_flux_1d(u_l[k], f_l[k], u_r[k], f_r[k], speeds[0][k], speeds[1][k])
+            assert np.array_equal(fx[k], ref)
+
+    def test_flux_x_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_LEFT, SOD_RIGHT, SOD_RIGHT])
-        _, fy = riemann.hll_flux_2d(corners, speeds)
+        _, fy = riemann.corner_fluxes(corners, speeds)
         (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
         ref = riemann.hll_flux_1d(u_d, g_d, u_u, g_u, speeds[2], speeds[3])
         assert np.array_equal(fy, ref)
 
+        corners, speeds, _, x_inv = mixed_reduction_batch(rng, eos53)
+        _, fy = riemann.corner_fluxes(corners, speeds)
+        (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
+        for k in np.flatnonzero(x_inv):
+            ref = riemann.hll_flux_1d(u_d[k], g_d[k], u_u[k], g_u[k], speeds[2][k], speeds[3][k])
+            assert np.array_equal(fy[k], ref)
+
     def test_flux_oracle(self, rng, eos53):
         corners, speeds = corner_fan(eos53, random_subsonic_prims(rng, eos53, 50))
-        fx, fy = riemann.hll_flux_2d(corners, speeds)
+        fx, fy = riemann.corner_fluxes(corners, speeds)
         u, fx_all, fy_all = oracles.corner_constituents(corners)
         for k in (3, 11, 29):
             sp = [float(np.asarray(s)[k]) for s in speeds]
@@ -257,11 +304,6 @@ class TestHll2D:
             scale_y = max(abs(float(v)) for v in ref_y)
             assert np.max(np.abs(fx[k] - [float(v) for v in ref_x])) <= 1e-13 * scale_x
             assert np.max(np.abs(fy[k] - [float(v) for v in ref_y])) <= 1e-13 * scale_y
-
-    def test_flux_degenerate_raises(self, eos53):
-        s = ufg(eos53, physics.primitive(1.0, 0.0, 0.0, 1.0))
-        with pytest.raises(DegenerateFanError):
-            riemann.hll_flux_2d([s] * 4, (0.0, 0.0, -1.0, 1.0))
 
     def test_scaling_covariance_at_fixed_speeds(self, rng, eos53):
         prims = random_subsonic_prims(rng, eos53, 200)
@@ -284,8 +326,8 @@ class TestHll2D:
             assert np.max(np.abs(a - b) / scale) <= 1e-12
 
         close(u2, kappa * u1)
-        f1x, f1y = riemann.hll_flux_2d(corners, speeds)
-        f2x, f2y = riemann.hll_flux_2d(scaled, speeds)
+        f1x, f1y = riemann.corner_fluxes(corners, speeds)
+        f2x, f2y = riemann.corner_fluxes(scaled, speeds)
         close(f2x, kappa * f1x)
         close(f2y, kappa * f1y)
 
