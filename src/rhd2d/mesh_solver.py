@@ -17,9 +17,13 @@ in multidimensional mode and in none in dimension-split mode (open, see
 ROADMAP.md).
 
 Fluxes are written into arrays before any cell is touched, so results do
-not depend on traversal order.  The composite is evaluated in difference
-form (F1D plus corner corrections), which makes the multidimensional and
-dimension-split modes agree bitwise on one-dimensional fields.
+not depend on traversal order.  The jumps of U and of each axis's flux
+across every face of the ghosted mesh are taken once per step and shared:
+the 1D face fluxes, each corner fan's edge flux and its second differences
+all read them (coefficient form, see `riemann`).  The composite is
+evaluated in difference form (F1D plus corner corrections), which makes
+the multidimensional and dimension-split modes agree bitwise on
+one-dimensional fields.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ from .errors import (
 )
 from .physics import EosParams, eigenvalues, is_admissible, physical_flux
 from .recovery import recover_with_iterations
-from .riemann import corner_fluxes, fan_speeds, hll_flux_1d
+from .riemann import (
+    FanCoefficients,
+    corner_fluxes,
+    fan_speeds,
+    hll_coefficients,
+    hll_flux_from_jumps,
+)
 
 GHOST = 1  # ghost-layer width; the stencil is the 3x3 neighbourhood
 
@@ -282,49 +292,59 @@ def assemble_fluxes(
     full ghosted array, and dt must come from compute_dt (the corner
     contributions are weighted by dt).  Both axes run through the same code
     on np.swapaxes views whose first index is the face-normal axis, as in
-    fill_ghosts.  Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and
-    (n_x, n_y+1, 4).
+    fill_ghosts.  The jumps of U and of the axis's flux across every face
+    of the ghosted mesh are taken once per axis and shared by the face
+    fluxes, the corner fans' edge fluxes and their second differences.
+    Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
     grid = field.grid
-    nx, ny = grid.n_x, grid.n_y
     cons = field.cells
-    alpha = config.alpha
-    lam = [eigenvalues(prim, eos, axis) for axis in (0, 1)]
-    flux = [physical_flux(prim, cons, axis) for axis in (0, 1)]
-
-    # 1D fluxes at face centers from the two adjacent cells.
-    low = (slice(0, -1), slice(GHOST, -GHOST))
-    high = (slice(1, None), slice(GHOST, -GHOST))
-    face = []
+    multidimensional = config.mode == "multidimensional"
+    inner = (slice(None), slice(GHOST, -GHOST))  # faces of the interior rows
+    low = (slice(None), slice(0, -1))  # each vertex's low transverse side
+    face, speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
+        lam = eigenvalues(prim, eos, axis)
         u, f, lam1, lam4 = (
-            np.swapaxes(a, 0, axis) for a in (cons, flux[axis], lam[axis].lam1, lam[axis].lam4)
+            np.swapaxes(a, 0, axis)
+            for a in (cons, physical_flux(prim, cons, axis), lam.lam1, lam.lam4)
         )
-        s_minus, s_plus = fan_speeds((lam1[low], lam1[high]), (lam4[low], lam4[high]), alpha)
-        f1 = hll_flux_1d(u[low], f[low], u[high], f[high], s_minus, s_plus)
+        # Fan speeds and jumps across every face of this axis, ghost rows too.
+        s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
+        du = u[1:] - u[:-1]
+        df = f[1:] - f[:-1]
+        f1 = hll_flux_from_jumps(
+            f[:-1][inner], f[1:][inner], du[inner], df[inner],
+            hll_coefficients(s_minus[inner], s_plus[inner]),
+        )
         face.append(np.swapaxes(f1, 0, axis))
+        if not multidimensional:
+            continue
 
-    if config.mode == "dimension_split":
+        # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny sits
+        # between transverse rows j and j+1 of this axis's faces, so its
+        # speeds reduce theirs, and its low-side edge pair is face row j.
+        corner = fan_speeds((s_minus[low], s_minus[:, 1:]), (s_plus[low], s_plus[:, 1:]), 1.0)
+        coefficient = hll_coefficients(*corner)
+        edge = hll_flux_from_jumps(f[:-1][low], f[1:][low], du[low], df[low], coefficient)
+        if axis == 0:
+            d2u = du[:, 1:] - du[low]
+        del du
+        d2fs.append(np.swapaxes(df[:, 1:] - df[low], 0, axis))
+        del df
+        crosses.append(np.swapaxes(f[:-1, 1:] - f[:-1, :-1], 0, axis))
+        speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
+        coefficients.append(FanCoefficients(*(np.swapaxes(c, 0, axis) for c in coefficient)))
+        edges.append(np.swapaxes(edge, 0, axis))
+
+    if not multidimensional:
         return tuple(face)
-
-    # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny uses the
-    # piecewise-constant cell averages of its four surrounding cells.
-    quads = [
-        (slice(0, nx + 1), slice(0, ny + 1)),  # left-down
-        (slice(1, nx + 2), slice(0, ny + 1)),  # right-down
-        (slice(0, nx + 1), slice(1, ny + 2)),  # left-up
-        (slice(1, nx + 2), slice(1, ny + 2)),  # right-up
-    ]
-    speeds = [
-        fan_speeds([lam[axis].lam1[q] for q in quads], [lam[axis].lam4[q] for q in quads], alpha)
-        for axis in (0, 1)
-    ]
-    corners = [(cons[q], flux[0][q], flux[1][q]) for q in quads]
-    corner_flux = corner_fluxes(corners, (*speeds[0], *speeds[1]))
+    corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients)
+    del crosses, d2u, d2fs
 
     # A corner fan feeds the composite only when it is genuinely two-sided in
     # both axes; one-signed fans fall back to the 1D solver (their corner
-    # correction is zero below), which keeps every constituent of the update
+    # weight is zero below), which keeps every constituent of the update
     # an admissible 1D or corner fan state.
     (s_l, s_r), (s_d, s_u) = speeds
     two_sided = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
@@ -336,9 +356,9 @@ def assemble_fluxes(
     composite = []
     for axis, name, across in ((0, "x", grid.dy), (1, "y", grid.dx)):
         f1, f2d, side = (
-            np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis], two_sided[..., None])
+            np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis], two_sided)
         )
-        t_minus, t_plus = (np.swapaxes(s, 0, axis)[..., None] for s in speeds[1 - axis])
+        t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
@@ -349,10 +369,13 @@ def assemble_fluxes(
                     f"negative 1D-flux weight in {name}-face composite; "
                     f"dt = {dt:.6e} violates the corner CFL bound"
                 )
-        blend = f1 + weight_scale * (
-            plus_low * np.where(side[:, :-1], f2d[:, :-1] - f1, 0.0)
-            - minus_high * np.where(side[:, 1:], f2d[:, 1:] - f1, 0.0)
-        )
+        blend = f2d[:, :-1] - f1
+        blend *= np.where(side[:, :-1], weight_scale * plus_low, 0.0)[..., None]
+        blend += f1
+        high = f2d[:, 1:]  # the corner fluxes are spent after this term
+        high -= f1
+        high *= np.where(side[:, 1:], weight_scale * minus_high, 0.0)[..., None]
+        blend -= high
         composite.append(np.swapaxes(blend, 0, axis))
     return tuple(composite)
 
@@ -448,11 +471,8 @@ def run(
     targets = sorted({float(t) for t in snapshot_times if 0.0 < t <= t_end} | {t_end})
     pressure_hint = None
 
-    if t_end == 0.0:
-        if on_snapshot is not None:
-            on_snapshot(field)
-        return RunResult(field, diag)
-
+    # With t_end = 0 the only target is 0: no step runs, the snapshot fires
+    # once, and the diagnostics observe the initial interior below.
     for target in targets:
         while field.time < target:
             fill_ghosts(field, problem.boundaries, eos)

@@ -6,19 +6,31 @@ by four (U, F, G) triples in (left-down, right-down, left-up, right-up)
 order, F and G being the x- and y-fluxes, and by its speeds
 (s_left, s_right, s_down, s_up).  Signal speeds are amplified extreme
 characteristic speeds (factor alpha, alpha = 2 gives the positivity
-guarantee), reduced over the fan's states by `fan_speeds`.  Formulas are
-written in difference form, left value + (corrections built from state and
-flux differences); this keeps equal-state, supersonic, and one-dimensional
-reductions exact in floating point, which the mesh update relies on.  The
-corner state and fluxes are both built from the 1D HLL pieces of the fan's
-edge pairs.  `hll_state_2d` and `quadrant_fan_states` check their input;
-`corner_fluxes`, the mesh kernel, does not.  All functions broadcast over
-leading axes and are pure.
+guarantee), reduced over the fan's states by `fan_speeds`.
+
+Fluxes are written in coefficient form.  `hll_coefficients` turns a fan's
+speeds into per-lane scalars once (k = sl / (sr - sl), kr = k sr, ...), and
+a flux is the left flux plus those scalars times the jumps of U and F
+across the fan (`hll_flux_from_jumps`).  Each corner flux is one linear
+combination of its edge flux and the fan's jumps and second differences
+(`corner_fluxes`), so a mesh takes every jump once and shares it between
+faces and corners.  These reductions stay exact in floating point, which
+the mesh update relies on:
+  - equal states, sl = 0 (supersonic rightward) and empty fans give f_l;
+  - sr = 0 (supersonic leftward) gives f_r, set by index;
+  - corner data invariant along y (x) give the x (y) edge's 1D flux, per
+    lane and in every regime, and equal corners their physical fluxes.
+The corner state is written in difference form from the 1D HLL states of
+its edge pairs.  `hll_state_2d` and `quadrant_fan_states` check their
+input; `corner_fluxes`, the mesh kernel, does not.  All functions broadcast
+over leading axes and are pure, except that `corner_fluxes` writes its
+result into the edge fluxes it is given.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,22 +51,66 @@ def fan_speeds(lam1s, lam4s, alpha=2.0):
     return alpha * reduce(np.minimum, lam1s), alpha * reduce(np.maximum, lam4s)
 
 
+class FanCoefficients(NamedTuple):
+    """Per-lane scalars of a clipped HLL fan; see `hll_coefficients`."""
+
+    k: np.ndarray
+    kr: np.ndarray
+    a: np.ndarray
+    w: np.ndarray
+    right: np.ndarray
+
+
+def hll_coefficients(s_minus, s_plus) -> FanCoefficients:
+    """Per-lane scalars of the clipped HLL fan.
+
+    With sl = min(s_minus, 0), sr = max(s_plus, 0) and w = 1 / (sr - sl):
+    k = sl w, kr = sl sr w and a = sr w, so that the HLL flux
+    (sr f_l - sl f_r + sl sr (u_r - u_l)) w is
+    f_l + kr (u_r - u_l) - k (f_r - f_l).  An empty fan (sl = sr = 0)
+    takes w = 0, so k = kr = a = 0.  `right` marks the lanes with
+    sr = 0 < -sl, whose flux is the right state's.
+    """
+    sl = np.minimum(s_minus, 0.0)
+    sr = np.maximum(s_plus, 0.0)
+    right = (sr == 0.0) & (sl < 0.0)
+    den = sr - sl
+    w = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
+    kr = sl * sr
+    kr *= w
+    sl *= w
+    sr *= w
+    return FanCoefficients(sl, kr, sr, w, right)
+
+
+def hll_flux_from_jumps(f_l, f_r, du, df, coefficients):
+    """Clipped HLL flux f_l + kr du - k df from the jumps du = u_r - u_l,
+    df = f_r - f_l and the fan's `hll_coefficients`.
+
+    Exact in floating point: equal states (du = df = 0) and sl = 0 (k = 0,
+    so supersonic rightward fans and empty fans) give f_l, and the `right`
+    lanes are set to f_r by index.
+    """
+    flux = coefficients.kr[..., None] * du
+    flux += f_l
+    flux -= coefficients.k[..., None] * df
+    right = np.broadcast_to(coefficients.right, flux.shape[:-1])
+    flux[right] = np.broadcast_to(f_r, flux.shape)[right]
+    return flux
+
+
 def hll_flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Clipped-fan HLL flux in difference form, valid in every regime.
+    """Clipped-fan HLL flux in coefficient form, valid in every regime.
 
     With sl = min(s_minus, 0), sr = max(s_plus, 0):
-        flux = f_l + sl * (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl),
-    dispatched to the pure upwind flux when a clipped speed is zero.  The
-    grouping returns f_l (f_r) exactly for supersonic fans and f_l exactly
-    for equal inputs.  When both clipped speeds vanish the fan is empty and
-    the left state's physical flux is returned.
+        flux = f_l + kr (u_r - u_l) - k (f_r - f_l),
+    k = sl / (sr - sl), kr = k sr (see `hll_coefficients`).  This is the
+    kernel the mesh runs on its shared jumps.  Supersonic fans return f_l
+    (sl = 0) or f_r (sr = 0, set by index) exactly, equal inputs return
+    f_l exactly, and an empty fan (both clipped speeds zero) returns f_l.
     """
-    sl = np.minimum(s_minus, 0.0)[..., None]
-    sr = np.maximum(s_plus, 0.0)[..., None]
-    den = sr - sl
-    safe = np.where(den == 0.0, 1.0, den)
-    mid = f_l + sl * (sr * (u_r - u_l) - (f_r - f_l)) / safe
-    return np.where(sl == 0.0, f_l, np.where(sr == 0.0, f_r, mid))
+    coefficients = hll_coefficients(s_minus, s_plus)
+    return hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients)
 
 
 def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
@@ -126,40 +182,42 @@ def quadrant_fan_states(corners, speeds):
     return h_ld, h_rd, h_lu, h_ru
 
 
-def corner_fluxes(corners, speeds):
-    """(flux_x, flux_y) of the corner fan, without input checks.
+def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
+    """(flux_x, flux_y) of corner fans from their shared jumps, without checks.
 
-    Built from the four clipped 1D fluxes of the fan's edge pairs plus a
-    transverse flux-difference correction:
-
-        flux_x = [S_U+ F_U** - S_D- F_D**
-                  - 2 S_L- S_R+ / (S_R+ - S_L-) * dG] / (S_U+ - S_D-),
-
-    with dG = (G_RU - G_RD) - (G_LU - G_LD), and symmetrically for flux_y.
-    The difference-form grouping makes one-dimensional corner data reproduce
-    the matching 1D flux exactly.  A vanished clipped spread divides by one
-    instead, so the mesh update, whose cells recovery has already certified,
-    calls this kernel directly.
+    For the fan of (U, F, G) triples ld, rd, lu, ru with speeds
+    (s_left, s_right, s_down, s_up) the inputs are:
+      edges: (F_D*, G_L*), the `hll_flux_from_jumps` fluxes of the down and
+             left edge pairs; they are updated in place and returned;
+      crosses: (F_LU - F_LD, G_RD - G_LD);
+      d2u: the mixed second difference (U_RU - U_LU) - (U_RD - U_LD);
+      d2fs: (dF, dG) = ((F_RU - F_LU) - (F_RD - F_LD),
+                        (G_RU - G_RD) - (G_LU - G_LD));
+      coefficients: `hll_coefficients` of (s_left, s_right), (s_down, s_up).
+    The corner flux
+        flux_x = [S_U+ F_U** - S_D- F_D** - 2 S_L- S_R+ / (S_R+ - S_L-) dG]
+                 / (S_U+ - S_D-)
+    is F_D* + a_y (F_U* - F_D*) - 2 kr_x w_y dG, with
+    F_U* - F_D* = (F_LU - F_LD) + kr_x d2u - k_x dF, so it is one linear
+    combination:
+        flux_x = F_D* + a_y (F_LU - F_LD) + a_y kr_x d2u - a_y k_x dF
+                 - 2 kr_x w_y dG,
+    and symmetrically for flux_y.  Every added term vanishes exactly on
+    corner data invariant along y (along x), so flux_x (flux_y) reproduces
+    the edge's 1D flux exactly in every regime, and equal corners give
+    their physical fluxes exactly.  One-signed fans get the same formula to
+    round-off; the mesh uses only two-sided ones.
     """
-    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
-    s_l, s_r, s_d, s_u = speeds
-    slm = np.minimum(s_l, 0.0)[..., None]
-    srp = np.maximum(s_r, 0.0)[..., None]
-    sdm = np.minimum(s_d, 0.0)[..., None]
-    sup = np.maximum(s_u, 0.0)[..., None]
-
-    f_up = hll_flux_1d(u_lu, f_lu, u_ru, f_ru, s_l, s_r)
-    f_down = hll_flux_1d(u_ld, f_ld, u_rd, f_rd, s_l, s_r)
-    g_right = hll_flux_1d(u_rd, g_rd, u_ru, g_ru, s_d, s_u)
-    g_left = hll_flux_1d(u_ld, g_ld, u_lu, g_lu, s_d, s_u)
-    diff_g = (g_ru - g_rd) - (g_lu - g_ld)
-    diff_f = (f_ru - f_rd) - (f_lu - f_ld)
-
-    den_x = srp - slm
-    den_y = sup - sdm
-    safe_x = np.where(den_x == 0.0, 1.0, den_x)
-    safe_y = np.where(den_y == 0.0, 1.0, den_y)
-    flux_x = f_down + (sup * (f_up - f_down) - (2.0 * slm * srp / safe_x) * diff_g) / safe_y
-    flux_y = g_left + (srp * (g_right - g_left) - (2.0 * sdm * sup / safe_y) * diff_f) / safe_x
-    return flux_x, flux_y
-
+    workspace = np.empty_like(edges[0])
+    for flux, cross, d2f, d2f_across, along, across in zip(
+        edges, crosses, d2fs, d2fs[::-1], coefficients, coefficients[::-1]
+    ):
+        terms = (
+            (across.a, cross),
+            (across.a * along.kr, d2u),
+            (-(across.a * along.k), d2f),
+            (-2.0 * along.kr * across.w, d2f_across),
+        )
+        for coefficient, jump in terms:
+            flux += np.multiply(coefficient[..., None], jump, out=workspace)
+    return edges

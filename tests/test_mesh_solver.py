@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import physics, problems
+from rhd2d import physics, problems, verification
 from rhd2d.errors import (
     AdmissibilityError,
     CflViolationError,
@@ -230,22 +232,34 @@ class TestAssembleFluxes:
         assert np.all(multi[1][:, 1:] == multi[1][:, :-1])
         assert np.all(split[1][:, 1:] == split[1][:, :-1])
 
-    @pytest.mark.parametrize("n_x, n_y", [(4, 4), (5, 3)], ids=["4x4", "5x3"])
-    def test_matches_term_by_term_oracle_on_rp1(self, eos53, n_x, n_y):
+    @pytest.mark.parametrize(
+        "n_x, n_y, source",
+        [(4, 4, "rp1"), (5, 3, "rp1"), (7, 5, "random")],
+        ids=["4x4", "5x3", "random7x5"],
+    )
+    def test_matches_term_by_term_oracle_on_rp1(self, eos53, n_x, n_y, source):
         """First-step composite fluxes against a scalar recomposition.
 
-        The non-square grid tells the x-face and y-face roles apart.
+        The non-square grids tell the x-face and y-face roles apart.  The
+        periodic mesh of random states (gamma up to 10) holds one-sided and
+        two-sided corner fans and supersonic faces in both axes.
         """
-        spec = problems.problem_by_name("rp1")
         grid = Grid(n_x, n_y, -1.0, 1.0, -1.0, 1.0)
-        field = Field.from_primitives(grid, spec.initial, eos53)
-        fill_ghosts(field, spec.boundaries, eos53)
+        if source == "rp1":
+            spec = problems.problem_by_name("rp1")
+            field = Field.from_primitives(grid, spec.initial, eos53)
+            bcs = spec.boundaries
+        else:
+            rng = np.random.default_rng(4)  # 4 one-sided corners, 17 supersonic faces
+            states = verification.sample_primitives(rng, n_x * n_y, eos=eos53, gamma_cap=10.0)
+            field = Field.from_primitives(grid, lambda x, y: states.reshape(n_x, n_y, 4), eos53)
+            bcs = periodic_boundaries()
+        fill_ghosts(field, bcs, eos53)
         prim, _ = recover_with_iterations(field.cells, eos53)
         dt = compute_dt(field, eos53, 0.45, 2.0, prim)
         fhat, ghat = assemble_fluxes(field, dt, eos53, SolverConfig(), prim)
 
         cons = field.cells
-        gamma = eos53.gamma_adiabatic
         lam_x = physics.eigenvalues(prim, eos53, 0)
         lam_y = physics.eigenvalues(prim, eos53, 1)
         flux_x = physics.physical_flux(prim, cons, 0)
@@ -264,9 +278,12 @@ class TestAssembleFluxes:
             s_u = 2.0 * max(lam_y.lam4[v] for v in cells)
             return u, fx, fy, (s_l, s_r, s_d, s_u)
 
+        fans, supersonic_faces = set(), 0
+
         def corner_flux(i, j):
             u, fx, fy, sp = corner(i, j)
             two_sided = sp[0] < 0.0 < sp[1] and sp[2] < 0.0 < sp[3]
+            fans.add(two_sided)
             return oracles.corner_fluxes_from_states(u, fx, fy, sp), sp, two_sided
 
         nx, ny = grid.n_x, grid.n_y
@@ -274,6 +291,7 @@ class TestAssembleFluxes:
             for j in range(1, ny + 1):
                 sm = 2.0 * min(lam_x.lam1[i, j], lam_x.lam1[i + 1, j])
                 sp1 = 2.0 * max(lam_x.lam4[i, j], lam_x.lam4[i + 1, j])
+                supersonic_faces += sm >= 0.0 or sp1 <= 0.0
                 f1 = oracles.hll_flux_from_states(
                     cons[i, j], flux_x[i, j], cons[i + 1, j], flux_x[i + 1, j], sm, sp1
                 )
@@ -293,6 +311,7 @@ class TestAssembleFluxes:
             for j in range(ny + 1):
                 sm = 2.0 * min(lam_y.lam1[i, j], lam_y.lam1[i, j + 1])
                 sp1 = 2.0 * max(lam_y.lam4[i, j], lam_y.lam4[i, j + 1])
+                supersonic_faces += sm >= 0.0 or sp1 <= 0.0
                 g1 = oracles.hll_flux_from_states(
                     cons[i, j], flux_y[i, j], cons[i, j + 1], flux_y[i, j + 1], sm, sp1
                 )
@@ -307,6 +326,28 @@ class TestAssembleFluxes:
                 ref = g1 + cy * (srp_l * (left - g1) - slm_r * (right - g1))
                 got = ghat[i - 1, j]
                 assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        if source == "random":
+            assert fans == {True, False} and supersonic_faces > 0
+
+
+    def test_peak_memory_budget(self):
+        """One call's peak traced allocation on rp2 64x64, in units of one
+        ghosted (n+2)^2 x 4 array, stays within the 18.062 measured here for
+        the assembly that preceded the coefficient form (it now measures 16.4)."""
+        spec = problems.problem_by_name("rp2")
+        grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
+        field = Field.from_primitives(grid, spec.initial, spec.eos)
+        fill_ghosts(field, spec.boundaries, spec.eos)
+        prim, _ = recover_with_iterations(field.cells, spec.eos)
+        dt = compute_dt(field, spec.eos, 0.45, 2.0, prim)
+        assemble_fluxes(field, dt, spec.eos, SolverConfig(), prim)
+        tracemalloc.start()
+        try:
+            assemble_fluxes(field, dt, spec.eos, SolverConfig(), prim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / field.cells.nbytes <= 18.07
 
 
 class TestStep:
@@ -432,6 +473,23 @@ class TestRun:
         reference = Field.from_primitives(grid, spec.initial, spec.eos)
         assert result.diagnostics.steps == 0
         assert np.array_equal(result.field.interior, reference.interior)
+
+    def test_zero_time_reports_initial_extremes(self):
+        spec = problems.problem_by_name("rp1")
+        grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)
+        seen = []
+        result = run(spec, grid, SolverConfig(), t_end=0.0, on_snapshot=seen.append)
+        assert seen == [result.field]
+        reference = Field.from_primitives(grid, spec.initial, spec.eos)
+        prim, _ = recover_with_iterations(reference.interior, spec.eos)
+        gam = physics.lorentz_factor(prim[..., physics.VX], prim[..., physics.VY])
+        diag = result.diagnostics
+        assert diag.min_density == np.min(prim[..., physics.RHO]) > 0.0
+        assert diag.max_density == np.max(prim[..., physics.RHO])
+        assert diag.min_pressure == np.min(prim[..., physics.PRE]) > 0.0
+        assert diag.max_pressure == np.max(prim[..., physics.PRE])
+        assert diag.min_lorentz == np.min(gam) >= 1.0
+        assert diag.max_lorentz == np.max(gam)
 
     def test_lands_exactly_on_snapshots_and_t_end(self):
         spec = problems.sine_wave_problem()

@@ -27,6 +27,22 @@ def corner_fan(eos, prims, alpha=2.0):
     return verification._corner_fan(prims, eos, alpha)
 
 
+def fan_fluxes(corners, speeds):
+    """`riemann.corner_fluxes` of four (U, F, G) triples, fed its jumps as the mesh feeds them."""
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    s_l, s_r, s_d, s_u = speeds
+    coefficients = (riemann.hll_coefficients(s_l, s_r), riemann.hll_coefficients(s_d, s_u))
+    du_down, df_down = u_rd - u_ld, f_rd - f_ld
+    du_left, dg_left = u_lu - u_ld, g_lu - g_ld
+    edges = (
+        riemann.hll_flux_from_jumps(f_ld, f_rd, du_down, df_down, coefficients[0]),
+        riemann.hll_flux_from_jumps(g_ld, g_lu, du_left, dg_left, coefficients[1]),
+    )
+    d2u = (u_ru - u_lu) - du_down
+    d2fs = ((f_ru - f_lu) - df_down, (g_ru - g_rd) - dg_left)
+    return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients)
+
+
 def random_prims(rng, eos, n, **kwargs):
     return verification.sample_primitives(rng, n, eos=eos, **kwargs)
 
@@ -137,6 +153,39 @@ class TestHll1D:
         speeds = pair_speeds(eos53, (lm, rm), 0, alpha=2.0)
         got = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, *speeds)
         assert np.array_equal(got, f_r)
+
+    def test_flux_mixed_regime_batch_lane_by_lane(self, rng, eos53):
+        """One batch holding every regime: each lane equals its own one-lane
+        call bitwise, and the upwind, equal-state and empty-fan lanes are
+        exactly f_l or f_r."""
+        n = 40
+        regimes = ("subsonic", "right_supersonic", "left_supersonic", "equal", "empty")
+        regime = np.repeat(regimes, n)
+        left, right = random_prims(rng, eos53, 5 * n), random_prims(rng, eos53, 5 * n)
+        equal = regime == "equal"
+        right[equal] = left[equal]
+        (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, left), ufg(eos53, right)
+        a, b = (np.abs(s) for s in pair_speeds(eos53, (left, right), 0))
+        s_minus, s_plus = -a, b
+        lanes = regime == "right_supersonic"
+        s_minus[lanes], s_plus[lanes] = a[lanes], a[lanes] + b[lanes]
+        lanes = regime == "left_supersonic"
+        s_minus[lanes], s_plus[lanes] = -a[lanes] - b[lanes], -b[lanes]
+        s_minus[regime == "empty"] = s_plus[regime == "empty"] = 0.0
+        # the clipped-speed boundaries themselves: sl = 0 and sr = 0 exactly
+        s_minus[n], s_plus[2 * n] = 0.0, 0.0
+
+        got = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus)
+        for k in range(5 * n):
+            one = riemann.hll_flux_1d(u_l[k], f_l[k], u_r[k], f_r[k], s_minus[k], s_plus[k])
+            assert np.array_equal(got[k], one), (regime[k], k)
+        upwind_left = np.isin(regime, ("right_supersonic", "equal", "empty"))
+        assert np.array_equal(got[upwind_left], f_l[upwind_left])
+        lanes = regime == "left_supersonic"
+        assert np.array_equal(got[lanes], f_r[lanes])
+        lanes = regime == "subsonic"
+        assert not np.any(np.all(got[lanes] == f_l[lanes], axis=-1))
+        assert not np.any(np.all(got[lanes] == f_r[lanes], axis=-1))
 
     def test_flux_sod_oracle(self, eos53):
         (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, SOD_LEFT), ufg(eos53, SOD_RIGHT)
@@ -255,20 +304,20 @@ class TestHll2D:
     def test_flux_identical_corners_bitwise(self, eos53):
         s = physics.primitive(0.8, 0.1, -0.2, 0.6)
         corners, speeds = corner_fan(eos53, [s] * 4)
-        fx, fy = riemann.corner_fluxes(corners, speeds)
+        fx, fy = fan_fluxes(corners, speeds)
         _, f, g = ufg(eos53, s)
         assert np.array_equal(fx, f)
         assert np.array_equal(fy, g)
 
     def test_flux_y_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_RIGHT, SOD_LEFT, SOD_RIGHT])
-        fx, _ = riemann.corner_fluxes(corners, speeds)
+        fx, _ = fan_fluxes(corners, speeds)
         (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
         ref = riemann.hll_flux_1d(u_l, f_l, u_r, f_r, speeds[0], speeds[1])
         assert np.array_equal(fx, ref)
 
         corners, speeds, y_inv, _ = mixed_reduction_batch(rng, eos53)
-        fx, _ = riemann.corner_fluxes(corners, speeds)
+        fx, _ = fan_fluxes(corners, speeds)
         (u_l, f_l, _), (u_r, f_r, _) = corners[:2]
         for k in np.flatnonzero(y_inv):
             ref = riemann.hll_flux_1d(u_l[k], f_l[k], u_r[k], f_r[k], speeds[0][k], speeds[1][k])
@@ -276,13 +325,13 @@ class TestHll2D:
 
     def test_flux_x_invariant_reduces_bitwise(self, rng, eos53):
         corners, speeds = corner_fan(eos53, [SOD_LEFT, SOD_LEFT, SOD_RIGHT, SOD_RIGHT])
-        _, fy = riemann.corner_fluxes(corners, speeds)
+        _, fy = fan_fluxes(corners, speeds)
         (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
         ref = riemann.hll_flux_1d(u_d, g_d, u_u, g_u, speeds[2], speeds[3])
         assert np.array_equal(fy, ref)
 
         corners, speeds, _, x_inv = mixed_reduction_batch(rng, eos53)
-        _, fy = riemann.corner_fluxes(corners, speeds)
+        _, fy = fan_fluxes(corners, speeds)
         (u_d, _, g_d), (u_u, _, g_u) = corners[0], corners[2]
         for k in np.flatnonzero(x_inv):
             ref = riemann.hll_flux_1d(u_d[k], g_d[k], u_u[k], g_u[k], speeds[2][k], speeds[3][k])
@@ -290,7 +339,7 @@ class TestHll2D:
 
     def test_flux_oracle(self, rng, eos53):
         corners, speeds = corner_fan(eos53, random_subsonic_prims(rng, eos53, 50))
-        fx, fy = riemann.corner_fluxes(corners, speeds)
+        fx, fy = fan_fluxes(corners, speeds)
         u, fx_all, fy_all = oracles.corner_constituents(corners)
         for k in (3, 11, 29):
             sp = [float(np.asarray(s)[k]) for s in speeds]
@@ -326,8 +375,8 @@ class TestHll2D:
             assert np.max(np.abs(a - b) / scale) <= 1e-12
 
         close(u2, kappa * u1)
-        f1x, f1y = riemann.corner_fluxes(corners, speeds)
-        f2x, f2y = riemann.corner_fluxes(scaled, speeds)
+        f1x, f1y = fan_fluxes(corners, speeds)
+        f2x, f2y = fan_fluxes(scaled, speeds)
         close(f2x, kappa * f1x)
         close(f2y, kappa * f1y)
 
