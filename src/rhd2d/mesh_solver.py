@@ -304,20 +304,18 @@ def assemble_fluxes(
     low = (slice(None), slice(0, -1))  # each vertex's low transverse side
     face, speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
-        lam = eigenvalues(prim, eos, axis)
-        u, f, lam1, lam4 = (
-            np.swapaxes(a, 0, axis)
-            for a in (cons, physical_flux(prim, cons, axis), lam.lam1, lam.lam4)
-        )
         # Fan speeds and jumps across every face of this axis, ghost rows too.
+        # Each intermediate is dropped once spent: a fresh page costs more
+        # than the arithmetic on it.
+        lam = eigenvalues(prim, eos, axis)
+        lam1, lam4 = (np.swapaxes(a, 0, axis) for a in (lam.lam1, lam.lam4))
         s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
+        del lam, lam1, lam4
+        u, f = (np.swapaxes(a, 0, axis) for a in (cons, physical_flux(prim, cons, axis)))
         du = u[1:] - u[:-1]
         df = f[1:] - f[:-1]
-        f1 = hll_flux_from_jumps(
-            f[:-1][inner], f[1:][inner], du[inner], df[inner],
-            hll_coefficients(s_minus[inner], s_plus[inner]),
-        )
-        face.append(np.swapaxes(f1, 0, axis))
+        f1 = hll_flux_from_jumps(f[:-1], f[1:], du, df, hll_coefficients(s_minus, s_plus))
+        face.append(np.swapaxes(f1[inner], 0, axis))
         if not multidimensional:
             continue
 
@@ -325,6 +323,7 @@ def assemble_fluxes(
         # between transverse rows j and j+1 of this axis's faces, so its
         # speeds reduce theirs, and its low-side edge pair is face row j.
         corner = fan_speeds((s_minus[low], s_minus[:, 1:]), (s_plus[low], s_plus[:, 1:]), 1.0)
+        del s_minus, s_plus
         coefficient = hll_coefficients(*corner)
         edge = hll_flux_from_jumps(f[:-1][low], f[1:][low], du[low], df[low], coefficient)
         if axis == 0:
@@ -336,6 +335,7 @@ def assemble_fluxes(
         speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
         coefficients.append(FanCoefficients(*(np.swapaxes(c, 0, axis) for c in coefficient)))
         edges.append(np.swapaxes(edge, 0, axis))
+        del f
 
     if not multidimensional:
         return tuple(face)

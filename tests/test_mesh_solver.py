@@ -333,7 +333,7 @@ class TestAssembleFluxes:
     def test_peak_memory_budget(self):
         """One call's peak traced allocation on rp2 64x64, in units of one
         ghosted (n+2)^2 x 4 array, stays within the 18.062 measured here for
-        the assembly that preceded the coefficient form (it now measures 16.4)."""
+        the assembly that preceded the coefficient form (it now measures 14.5)."""
         spec = problems.problem_by_name("rp2")
         grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
