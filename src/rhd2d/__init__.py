@@ -40,6 +40,7 @@ from .physics import (
     EosParams,
     admissibility_margin,
     eigenvalues,
+    extreme_speeds,
     is_admissible,
     lorentz_factor,
     physical_flux,

@@ -93,10 +93,22 @@ _FILE_KEYS = {
 }
 
 
+def _parse_value(key: str, text: str, origin: str):
+    """Parse one key's text as a config-file line or a flag gives it."""
+    try:
+        return _FILE_KEYS[key](text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{origin}: bad value for {key!r}: {text!r}") from exc
+
+
 def _read_config_file(path) -> dict:
-    """Flat `key = value` file; unknown keys are rejected."""
+    """Flat `key = value` UTF-8 file; unknown keys are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -105,15 +117,23 @@ def _read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FILE_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _FILE_KEYS[key](value)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+        values[key] = _parse_value(key, value, f"{path}:{lineno}")
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigurationError instead of exiting.
+
+    Subparsers inherit the class, so every usage error reaches main() and
+    exits 2 like any other validation error.
+    """
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhd2d",
         description="Finite-volume solver for 2D special relativistic hydrodynamics "
         "with a PCP multidimensional HLL Riemann solver.",
@@ -164,10 +184,10 @@ def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
     values = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for key, parse in _FILE_KEYS.items():
+    for key in _FILE_KEYS:
         flag = getattr(args, key, None)
         if isinstance(flag, str):  # flag text reads like the config-file value
-            flag = parse(flag)
+            flag = _parse_value(key, flag, "command line")
         if flag is not None:
             values[key] = flag
 

@@ -16,6 +16,12 @@ the benchmark problems but not yet on generic admissible data: one step on
 in multidimensional mode and in none in dimension-split mode (open, see
 ROADMAP.md).
 
+Each step computes the per-cell quantities once: run() recovers the
+primitives of the ghosted array (seeded by the previous level's pressure),
+evaluates the extreme signal speeds of both axes in one pass
+(`physics.extreme_speeds`), and hands them to compute_dt and
+assemble_fluxes.
+
 Fluxes are written into arrays before any cell is touched, so results do
 not depend on traversal order.  The jumps of U and of each axis's flux
 across every face of the ghosted mesh are taken once per step and shared:
@@ -41,7 +47,7 @@ from .errors import (
     ConfigurationError,
     PcpAuditError,
 )
-from .physics import EosParams, eigenvalues, is_admissible, physical_flux
+from .physics import EosParams, extreme_speeds, is_admissible, physical_flux
 from .recovery import recover_with_iterations
 from .riemann import (
     FanCoefficients,
@@ -151,8 +157,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_sigma <= 1.0):
             raise ConfigurationError(f"CFL number must lie in (0, 1], got {self.cfl_sigma}")
-        if not self.alpha >= 1.0:
-            raise ConfigurationError(f"speed amplifier must be >= 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ConfigurationError(f"speed amplifier must be finite and >= 1, got {self.alpha}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -259,6 +265,7 @@ def compute_dt(
     cfl_sigma: float,
     alpha: float,
     prim: np.ndarray,
+    speeds=None,
 ) -> float:
     """CFL time step against the scheme's signal speeds.
 
@@ -269,13 +276,19 @@ def compute_dt(
     recovered primitives of the full ghosted array, so the ghost layer
     joins the speed survey and boundary fans (an inflow jet, say) respect
     the bound too; recovery has already certified every cell admissible.
-    Landing on requested output times is left to run().
+    `speeds`, when given, must be `physics.extreme_speeds(prim, eos)`, which
+    run() computes once per step for this and assemble_fluxes; when omitted
+    it is computed here.  Landing on requested output times is left to run().
     """
+    if speeds is None:
+        speeds = extreme_speeds(prim, eos)
     limit = math.inf
-    for axis, width in ((0, field.grid.dx), (1, field.grid.dy)):
-        lam = eigenvalues(prim, eos, axis)
-        fastest = alpha * np.maximum(np.abs(lam.lam1), np.abs(lam.lam4))
-        limit = min(limit, float(np.min(width / fastest)))
+    for (lam1, lam4), width in zip(speeds, (field.grid.dx, field.grid.dy)):
+        # Rounding is monotone, so the cell minimum of width / (alpha * speed)
+        # is that quotient at the fastest cell, bit for bit; as lam1 <= lam4,
+        # the fastest |speed| is max(lam4) or -min(lam1).
+        fastest = alpha * np.maximum(np.max(lam4), -np.min(lam1))
+        limit = min(limit, float(width / fastest))
     return cfl_sigma * limit
 
 
@@ -285,12 +298,15 @@ def assemble_fluxes(
     eos: EosParams,
     config: SolverConfig,
     prim: np.ndarray,
+    speeds=None,
 ):
     """Composite interface fluxes (x-faces, y-faces) for one Euler step.
 
     Ghosts must be filled, `prim` must hold the recovered primitives of the
     full ghosted array, and dt must come from compute_dt (the corner
-    contributions are weighted by dt).  Both axes run through the same code
+    contributions are weighted by dt).  `speeds`, when given, must be
+    `physics.extreme_speeds(prim, eos)`, as for compute_dt; when omitted it
+    is computed here, with the same result.  Both axes run through the same code
     on np.swapaxes views whose first index is the face-normal axis, as in
     fill_ghosts.  The jumps of U and of the axis's flux across every face
     of the ghosted mesh are taken once per axis and shared by the face
@@ -302,15 +318,20 @@ def assemble_fluxes(
     multidimensional = config.mode == "multidimensional"
     inner = (slice(None), slice(GHOST, -GHOST))  # faces of the interior rows
     low = (slice(None), slice(0, -1))  # each vertex's low transverse side
-    face, speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
+    if speeds is None:
+        speeds = extreme_speeds(prim, eos)
+    cell_speeds = list(speeds)
+    del speeds
+    face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
-        # Each intermediate is dropped once spent: a fresh page costs more
-        # than the arithmetic on it.
-        lam = eigenvalues(prim, eos, axis)
-        lam1, lam4 = (np.swapaxes(a, 0, axis) for a in (lam.lam1, lam.lam4))
+        # Each intermediate is dropped once spent (the cell speeds too, unless
+        # the caller holds them): a fresh page costs more than the arithmetic
+        # on it.
+        lam1, lam4 = (np.swapaxes(a, 0, axis) for a in cell_speeds[axis])
+        cell_speeds[axis] = None
         s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
-        del lam, lam1, lam4
+        del lam1, lam4
         u, f = (np.swapaxes(a, 0, axis) for a in (cons, physical_flux(prim, cons, axis)))
         du = u[1:] - u[:-1]
         df = f[1:] - f[:-1]
@@ -332,7 +353,7 @@ def assemble_fluxes(
         d2fs.append(np.swapaxes(df[:, 1:] - df[low], 0, axis))
         del df
         crosses.append(np.swapaxes(f[:-1, 1:] - f[:-1, :-1], 0, axis))
-        speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
+        corner_speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
         coefficients.append(FanCoefficients(*(np.swapaxes(c, 0, axis) for c in coefficient)))
         edges.append(np.swapaxes(edge, 0, axis))
         del f
@@ -346,7 +367,7 @@ def assemble_fluxes(
     # both axes; one-signed fans fall back to the 1D solver (their corner
     # weight is zero below), which keeps every constituent of the update
     # an admissible 1D or corner fan state.
-    (s_l, s_r), (s_d, s_u) = speeds
+    (s_l, s_r), (s_d, s_u) = corner_speeds
     two_sided = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
 
     # Composite: each face blends its 1D flux with the corner fluxes of the
@@ -358,7 +379,7 @@ def assemble_fluxes(
         f1, f2d, side = (
             np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis], two_sided)
         )
-        t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in speeds[1 - axis])
+        t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
@@ -477,19 +498,21 @@ def run(
         while field.time < target:
             fill_ghosts(field, problem.boundaries, eos)
             prim, sweeps = recover_with_iterations(field.cells, eos, pressure_hint=pressure_hint)
+            pressure_hint = prim[..., physics.PRE]  # frees the previous level's primitives
             diag.recovery_sweeps_max = max(diag.recovery_sweeps_max, sweeps)
             diag.recovery_sweeps_total += sweeps
             diag.observe(prim[GHOST:-GHOST, GHOST:-GHOST])
 
-            dt = compute_dt(field, eos, config.cfl_sigma, config.alpha, prim)
+            speeds = extreme_speeds(prim, eos)
+            dt = compute_dt(field, eos, config.cfl_sigma, config.alpha, prim, speeds)
             remaining = target - field.time
             if dt >= remaining:
                 dt = remaining
                 diag.dt_clamped_steps += 1
-            fluxes = assemble_fluxes(field, dt, eos, config, prim)
+            fluxes = assemble_fluxes(field, dt, eos, config, prim, speeds)
+            del speeds
             step(field, dt, fluxes, config)
             diag.steps += 1
-            pressure_hint = prim[..., physics.PRE]
         field.time = target
         if on_snapshot is not None:
             on_snapshot(field)

@@ -6,13 +6,23 @@ The conserved state determines the pressure through the scalar equation
     gamma(p) = (1 - |m|^2 / (E + p)^2)^(-1/2),
 
 after which u = m / (E + p) and rho = D / gamma follow in closed form.
-A safeguarded Newton iteration with a certified bracket solves a batch of
-cells together; after the first residual check its sweeps run only on the
-lanes still active, so a lane's result does not depend on the batch.  The
-Lorentz factor is the numerically delicate piece: (E + p)^2 - |m|^2
-cancels catastrophically for fast flows, so it is formed with error-free
-product splitting before the division.  Pure functions, safe for
-data-parallel sweeps.
+A safeguarded Newton iteration solves a batch of cells together, and each
+lane follows its own schedule:
+  - a lane with a finite pressure hint (in a run, the previous time
+    level's pressure) starts Newton from the hint and certifies its
+    bracket only when it needs one, that is when a Newton step would leave
+    the analytic bracket or when it is still unconverged after two steps;
+  - a lane without a hint, or whose hint is NaN or infinite, certifies its
+    bracket first and starts at the midpoint;
+  - once certified, a step that leaves the bracket becomes a bisection;
+  - a finished lane takes a single Newton polish step from the residual
+    its finishing sweep already computed.
+The first residual is one pass over every lane; later sweeps, the
+certification and the polish run only on the lanes concerned, so a lane's
+result does not depend on the batch.  The Lorentz factor is the
+numerically delicate piece: (E + p)^2 - |m|^2 cancels catastrophically for
+fast flows, so it is formed with error-free product splitting before the
+division.  Pure functions, safe for data-parallel sweeps.
 """
 
 from __future__ import annotations
@@ -85,36 +95,33 @@ def _psi(p, dens, energy, m2_head, m2_tail, gamma_ratio):
     return psi, dpsi, z, w
 
 
-def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
-    """Safeguarded Newton-bisection for the pressure equation.
+def _polish(p, psi, dpsi, lo, hi):
+    """One Newton step from a residual already in hand, kept only inside [lo, hi].
 
-    Returns (p, iterations).  The bracket [lo, hi] is certified before any
-    Newton step: psi(lo) < 0 by admissibility (at p = 0 it is
-    D E / sqrt(E^2 - |m|^2) - E < 0, so no positive floor is needed) and hi
-    starts at the analytic bound (Gamma - 1)(E - D) >= p_root, doubled until
-    psi(hi) >= 0.  Lanes are held flat in C order, so error indices are
-    flat indices.  The doubling and Newton sweeps evaluate only the lanes
-    still active, with the per-lane arithmetic of a full-array sweep, so
-    results do not depend on which other lanes share the batch.
+    It pulls p from the residual-tolerance ball down to its round-off floor,
+    so round trips reproduce the pressure itself and not only the residual.
     """
-    shape = np.shape(dens)
-    dens, energy, m2_head, m2_tail = (np.ravel(v) for v in (dens, energy, m2_head, m2_tail))
-    a = eos.gamma_ratio
-    m_abs = np.sqrt(m2_head)
+    newton = p - psi / dpsi
+    return np.where(np.isfinite(newton) & (newton >= lo) & (newton <= hi), newton, p)
 
-    lo = np.maximum(0.0, m_abs - energy + 4.0 * _EPS * energy)
-    hi = np.maximum((eos.gamma_adiabatic - 1.0) * (energy - dens), 2.0 * lo)
 
+def _bracketed_step(newton, lo, hi, dens, energy, m2_head, m2_tail, a, lanes):
+    """Certify the bracket [lo, hi] of some lanes and take their next step.
+
+    psi(lo) must not be positive, and hi doubles until psi(hi) >= 0; `lanes`
+    holds the lanes' flat indices for the errors.  The step is `newton`
+    where that lies strictly inside the certified bracket, else the
+    midpoint, and an end whose residual is exactly 0 is the root itself.
+    Returns (step, hi).
+    """
     psi_lo, _, _, _ = _psi(lo, dens, energy, m2_head, m2_tail, a)
-    at_lo = psi_lo == 0.0
     if np.any(psi_lo > 0.0):
         idx = int(np.argmax(psi_lo > 0.0))
         raise RecoveryConvergenceError(
             "pressure bracket cannot be opened: psi(p_lo) > 0",
             bracket=(float(lo[idx]), float(hi[idx])),
-            index=idx,
+            index=int(lanes[idx]),
         )
-
     psi_hi, _, _, _ = _psi(hi, dens, energy, m2_head, m2_tail, a)
     need = np.flatnonzero(psi_hi < 0.0)
     for _ in range(64):
@@ -131,69 +138,102 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
         raise RecoveryConvergenceError(
             "pressure bracket cannot be closed: psi(p_hi) < 0 after expansion",
             bracket=(float(lo[idx]), float(hi[idx])),
-            index=idx,
+            index=int(lanes[idx]),
         )
-    at_end = at_lo | (psi_hi == 0.0)  # an endpoint is the root (e.g. zero momentum)
+    inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+    step = np.where(inside, newton, 0.5 * (lo + hi))
+    step = np.where(psi_hi == 0.0, hi, step)  # an end is the root (e.g. zero momentum)
+    return np.where(psi_lo == 0.0, lo, step), hi
 
-    if hint is not None:
-        p = np.clip(np.ravel(np.broadcast_to(np.asarray(hint, dtype=float), shape)), lo, hi)
-        p = np.where(np.isfinite(p), p, 0.5 * (lo + hi))
-    else:
-        p = 0.5 * (lo + hi)
-    p = np.where(psi_hi == 0.0, hi, p)
-    p = np.where(at_lo, lo, p)
+
+def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
+    """Safeguarded Newton-bisection for the pressure equation.
+
+    Returns (p, sweeps): the residual sweeps the batch took, the first one
+    over every lane plus one per Newton or bisection step of its slowest
+    lane; opts.max_iterations caps each lane's steps.  Every lane starts
+    from the analytic bracket: lo from admissibility (at p = 0,
+    psi = D E / sqrt(E^2 - |m|^2) - E < 0, so no positive floor is needed)
+    and hi = (Gamma - 1)(E - D) >= p_root.
+
+    The lane schedule:
+      - a lane with a finite hint starts Newton from the hint, clipped to
+        the bracket, and certifies its bracket only once it needs one: when
+        a Newton step would leave the bracket, or when it is still
+        unconverged after two steps;
+      - a lane without one (no hint, NaN or infinite) certifies first and
+        starts at the midpoint;
+      - certifying checks psi(lo) <= 0 and doubles hi until psi(hi) >= 0,
+        after which a step outside the bracket falls back to bisection;
+      - each residual moves one end of the bracket (a NaN residual moves
+        neither), and a lane finishes on the residual tolerance or, once
+        certified, on a bracket resolved to float precision;
+      - a finished lane takes one Newton polish step from the residual its
+        finishing sweep computed.
+    The first residual is taken over every lane; later sweeps evaluate only
+    the lanes still active, with the per-lane arithmetic of a full-array
+    sweep, so results do not depend on which other lanes share the batch.
+    Lanes are held flat in C order, so error indices are flat indices.
+    """
+    shape = np.shape(dens)
+    dens, energy, m2_head, m2_tail = (np.ravel(v) for v in (dens, energy, m2_head, m2_tail))
+    a = eos.gamma_ratio
+    lo = np.maximum(0.0, np.sqrt(m2_head) - energy + 4.0 * _EPS * energy)
+    hi = np.maximum((eos.gamma_adiabatic - 1.0) * (energy - dens), 2.0 * lo)
+
+    hint = np.full(shape, np.nan) if hint is None else np.asarray(hint, dtype=float)
+    hint = np.ravel(np.broadcast_to(hint, shape))
+    certified = ~np.isfinite(hint)
+    pressure = np.clip(hint, lo, hi)
+    del hint
+    cold = np.flatnonzero(certified)
+    if cold.size:
+        pressure[cold], hi[cold] = _bracketed_step(
+            np.full(cold.size, np.nan), lo[cold], hi[cold], dens[cold], energy[cold],
+            m2_head[cold], m2_tail[cold], a, cold,
+        )
 
     # Converge on the residual with a factor-two safety, against E itself
     # rather than max(E, 1): for small-energy states the looser normalisation
-    # would stop orders of magnitude short of the representable root.  Stop
-    # early once the bracket is resolved to float precision.
+    # would stop orders of magnitude short of the representable root.
     tol = 0.5 * opts.rel_tolerance * energy
-    psi, dpsi, _, _ = _psi(p, dens, energy, m2_head, m2_tail, a)
-    lo = np.where(psi < 0.0, p, lo)
-    hi = np.where(psi >= 0.0, p, hi)
-
-    # A lane leaves the active set in the sweep that finishes it, and its p
-    # and bracket are written back then.  Both bracket comparisons are kept:
-    # a NaN residual moves neither end.
-    active = np.flatnonzero(~((np.abs(psi) <= tol) | at_end))
-    lanes = [v[active] for v in (p, psi, dpsi, lo, hi, dens, energy, m2_head, m2_tail, tol)]
+    lanes = np.arange(pressure.size)
+    p = pressure
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        if active.size == 0:
-            break
-        p_a, psi_a, dpsi_a, lo_a, hi_a, dens_a, energy_a, mh_a, mt_a, tol_a = lanes
-        newton = p_a - psi_a / dpsi_a
-        inside = np.isfinite(newton) & (newton > lo_a) & (newton < hi_a)
-        p_a = np.where(inside, newton, 0.5 * (lo_a + hi_a))
-        psi_a, dpsi_a, _, _ = _psi(p_a, dens_a, energy_a, mh_a, mt_a, a)
-        lo_a = np.where(psi_a < 0.0, p_a, lo_a)
-        hi_a = np.where(psi_a >= 0.0, p_a, hi_a)
-        lanes = [p_a, psi_a, dpsi_a, lo_a, hi_a, dens_a, energy_a, mh_a, mt_a, tol_a]
-        finished = (np.abs(psi_a) <= tol_a) | ((hi_a - lo_a) <= 4.0 * _EPS * hi_a)
-        if np.any(finished):
-            out = active[finished]
-            p[out], lo[out], hi[out] = p_a[finished], lo_a[finished], hi_a[finished]
-            keep = ~finished
-            active = active[keep]
-            lanes = [v[keep] for v in lanes]
-
-    if active.size:
-        raise RecoveryConvergenceError(
-            f"pressure iteration did not converge in {opts.max_iterations} steps",
-            bracket=(float(lanes[3][0]), float(lanes[4][0])),
-            index=int(active[0]),
-            iterations=iterations,
-        )
-
-    # Two Newton polish sweeps pull p from the residual-tolerance ball down to
-    # its round-off floor, so round trips reproduce the pressure itself and
-    # not only the residual.  Steps leaving the bracket are rejected.
-    for _ in range(2):
+    while True:
         psi, dpsi, _, _ = _psi(p, dens, energy, m2_head, m2_tail, a)
+        np.copyto(lo, p, where=psi < 0.0)
+        np.copyto(hi, p, where=psi >= 0.0)
+        done = (np.abs(psi) <= tol) | (certified & ((hi - lo) <= 4.0 * _EPS * hi))
+        if np.any(done):
+            # A lane leaves in the sweep that finishes it; the rest are compacted.
+            pressure[lanes[done]] = _polish(p[done], psi[done], dpsi[done], lo[done], hi[done])
+            keep = ~done
+            lanes = lanes[keep]
+            p, psi, dpsi, lo, hi, certified, dens, energy, m2_head, m2_tail, tol = (
+                v[keep]
+                for v in (p, psi, dpsi, lo, hi, certified, dens, energy, m2_head, m2_tail, tol)
+            )
+        if lanes.size == 0:
+            return pressure.reshape(shape), iterations + 1
+        if iterations == opts.max_iterations:
+            raise RecoveryConvergenceError(
+                f"pressure iteration did not converge in {opts.max_iterations} steps",
+                bracket=(float(lo[0]), float(hi[0])),
+                index=int(lanes[0]),
+                iterations=iterations,
+            )
+        iterations += 1
         newton = p - psi / dpsi
-        keep = np.isfinite(newton) & (newton >= lo) & (newton <= hi)
-        p = np.where(keep, newton, p)
-    return p.reshape(shape), iterations
+        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        p = np.where(inside, newton, 0.5 * (lo + hi))
+        need = np.flatnonzero(~certified & (~inside | (iterations > 2)))
+        if need.size:
+            certified[need] = True
+            p[need], hi[need] = _bracketed_step(
+                newton[need], lo[need], hi[need], dens[need], energy[need],
+                m2_head[need], m2_tail[need], a, lanes[need],
+            )
 
 
 def recover_with_iterations(
@@ -204,12 +244,15 @@ def recover_with_iterations(
 ):
     """Invert prim_to_cons for a batch of admissible conserved states.
 
-    Returns (prim, sweeps): the primitives and the number of Newton sweeps
-    the batch took (for run diagnostics).  pressure_hint, when given, seeds
-    the iteration (typically the previous time level's pressure); otherwise
-    the certified bracket midpoint is used.  Raises AdmissibilityError for
-    non-admissible input and RecoveryConvergenceError when the iteration
-    cannot close its bracket.
+    Returns (prim, sweeps): the primitives and the number of residual
+    sweeps the batch took (for run diagnostics), the first one over every
+    lane plus one per step of its slowest lane.  pressure_hint, when given,
+    starts each lane with a finite hint on Newton from it (typically the
+    previous time level's pressure); the other lanes start at the midpoint
+    of their certified bracket.  Raises AdmissibilityError for
+    non-admissible input and RecoveryConvergenceError when a lane's bracket
+    cannot be opened or closed, or it does not converge within
+    opts.max_iterations steps.
 
     Lanes are solved in the power-of-two units that put E in [0.5, 1), as psi
     is homogeneous in (D, m, E, p); rho, p and brackets scale back exactly.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from rhd2d.errors import (
     PcpAuditError,
 )
 from rhd2d.mesh_solver import (
+    GHOST,
+    MODES,
     BoundarySpec,
     Field,
     Grid,
@@ -25,7 +28,7 @@ from rhd2d.mesh_solver import (
     run,
     step,
 )
-from rhd2d.recovery import recover_with_iterations
+from rhd2d.recovery import DEFAULT_OPTIONS, recover_with_iterations
 
 
 def uniform_field(grid, eos, prim=(1.0, 0.0, 0.0, 1.0)):
@@ -85,7 +88,8 @@ class TestBoundarySpec:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [{"cfl_sigma": 1.5}, {"cfl_sigma": 0.0},
-                                        {"alpha": 0.5}, {"mode": "bogus"}])
+                                        {"alpha": 0.5}, {"alpha": math.inf},
+                                        {"mode": "bogus"}])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SolverConfig(**kwargs)
@@ -183,6 +187,19 @@ class TestComputeDt:
 
         assert dt(fu) == 0.5 * dt(cu)
         assert dt(fine) <= dt(coarse)
+
+    @pytest.mark.parametrize("sigma, alpha", [(0.45, 2.0), (0.3, 1.0), (0.9, 3.7)])
+    def test_equals_cellwise_minimum(self, sigma, alpha):
+        """The reduction to the fastest cell gives the cell-by-cell minimum's bits."""
+        spec = problems.problem_by_name("rp2")
+        field = run(spec, Grid(24, 24, -1.0, 1.0, -1.0, 1.0), SolverConfig(), t_end=0.1).field
+        prim = ghosted_prim(field, spec.eos, spec.boundaries)
+        cellwise = math.inf
+        for axis, width in ((0, field.grid.dx), (1, field.grid.dy)):
+            lam = physics.eigenvalues(prim, spec.eos, axis)
+            fastest = alpha * np.maximum(np.abs(lam.lam1), np.abs(lam.lam4))
+            cellwise = min(cellwise, float(np.min(width / fastest)))
+        assert compute_dt(field, spec.eos, sigma, alpha, prim) == sigma * cellwise
 
     def test_non_admissible_cell_identified(self, eos53):
         """Recovery certifies the cells compute_dt reads; it names the bad one."""
@@ -328,6 +345,23 @@ class TestAssembleFluxes:
                 assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         if source == "random":
             assert fans == {True, False} and supersonic_faces > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_passed_speeds_change_nothing(self, mode):
+        """compute_dt and assemble_fluxes give the same bits with and without
+        the speeds run() hands them."""
+        spec = problems.problem_by_name("rp2")
+        field = run(spec, Grid(24, 24, -1.0, 1.0, -1.0, 1.0), SolverConfig(), t_end=0.1).field
+        fill_ghosts(field, spec.boundaries, spec.eos)
+        prim, _ = recover_with_iterations(field.cells, spec.eos)
+        config = SolverConfig(mode=mode)
+        speeds = physics.extreme_speeds(prim, spec.eos)
+        dt = compute_dt(field, spec.eos, 0.45, 2.0, prim)
+        assert compute_dt(field, spec.eos, 0.45, 2.0, prim, speeds) == dt
+        computed = assemble_fluxes(field, dt, spec.eos, config, prim)
+        passed = assemble_fluxes(field, dt, spec.eos, config, prim, speeds)
+        for a, b in zip(computed, passed):
+            assert np.array_equal(a, b)
 
     def test_peak_memory_budget(self):
         """One call's peak traced allocation on rp2 64x64, in units of one
@@ -522,6 +556,33 @@ class TestRun:
         spec = problems.sine_wave_problem()
         with pytest.raises(ConfigurationError):
             run(spec, spec.default_grid(8), SolverConfig(), **kwargs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_public_call_loop(self, mode):
+        """run() is the loop of public calls that an outside caller (such as
+        a benchmark replay) makes positionally, without passing the speeds."""
+        spec = problems.problem_by_name("rp2")
+        grid = Grid(48, 48, -1.0, 1.0, -1.0, 1.0)
+        config = SolverConfig(mode=mode)
+        t_end, snapshots = spec.t_end, (0.2, 0.4, 0.6)
+        result = run(spec, grid, config, t_end=t_end, snapshot_times=snapshots)
+
+        eos = spec.eos
+        field = Field.from_primitives(grid, spec.initial, eos)
+        hint, steps, sweeps_max = None, 0, 0
+        for target in (*snapshots, t_end):
+            while field.time < target:
+                fill_ghosts(field, spec.boundaries, eos)
+                prim, sweeps = recover_with_iterations(field.cells, eos, DEFAULT_OPTIONS, hint)
+                dt = compute_dt(field, eos, config.cfl_sigma, config.alpha, prim)
+                dt = min(dt, target - field.time)
+                step(field, dt, assemble_fluxes(field, dt, eos, config, prim), config)
+                hint = prim[..., physics.PRE]
+                steps, sweeps_max = steps + 1, max(sweeps_max, sweeps)
+            field.time = target
+        assert np.array_equal(result.field.cells[GHOST:-GHOST, GHOST:-GHOST], field.interior)
+        diagnostics = result.diagnostics
+        assert (diagnostics.steps, diagnostics.recovery_sweeps_max) == (steps, sweeps_max)
 
     def test_deterministic(self):
         spec = problems.problem_by_name("rp2")

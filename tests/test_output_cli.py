@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_close
 from rhd2d import cli, output, physics, problems
@@ -172,10 +174,81 @@ class TestParseConfig:
         _, from_flag = cli.parse_config(["run", "--problem", "sine", f"--{key}", text])
         assert from_flag == from_file
 
+    def test_bad_flag_value_is_a_configuration_error(self):
+        """argparse's usage errors raise, where they used to exit the process."""
+        with pytest.raises(ConfigurationError, match="--n"):
+            cli.parse_config(["run", "--problem", "sine", "--n", "abc"])
+
+    def test_bad_list_flag_is_a_configuration_error(self):
+        """A list flag's text is checked like its config-file line, not left a ValueError."""
+        with pytest.raises(ConfigurationError, match="snapshots"):
+            cli.parse_config(["run", "--problem", "sine", "--snapshots", ":"])
+
+    def test_unreadable_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"problem = sine\nmode = \x80\n")
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            cli.parse_config(["run", "--config", str(cfg)])
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            cli.parse_config(["run", "--config", str(tmp_path / "missing.cfg")])
+
     def test_nx_requires_ny(self):
         _, config = cli.parse_config(["run", "--problem", "sine", "--nx", "10"])
         with pytest.raises(ConfigurationError):
             config.grid_for(problems.problem_by_name("sine"))
+
+
+# Flag spelling and subcommand of every config-file key; pcp_audit's flag
+# takes no value, so only its file line is fuzzed.
+_FLAGS = {
+    "problem": ("run", "--problem"), "n": ("run", "--n"), "n_x": ("run", "--nx"),
+    "n_y": ("run", "--ny"), "cfl_sigma": ("run", "--cfl"), "alpha": ("run", "--alpha"),
+    "mode": ("run", "--mode"), "t_end": ("run", "--t-end"), "snapshots": ("run", "--snapshots"),
+    "out_dir": ("run", "--out"), "emit": ("run", "--emit"), "levels": ("converge", "--levels"),
+    "samples": ("verify", "--samples"), "seed": ("verify", "--seed"),
+}
+_NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0", "0.5", "1e-320", "0x10", "1_0"]),
+)
+_VALUES = st.one_of(
+    st.just(""), _NUMBERS, st.text(max_size=12), st.lists(_NUMBERS, max_size=3).map(",".join)
+)
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def parses_or_rejects(argv):
+    """The CLI contract: a validated RunConfig or a ConfigurationError (exit 2)."""
+    try:
+        _, config = cli.parse_config(argv)
+    except ConfigurationError:
+        return
+    assert isinstance(config, cli.RunConfig)
+
+
+class TestParseConfigFuzz:
+    @_FUZZ
+    @given(key=st.sampled_from(sorted(cli._FILE_KEYS)), value=_VALUES)
+    def test_config_file_line(self, tmp_path_factory, key, value):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_text(f"problem = sine\n{key} = {value}\n", encoding="utf-8")
+        parses_or_rejects(["run", "--config", str(cfg)])
+
+    @_FUZZ
+    @given(content=st.binary(max_size=40))
+    def test_config_file_bytes(self, tmp_path_factory, content):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_bytes(b"problem = sine\n" + content)
+        parses_or_rejects(["run", "--config", str(cfg)])
+
+    @_FUZZ
+    @given(key=st.sampled_from(sorted(_FLAGS)), value=_VALUES)
+    def test_flag(self, key, value):
+        command, flag = _FLAGS[key]
+        problem = [] if command == "verify" or key == "problem" else ["--problem=sine"]
+        parses_or_rejects([command, *problem, f"{flag}={value}"])
 
 
 class TestCommands:
@@ -234,6 +307,18 @@ class TestCommands:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sine", "--cfl", "2.0"]) == 2
         assert cli.main(["run", "--problem", "not-a-problem", "--n", "8"]) == 2
+
+    def test_usage_errors_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", "--problem", "sine", "--n", "abc"]) == 2
+        assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_infinite_alpha_exit_code(self, tmp_path, capsys):
+        """A non-finite amplifier is a configuration error, not a PCP audit failure."""
+        code = cli.main(["run", "--problem", "rp1", "--n", "8", "--alpha", "inf",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "speed amplifier" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args", [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0.02", "--snapshots", "0.01,nan"]]

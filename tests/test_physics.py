@@ -3,9 +3,11 @@ import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import physics, verification
+from rhd2d import physics, problems, verification
 from rhd2d.errors import SuperluminalError
+from rhd2d.mesh_solver import Field, Grid, fill_ghosts
 from rhd2d.physics import EosParams
+from rhd2d.recovery import recover_with_iterations
 
 
 class TestLorentzFactor:
@@ -119,6 +121,33 @@ class TestEigenvalues:
             u_n = prim[:, physics.VX + axis]
             assert np.all(lam.lam1 < u_n) and np.all(u_n < lam.lam4)
             assert np.all(np.abs(lam.lam1) < 1.0) and np.all(np.abs(lam.lam4) < 1.0)
+
+
+class TestExtremeSpeeds:
+    """The two-axis pass shares one per-axis kernel with `eigenvalues`."""
+
+    @staticmethod
+    def assert_matches_eigenvalues(prim, eos):
+        both = physics.extreme_speeds(prim, eos)
+        for axis, (lam1, lam4) in enumerate(both):
+            lam = physics.eigenvalues(prim, eos, axis)
+            assert np.array_equal(lam1, lam.lam1) and np.array_equal(lam4, lam.lam4)
+
+    def test_bitwise_on_sampled_states(self, rng, eos53):
+        for cap in (1.5, 10.0, 100.0):
+            prim = verification.sample_primitives(rng, 20_000, eos=eos53, gamma_cap=cap)
+            self.assert_matches_eigenvalues(prim, eos53)
+
+    def test_bitwise_on_ghosted_rp2_mesh(self):
+        spec = problems.problem_by_name("rp2")
+        field = Field.from_primitives(Grid(32, 32, -1.0, 1.0, -1.0, 1.0), spec.initial, spec.eos)
+        fill_ghosts(field, spec.boundaries, spec.eos)
+        prim, _ = recover_with_iterations(field.cells, spec.eos)
+        self.assert_matches_eigenvalues(prim, spec.eos)
+
+    def test_superluminal_rejected(self, eos53):
+        with pytest.raises(SuperluminalError):
+            physics.extreme_speeds(np.array([1.0, 0.8, 0.7, 1.0]), eos53)
 
 
 class TestAdmissibility:

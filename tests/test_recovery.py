@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,17 @@ import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import physics, verification
+from rhd2d import physics, problems, verification
 from rhd2d.errors import AdmissibilityError, RecoveryConvergenceError
+from rhd2d.mesh_solver import (
+    Grid,
+    SolverConfig,
+    assemble_fluxes,
+    compute_dt,
+    fill_ghosts,
+    run,
+    step,
+)
 from rhd2d.recovery import RecoveryOptions, recover_with_iterations
 
 
@@ -177,6 +187,55 @@ class TestLaneIndependence:
         assert err.value.index == failing[0][0]
         assert err.value.bracket == failing[0][1]
         assert err.value.iterations == 1
+
+
+@pytest.fixture(scope="module")
+def rp2_64():
+    """rp2 at 64x64 to t = 0.2, the run's diagnostics, and one more step's
+    recovery input: the ghosted conserved array and the previous level's
+    pressure as its hint."""
+    spec = problems.problem_by_name("rp2")
+    result = run(spec, Grid(64, 64, -1.0, 1.0, -1.0, 1.0), SolverConfig(), t_end=0.2)
+    field = result.field
+    fill_ghosts(field, spec.boundaries, spec.eos)
+    prim, _ = recover_with_iterations(field.cells, spec.eos)
+    dt = compute_dt(field, spec.eos, 0.45, 2.0, prim)
+    step(field, dt, assemble_fluxes(field, dt, spec.eos, SolverConfig(), prim), SolverConfig())
+    fill_ghosts(field, spec.boundaries, spec.eos)
+    return spec.eos, result.diagnostics, field.cells, prim[..., physics.PRE]
+
+
+class TestRecoveryCost:
+    """Sweep counts and traced memory stay within what the solver took
+    before recovery started Newton from the hint."""
+
+    @pytest.mark.parametrize(
+        "speed, ceiling", [(0.9, 8), (0.99, 12), (0.9999, 18), (1 - 1e-8, 32), (1 - 1e-12, 46)]
+    )
+    def test_cold_sweeps(self, eos53, speed, ceiling):
+        """rho = 1, p = 1, v = (speed, 0) without a hint, as `verify` recovers."""
+        cons = physics.prim_to_cons(np.array([1.0, speed, 0.0, 1.0]), eos53)
+        _, sweeps = recover_with_iterations(cons, eos53)
+        assert sweeps <= ceiling
+
+    def test_hinted_sweeps_on_rp2(self, rp2_64):
+        _, diagnostics, _, _ = rp2_64
+        assert diagnostics.recovery_sweeps_max <= 12
+
+    def test_peak_memory_budget(self, rp2_64):
+        """One hinted call's peak traced allocation on the ghosted rp2 64x64
+        array, in (n+2)^2 float64 planes, stays within the 37.12 measured
+        when every lane certified its bracket first and polished twice (it
+        now measures 26.5)."""
+        eos, _, cells, hint = rp2_64
+        recover_with_iterations(cells, eos, pressure_hint=hint)
+        tracemalloc.start()
+        try:
+            recover_with_iterations(cells, eos, pressure_hint=hint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cells[..., 0].nbytes <= 37.13
 
 
 class TestRoundTripSuite:
