@@ -1,8 +1,13 @@
 """Command line front end: run, converge, verify, compare-symmetry.
 
-Configuration precedence is flags over config file over defaults, with
-fail-fast validation.  Exit codes: 0 success, 2 validation error, 3 PCP
-audit failure, 4 recovery failure.
+Every setting is declared once, as a row of `_SETTINGS`: its config-file
+key (also its `RunConfig` field), its flag, the commands that read it, the
+parser of its text and its help.  A flag's text is parsed exactly as the
+config-file line `key = text` is, so `--no-pcp-audit` reads like
+`pcp_audit = false`.  A setting that the command does not read is rejected,
+from a flag or from a file.  Flags override an optional flat `key = value`
+file (`--config`), which overrides the defaults.  Exit codes: 0 success,
+2 validation error, 3 PCP audit failure, 4 recovery failure.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import sys
 import time as _time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import output, problems, verification
 from .errors import (
@@ -23,7 +28,7 @@ from .errors import (
     RecoveryConvergenceError,
     RhdError,
 )
-from .mesh_solver import Grid, SolverConfig, run as run_solver
+from .mesh_solver import MODES, Grid, SolverConfig, run as run_solver
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -31,11 +36,9 @@ EXIT_PCP = 3
 EXIT_RECOVERY = 4
 
 _EMIT_CHOICES = ("field", "cuts", "report", "schlieren", "schlieren_data")
-_MODE_ALIASES = {
-    "multidimensional": "multidimensional",
-    "split": "dimension_split",
-    "dimension_split": "dimension_split",
-}
+_MODE_ALIASES = {**{mode: mode for mode in MODES}, "split": "dimension_split"}
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 @dataclass
@@ -46,10 +49,10 @@ class RunConfig:
     n: int = 100
     n_x: Optional[int] = None
     n_y: Optional[int] = None
-    cfl_sigma: float = 0.45
-    alpha: float = 2.0
-    mode: str = "multidimensional"
-    pcp_audit: bool = True
+    cfl_sigma: float = SolverConfig.cfl_sigma
+    alpha: float = SolverConfig.alpha
+    mode: str = SolverConfig.mode
+    pcp_audit: bool = SolverConfig.pcp_audit
     t_end: Optional[float] = None
     snapshots: tuple = ()
     out_dir: str = "."
@@ -59,12 +62,8 @@ class RunConfig:
     seed: int = 20260808
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            cfl_sigma=self.cfl_sigma,
-            alpha=self.alpha,
-            mode=self.mode,
-            pcp_audit=self.pcp_audit,
-        )
+        return SolverConfig(cfl_sigma=self.cfl_sigma, alpha=self.alpha, mode=self.mode,
+                            pcp_audit=self.pcp_audit)
 
     def grid_for(self, spec) -> Grid:
         if self.n_x is not None or self.n_y is not None:
@@ -74,39 +73,80 @@ class RunConfig:
         return spec.default_grid(self.n)
 
 
-_FILE_KEYS = {
-    "problem": str,
-    "n": int,
-    "n_x": int,
-    "n_y": int,
-    "cfl_sigma": float,
-    "alpha": float,
-    "mode": str,
-    "pcp_audit": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "t_end": float,
-    "snapshots": lambda v: tuple(float(t) for t in v.split(",") if t.strip()),
-    "out_dir": str,
-    "emit": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "levels": int,
-    "samples": int,
-    "seed": int,
-}
+def _items(text: str) -> tuple:
+    """The stripped, non-blank items of a comma-separated list."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _emit(text: str) -> tuple:
+    names = _items(text)
+    if not set(names) <= set(_EMIT_CHOICES):
+        raise ValueError(text)
+    return names
+
+
+def _count(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+class _Setting(NamedTuple):
+    key: str  # config-file key and RunConfig field
+    flag: str  # a "--no-" flag takes no value and stands for the text "false"
+    commands: tuple
+    parse: Callable
+    help: str
+
+
+_SOLVE = ("run", "converge", "compare-symmetry")
+_SETTINGS = (
+    _Setting("problem", "--problem", ("run", "converge"), str,
+             f"one of {', '.join(problems.problem_names())}"),
+    _Setting("n", "--n", _SOLVE, int, "cells across x (y scaled to square cells)"),
+    _Setting("n_x", "--nx", ("run", "compare-symmetry"), int, "cells in x (with --ny)"),
+    _Setting("n_y", "--ny", ("run", "compare-symmetry"), int, "cells in y (with --nx)"),
+    _Setting("cfl_sigma", "--cfl", _SOLVE, float, "CFL number"),
+    _Setting("alpha", "--alpha", _SOLVE, float, "wave-speed amplifier"),
+    _Setting("mode", "--mode", ("run", "converge"), lambda text: _MODE_ALIASES[text],
+             f"solver mode, one of {', '.join(_MODE_ALIASES)}"),
+    _Setting("pcp_audit", "--no-pcp-audit", _SOLVE, lambda text: _BOOLEANS[text.lower()],
+             "switch the per-step PCP audit off"),
+    _Setting("t_end", "--t-end", _SOLVE, float, "final time (default: the problem's)"),
+    _Setting("snapshots", "--snapshots", ("run",),
+             lambda text: tuple(float(t) for t in _items(text)),
+             "comma-separated intermediate output times"),
+    _Setting("out_dir", "--out", (*_SOLVE, "verify"), str, "output directory"),
+    _Setting("emit", "--emit", ("run",), _emit,
+             f"comma-separated subset of {', '.join(_EMIT_CHOICES)}"),
+    _Setting("levels", "--levels", ("converge",), _count, "number of meshes N, 2N, 4N, ..."),
+    _Setting("samples", "--samples", ("verify",), _count, "draws per suite"),
+    _Setting("seed", "--seed", ("verify",), int, "RNG seed"),
+)
+_FILE_KEYS = {setting.key: setting.parse for setting in _SETTINGS}
+
+
+def _settings_of(command: str) -> dict:
+    return {s.key: s for s in _SETTINGS if command in s.commands}
 
 
 def _parse_value(key: str, text: str, origin: str):
-    """Parse one key's text as a config-file line or a flag gives it."""
+    """Parse one setting's text, from a config-file line or a flag alike."""
     try:
         return _FILE_KEYS[key](text)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"{origin}: bad value for {key!r}: {text!r}") from exc
 
 
-def _read_config_file(path) -> dict:
-    """Flat `key = value` UTF-8 file; unknown keys are rejected."""
+def _read_config_file(path, command: str) -> dict:
+    """Flat `key = value` UTF-8 file; rejects unknown keys and those `command` does not read."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    reads = _settings_of(command)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -117,6 +157,8 @@ def _read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FILE_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in reads:
+            raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
         values[key] = _parse_value(key, value, f"{path}:{lineno}")
     return values
 
@@ -132,87 +174,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(f"{self.prog}: {message}")
 
 
+def _with_default(text: str, default) -> str:
+    shown = ",".join(default) if isinstance(default, tuple) else default
+    return text if shown in (None, "") else f"{text} (default {shown})"
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a text-valued flag per setting it reads."""
     parser = _Parser(
         prog="rhd2d",
         description="Finite-volume solver for 2D special relativistic hydrodynamics "
         "with a PCP multidimensional HLL Riemann solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_problem=True):
-        if with_problem:
-            p.add_argument("--problem", help=f"one of {', '.join(problems.problem_names())}")
+    for command, (_, summary, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--n", type=int, help="cells across x (y scaled to square cells)")
-        p.add_argument("--nx", dest="n_x", type=int, help="cells in x (with --ny)")
-        p.add_argument("--ny", dest="n_y", type=int, help="cells in y (with --nx)")
-        p.add_argument("--cfl", dest="cfl_sigma", type=float, help="CFL number (default 0.45)")
-        p.add_argument("--alpha", type=float, help="wave-speed amplifier (default 2)")
-        p.add_argument("--mode", choices=sorted(_MODE_ALIASES), help="solver mode")
-        p.add_argument("--no-pcp-audit", dest="pcp_audit", action="store_false", default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-        p.add_argument("--out", dest="out_dir", help="output directory (default .)")
-
-    runp = sub.add_parser("run", help="run one simulation and emit data files")
-    add_common(runp)
-    runp.add_argument("--snapshots", help="comma-separated intermediate output times")
-    runp.add_argument(
-        "--emit", help=f"comma-separated subset of {', '.join(_EMIT_CHOICES)} (default field,report)"
-    )
-
-    convp = sub.add_parser("converge", help="mesh-doubling error/order study")
-    add_common(convp)
-    convp.add_argument("--levels", type=int, help="number of meshes N, 2N, 4N, ... (default 4)")
-
-    verp = sub.add_parser("verify", help="randomized property suites")
-    verp.add_argument("--samples", type=int, help="draws per suite (default 100000)")
-    verp.add_argument("--seed", type=int, help="RNG seed")
-    verp.add_argument("--out", dest="out_dir", help="optional report directory")
-    verp.add_argument("--config", help="flat key = value configuration file")
-
-    symp = sub.add_parser(
-        "compare-symmetry", help="explosion test in both modes; reports the deviation ratio"
-    )
-    add_common(symp, with_problem=False)
+        base = RunConfig(**defaults)
+        for s in _settings_of(command).values():
+            if s.flag.startswith("--no-"):
+                p.add_argument(s.flag, dest=s.key, action="store_const", const="false", help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.key, help=_with_default(s.help, getattr(base, s.key)))
     return parser
 
 
 def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
     """Parse argv (+ optional config file) into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for key in _FILE_KEYS:
-        flag = getattr(args, key, None)
-        if isinstance(flag, str):  # flag text reads like the config-file value
-            flag = _parse_value(key, flag, "command line")
-        if flag is not None:
-            values[key] = flag
-
-    if "mode" in values:
-        mode = values["mode"]
-        if mode not in _MODE_ALIASES:
-            raise ConfigurationError(f"unknown mode {mode!r}")
-        values["mode"] = _MODE_ALIASES[mode]
-    for name in values.get("emit", ()):
-        if name not in _EMIT_CHOICES:
-            raise ConfigurationError(f"unknown emit target {name!r}")
-
-    if args.command == "compare-symmetry":
-        values.setdefault("problem", "explosion")
-        values.setdefault("n", 64)
-    if args.command in ("run", "converge") and not values.get("problem"):
+    command, reads = args.command, _settings_of(args.command)
+    values = dict(_COMMANDS[command][2])
+    if args.config:
+        values.update(_read_config_file(args.config, command))
+    for s in reads.values():
+        text = getattr(args, s.key)
+        if text is not None:
+            values[s.key] = _parse_value(s.key, text, f"argument {s.flag}")
+    if "problem" in reads and not values.get("problem"):
         raise ConfigurationError("a problem name is required (--problem)")
-
     config = RunConfig(**values)
     config.solver_config()  # fail fast on invariant violations
-    if config.levels < 1:
-        raise ConfigurationError("--levels must be at least 1")
-    if config.samples < 1:
-        raise ConfigurationError("--samples must be at least 1")
-    return args.command, config
+    return command, config
+
+
+def _problem_setup(config: RunConfig):
+    """(spec, t_end, solver config) of a command that runs the solver."""
+    spec = problems.problem_by_name(config.problem)
+    t_end = config.t_end if config.t_end is not None else spec.t_end
+    return spec, t_end, config.solver_config()
 
 
 def _ensure_out_dir(config: RunConfig) -> Path:
@@ -221,34 +230,18 @@ def _ensure_out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _diagnostics_entries(result) -> dict:
-    return {f"diag_{key}": value for key, value in asdict(result.diagnostics).items()}
-
-
 def _cmd_run(config: RunConfig) -> int:
-    spec = problems.problem_by_name(config.problem)
+    spec, t_end, solver_config = _problem_setup(config)
     grid = config.grid_for(spec)
     out = _ensure_out_dir(config)
-    solver_config = config.solver_config()
-    t_end = config.t_end if config.t_end is not None else spec.t_end
-
-    emitted = []
 
     def on_snapshot(field):
         if field.time != t_end and "field" in config.emit:
-            path = out / f"field_t{field.time:.12g}.dat"
-            output.write_field(field, spec.eos, path)
-            emitted.append(path)
+            output.write_field(field, spec.eos, out / f"field_t{field.time:.12g}.dat")
 
     started = _time.perf_counter()
-    result = run_solver(
-        spec,
-        grid,
-        solver_config,
-        t_end=t_end,
-        snapshot_times=config.snapshots,
-        on_snapshot=on_snapshot,
-    )
+    result = run_solver(spec, grid, solver_config, t_end=t_end, snapshot_times=config.snapshots,
+                        on_snapshot=on_snapshot)
     elapsed = _time.perf_counter() - started
 
     if "field" in config.emit:
@@ -271,7 +264,7 @@ def _cmd_run(config: RunConfig) -> int:
         if spec.exact is not None:
             norms = problems.error_norms(result.field, spec.eos, spec.exact)
             entries.update(l1_error=norms.l1, l2_error=norms.l2, linf_error=norms.linf)
-        entries.update(_diagnostics_entries(result))
+        entries.update({f"diag_{key}": value for key, value in asdict(result.diagnostics).items()})
         output.write_report(entries, out / "report.txt")
     print(
         f"{spec.name}: {grid.n_x}x{grid.n_y} to t = {t_end:g} in {result.diagnostics.steps} steps "
@@ -282,12 +275,10 @@ def _cmd_run(config: RunConfig) -> int:
 
 
 def _cmd_converge(config: RunConfig) -> int:
-    spec = problems.problem_by_name(config.problem)
+    spec, t_end, solver_config = _problem_setup(config)
     if spec.exact is None:
         raise ConfigurationError(f"problem {spec.name!r} has no exact solution to converge against")
     out = _ensure_out_dir(config)
-    solver_config = config.solver_config()
-    t_end = config.t_end if config.t_end is not None else spec.t_end
 
     sizes = [config.n * 2**level for level in range(config.levels)]
     errors = {"l1": [], "l2": [], "linf": []}
@@ -322,15 +313,18 @@ def _cmd_converge(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _optional_report(config: RunConfig, entries: dict, name: str) -> None:
+    """Write a report only when an output directory was asked for."""
+    if config.out_dir != ".":
+        output.write_report(entries, _ensure_out_dir(config) / name)
+
+
 def _cmd_verify(config: RunConfig) -> int:
     results = verification.run_all(seed=config.seed, samples=config.samples)
     for result in results:
         print(result.line())
+    _optional_report(config, {r.name.replace(" ", "_"): r.failures for r in results}, "verify.txt")
     failed = [r for r in results if not r.passed]
-    if config.out_dir != ".":
-        out = _ensure_out_dir(config)
-        entries = {r.name.replace(" ", "_"): r.failures for r in results}
-        output.write_report(entries, out / "verify.txt")
     if failed:
         if any("round trip" in r.name or "residual" in r.name for r in failed):
             return EXIT_RECOVERY
@@ -340,28 +334,31 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_compare_symmetry(config: RunConfig) -> int:
-    spec = problems.problem_by_name("explosion")
+    spec, t_end, solver_config = _problem_setup(config)
     grid = config.grid_for(spec)
-    t_end = config.t_end if config.t_end is not None else spec.t_end
     deviations = {}
-    for mode in ("multidimensional", "dimension_split"):
-        solver_config = replace(config.solver_config(), mode=mode)
-        result = run_solver(spec, grid, solver_config, t_end=t_end)
+    for mode in MODES:
+        result = run_solver(spec, grid, replace(solver_config, mode=mode), t_end=t_end)
         deviations[mode] = problems.symmetry_deviation(result.field, spec.eos)
         print(f"{mode}: symmetry deviation {deviations[mode]:.6e}")
     ratio = deviations["multidimensional"] / deviations["dimension_split"]
     print(f"deviation ratio (multidimensional / dimension_split) = {ratio:.4f}")
-    if config.out_dir != ".":
-        out = _ensure_out_dir(config)
-        output.write_report(
-            {
-                "deviation_multidimensional": deviations["multidimensional"],
-                "deviation_dimension_split": deviations["dimension_split"],
-                "deviation_ratio": ratio,
-            },
-            out / "symmetry.txt",
-        )
+    entries = {f"deviation_{mode}": deviation for mode, deviation in deviations.items()}
+    _optional_report(config, {**entries, "deviation_ratio": ratio}, "symmetry.txt")
     return EXIT_OK
+
+
+# command: (handler, help, defaults that replace RunConfig's)
+_COMMANDS = {
+    "run": (_cmd_run, "run one simulation and emit data files", {}),
+    "converge": (_cmd_converge, "mesh-doubling error/order study", {}),
+    "verify": (_cmd_verify, "randomized property suites", {}),
+    "compare-symmetry": (
+        _cmd_compare_symmetry,
+        "explosion test in both modes; reports the deviation ratio",
+        {"problem": "explosion", "n": 64},
+    ),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -369,15 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         command, config = parse_config(list(argv))
-        if command == "run":
-            return _cmd_run(config)
-        if command == "converge":
-            return _cmd_converge(config)
-        if command == "verify":
-            return _cmd_verify(config)
-        if command == "compare-symmetry":
-            return _cmd_compare_symmetry(config)
-        raise ConfigurationError(f"unknown command {command!r}")
+        return _COMMANDS[command][0](config)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

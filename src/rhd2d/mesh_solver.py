@@ -444,16 +444,19 @@ class RunDiagnostics:
     recovery_sweeps_total: int = 0
     dt_clamped_steps: int = 0
     pcp_audit: bool = True
-    pcp_audit_passed: bool = True
 
     def observe(self, prim: np.ndarray):
         self.min_density = min(self.min_density, float(np.min(prim[..., physics.RHO])))
         self.max_density = max(self.max_density, float(np.max(prim[..., physics.RHO])))
         self.min_pressure = min(self.min_pressure, float(np.min(prim[..., physics.PRE])))
         self.max_pressure = max(self.max_pressure, float(np.max(prim[..., physics.PRE])))
-        gam = physics.lorentz_factor(prim[..., physics.VX], prim[..., physics.VY])
-        self.min_lorentz = min(self.min_lorentz, float(np.min(gam)))
-        self.max_lorentz = max(self.max_lorentz, float(np.max(gam)))
+        # gamma rises monotonically with |u|^2, so only the two extreme cells need it.
+        vel_x, vel_y = prim[..., physics.VX], prim[..., physics.VY]
+        speed_sq = vel_x * vel_x + vel_y * vel_y
+        cells = np.unravel_index([np.argmin(speed_sq), np.argmax(speed_sq)], speed_sq.shape)
+        gam_min, gam_max = physics.lorentz_factor(vel_x[cells], vel_y[cells])
+        self.min_lorentz = min(self.min_lorentz, float(gam_min))
+        self.max_lorentz = max(self.max_lorentz, float(gam_max))
 
 
 @dataclass

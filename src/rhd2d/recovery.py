@@ -6,20 +6,10 @@ The conserved state determines the pressure through the scalar equation
     gamma(p) = (1 - |m|^2 / (E + p)^2)^(-1/2),
 
 after which u = m / (E + p) and rho = D / gamma follow in closed form.
-A safeguarded Newton iteration solves a batch of cells together, and each
-lane follows its own schedule:
-  - a lane with a finite pressure hint (in a run, the previous time
-    level's pressure) starts Newton from the hint and certifies its
-    bracket only when it needs one, that is when a Newton step would leave
-    the analytic bracket or when it is still unconverged after two steps;
-  - a lane without a hint, or whose hint is NaN or infinite, certifies its
-    bracket first and starts at the midpoint;
-  - once certified, a step that leaves the bracket becomes a bisection;
-  - a finished lane takes a single Newton polish step from the residual
-    its finishing sweep already computed.
-The first residual is one pass over every lane; later sweeps, the
-certification and the polish run only on the lanes concerned, so a lane's
-result does not depend on the batch.  The Lorentz factor is the
+A safeguarded Newton iteration solves a batch of cells together, each
+lane on its own schedule (see `_pressure_root`), starting from a pressure
+hint where one is given (in a run, the previous time level's pressure).
+A lane's result does not depend on the batch.  The Lorentz factor is the
 numerically delicate piece: (E + p)^2 - |m|^2 cancels catastrophically for
 fast flows, so it is formed with error-free product splitting before the
 division.  Pure functions, safe for data-parallel sweeps.
@@ -92,7 +82,7 @@ def _psi(p, dens, energy, m2_head, m2_tail, gamma_ratio):
     # Grouped so no intermediate grows like w^3, which overflows at E + p ~ 5e102.
     dgam = -(gam / w) * (m2_head / z)
     dpsi = dens * dgam + gamma_ratio * (gam2 + 2.0 * p * gam * dgam) - 1.0
-    return psi, dpsi, z, w
+    return psi, dpsi
 
 
 def _polish(p, psi, dpsi, lo, hi):
@@ -114,7 +104,7 @@ def _bracketed_step(newton, lo, hi, dens, energy, m2_head, m2_tail, a, lanes):
     midpoint, and an end whose residual is exactly 0 is the root itself.
     Returns (step, hi).
     """
-    psi_lo, _, _, _ = _psi(lo, dens, energy, m2_head, m2_tail, a)
+    psi_lo = _psi(lo, dens, energy, m2_head, m2_tail, a)[0]
     if np.any(psi_lo > 0.0):
         idx = int(np.argmax(psi_lo > 0.0))
         raise RecoveryConvergenceError(
@@ -122,15 +112,13 @@ def _bracketed_step(newton, lo, hi, dens, energy, m2_head, m2_tail, a, lanes):
             bracket=(float(lo[idx]), float(hi[idx])),
             index=int(lanes[idx]),
         )
-    psi_hi, _, _, _ = _psi(hi, dens, energy, m2_head, m2_tail, a)
+    psi_hi = _psi(hi, dens, energy, m2_head, m2_tail, a)[0]
     need = np.flatnonzero(psi_hi < 0.0)
     for _ in range(64):
         if need.size == 0:
             break
         hi[need] = 2.0 * hi[need]
-        psi_need, _, _, _ = _psi(
-            hi[need], dens[need], energy[need], m2_head[need], m2_tail[need], a
-        )
+        psi_need = _psi(hi[need], dens[need], energy[need], m2_head[need], m2_tail[need], a)[0]
         psi_hi[need] = psi_need
         need = need[psi_need < 0.0]
     else:
@@ -183,15 +171,11 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
 
     hint = np.full(shape, np.nan) if hint is None else np.asarray(hint, dtype=float)
     hint = np.ravel(np.broadcast_to(hint, shape))
-    certified = ~np.isfinite(hint)
+    certified = np.zeros(hint.shape, dtype=bool)
+    need = np.flatnonzero(~np.isfinite(hint))  # cold lanes certify before the first residual
     pressure = np.clip(hint, lo, hi)
     del hint
-    cold = np.flatnonzero(certified)
-    if cold.size:
-        pressure[cold], hi[cold] = _bracketed_step(
-            np.full(cold.size, np.nan), lo[cold], hi[cold], dens[cold], energy[cold],
-            m2_head[cold], m2_tail[cold], a, cold,
-        )
+    newton = np.broadcast_to(np.nan, pressure.shape)  # no Newton step taken yet
 
     # Converge on the residual with a factor-two safety, against E itself
     # rather than max(E, 1): for small-energy states the looser normalisation
@@ -201,7 +185,13 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
     p = pressure
     iterations = 0
     while True:
-        psi, dpsi, _, _ = _psi(p, dens, energy, m2_head, m2_tail, a)
+        if need.size:
+            certified[need] = True
+            p[need], hi[need] = _bracketed_step(
+                newton[need], lo[need], hi[need], dens[need], energy[need],
+                m2_head[need], m2_tail[need], a, lanes[need],
+            )
+        psi, dpsi = _psi(p, dens, energy, m2_head, m2_tail, a)
         np.copyto(lo, p, where=psi < 0.0)
         np.copyto(hi, p, where=psi >= 0.0)
         done = (np.abs(psi) <= tol) | (certified & ((hi - lo) <= 4.0 * _EPS * hi))
@@ -228,12 +218,6 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
         inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
         p = np.where(inside, newton, 0.5 * (lo + hi))
         need = np.flatnonzero(~certified & (~inside | (iterations > 2)))
-        if need.size:
-            certified[need] = True
-            p[need], hi[need] = _bracketed_step(
-                newton[need], lo[need], hi[need], dens[need], energy[need],
-                m2_head[need], m2_tail[need], a, lanes[need],
-            )
 
 
 def recover_with_iterations(

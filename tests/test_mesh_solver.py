@@ -601,4 +601,3 @@ class TestRun:
         assert 0.0 < diag.min_pressure <= 0.05
         assert diag.max_lorentz >= 1.0 / np.sqrt(1.0 - problems.RP2_VEL**2) - 0.2
         assert diag.recovery_sweeps_max >= 1
-        assert diag.pcp_audit_passed

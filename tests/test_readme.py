@@ -1,12 +1,21 @@
-"""The README's library examples run as documented."""
+"""The README's library examples run as documented, and its commands parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from rhd2d import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+COMMANDS = [
+    line.strip()
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    for line in block.splitlines()
+    if line.strip().startswith("rhd2d ")
+]
 
 
 def test_readme_has_python_examples():
@@ -16,3 +25,13 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_commands():
+    assert len(COMMANDS) >= 4
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_line_parses(line):
+    command, config = cli.parse_config(shlex.split(line)[1:])
+    assert command == shlex.split(line)[1] and isinstance(config, cli.RunConfig)
