@@ -3,10 +3,11 @@
 A first-order Godunov scheme on uniform Cartesian meshes whose interface
 fluxes blend 1D HLL fluxes with genuinely multidimensional corner-fan
 fluxes.  With wave-speed amplifier 2 and CFL number at most one half, the
-update is designed to preserve positive density and pressure and
-sub-luminal velocity.  It does on the benchmark problems; on generic
-admissible data a multidimensional step can still leave the admissible
-set, which the PCP audit reports (an open defect, see ROADMAP.md).
+update preserves positive density and pressure and sub-luminal velocity:
+a per-cell certificate from the signal speeds shows each updated cell to
+be a positive combination of admissible states, which the test suite
+checks on random admissible meshes in both modes.  An optional per-step
+audit enforces it during runs.
 """
 
 from .errors import (

@@ -367,16 +367,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, config = parse_config(list(argv))
         return _COMMANDS[command][0](config)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (PcpAuditError, CflViolationError) as exc:
         print(f"PCP audit failure: {exc}", file=sys.stderr)
         return EXIT_PCP
+    # AdmissibilityError is a ValueError too, so it must be caught first.
     except (RecoveryConvergenceError, AdmissibilityError) as exc:
         print(f"recovery failure: {exc}", file=sys.stderr)
         return EXIT_RECOVERY
-    except RhdError as exc:
+    except (RhdError, ValueError) as exc:  # ConfigurationError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -47,7 +47,7 @@ class DegenerateFanError(RhdError, ValueError):
 
 
 class DispatchError(RhdError, ValueError):
-    """Speed signs require the 1D path; the corner solver does not apply."""
+    """A point-wise corner solver got a one-signed fan; it divides by each speed."""
 
 
 class CflViolationError(RhdError, RuntimeError):

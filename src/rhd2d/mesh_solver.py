@@ -8,13 +8,15 @@ assembly composes, per x-face,
            + (1 - dt/(2 dy) * (S_U+ (below) - S_D- (above))) * F1D,
 
 where the corner fluxes and speeds come from each corner's own four-state
-fan and F1D from the two face-adjacent cells; the y-face flux is symmetric.
+fan (every fan feeds the composite) and F1D from the two face-adjacent
+cells, its fan spanning the fans of the face's two corners; the y-face
+flux is symmetric.  Dimension-split mode keeps F1D with the face's own fan.
 With amplifier alpha = 2 and CFL number sigma <= 1/2 every updated cell
-should stay admissible, which the optional audit enforces.  That holds on
-the benchmark problems but not yet on generic admissible data: one step on
-16x16 periodic meshes of random states fails the audit in 39 of 40 trials
-in multidimensional mode and in none in dimension-split mode (open, see
-ROADMAP.md).
+stays admissible, which the optional audit enforces: for fixed speeds and
+dt a cell's update is a linear combination of the U, F and G of its 3x3
+stencil, and a certificate from the speeds alone shows it to be a positive
+combination of admissible states (it holds in both modes at sigma = 0.45
+on random admissible meshes and fails at 0.75, tests/test_pcp_mesh.py).
 
 Each step computes the per-cell quantities once: run() recovers the
 primitives of the ghosted array (seeded by the previous level's pressure),
@@ -332,19 +334,25 @@ def assemble_fluxes(
         cell_speeds[axis] = None
         s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
         del lam1, lam4
+        if multidimensional:
+            # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny
+            # sits between transverse rows j and j+1 of this axis's faces, so
+            # its speeds reduce theirs and its low-side edge pair is face row
+            # j.  Each interior face's fan spans its two corners' fans, so its
+            # upwind weight |kr| bounds theirs, as the PCP certificate needs.
+            corner = (np.minimum(s_minus[low], s_minus[:, 1:]),
+                      np.maximum(s_plus[low], s_plus[:, 1:]))
+            np.minimum(corner[0][low], corner[0][:, 1:], out=s_minus[inner])
+            np.maximum(corner[1][low], corner[1][:, 1:], out=s_plus[inner])
         u, f = (np.swapaxes(a, 0, axis) for a in (cons, physical_flux(prim, cons, axis)))
         du = u[1:] - u[:-1]
         df = f[1:] - f[:-1]
         f1 = hll_flux_from_jumps(f[:-1], f[1:], du, df, hll_coefficients(s_minus, s_plus))
+        del s_minus, s_plus
         face.append(np.swapaxes(f1[inner], 0, axis))
         if not multidimensional:
             continue
 
-        # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny sits
-        # between transverse rows j and j+1 of this axis's faces, so its
-        # speeds reduce theirs, and its low-side edge pair is face row j.
-        corner = fan_speeds((s_minus[low], s_minus[:, 1:]), (s_plus[low], s_plus[:, 1:]), 1.0)
-        del s_minus, s_plus
         coefficient = hll_coefficients(*corner)
         edge = hll_flux_from_jumps(f[:-1][low], f[1:][low], du[low], df[low], coefficient)
         if axis == 0:
@@ -363,22 +371,13 @@ def assemble_fluxes(
     corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients)
     del crosses, d2u, d2fs
 
-    # A corner fan feeds the composite only when it is genuinely two-sided in
-    # both axes; one-signed fans fall back to the 1D solver (their corner
-    # weight is zero below), which keeps every constituent of the update
-    # an admissible 1D or corner fan state.
-    (s_l, s_r), (s_d, s_u) = corner_speeds
-    two_sided = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
-
     # Composite: each face blends its 1D flux with the corner fluxes of the
-    # two fan triangles that sweep across it during dt.  In each axis's view
-    # the second index runs across the face, so [:, :-1] is the corner on
-    # its low side and [:, 1:] the corner on its high side.
+    # two fan triangles that sweep across it during dt, one-signed fans
+    # included.  In each axis's view the second index runs across the face,
+    # so [:, :-1] is the corner on its low side and [:, 1:] the high side.
     composite = []
     for axis, name, across in ((0, "x", grid.dy), (1, "y", grid.dx)):
-        f1, f2d, side = (
-            np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis], two_sided)
-        )
+        f1, f2d = (np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis]))
         t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
@@ -391,11 +390,11 @@ def assemble_fluxes(
                     f"dt = {dt:.6e} violates the corner CFL bound"
                 )
         blend = f2d[:, :-1] - f1
-        blend *= np.where(side[:, :-1], weight_scale * plus_low, 0.0)[..., None]
+        blend *= (weight_scale * plus_low)[..., None]
         blend += f1
         high = f2d[:, 1:]  # the corner fluxes are spent after this term
         high -= f1
-        high *= np.where(side[:, 1:], weight_scale * minus_high, 0.0)[..., None]
+        high *= (weight_scale * minus_high)[..., None]
         blend -= high
         composite.append(np.swapaxes(blend, 0, axis))
     return tuple(composite)

@@ -100,14 +100,10 @@ def hll_flux_from_jumps(f_l, f_r, du, df, coefficients):
 
 
 def hll_flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Clipped-fan HLL flux in coefficient form, valid in every regime.
+    """Clipped-fan HLL flux f_l + kr (u_r - u_l) - k (f_r - f_l) of two states.
 
-    With sl = min(s_minus, 0), sr = max(s_plus, 0):
-        flux = f_l + kr (u_r - u_l) - k (f_r - f_l),
-    k = sl / (sr - sl), kr = k sr (see `hll_coefficients`).  This is the
-    kernel the mesh runs on its shared jumps.  Supersonic fans return f_l
-    (sl = 0) or f_r (sr = 0, set by index) exactly, equal inputs return
-    f_l exactly, and an empty fan (both clipped speeds zero) returns f_l.
+    This is `hll_flux_from_jumps`, the kernel the mesh runs on its shared
+    jumps, so it is exact in the same regimes (see `hll_coefficients`).
     """
     coefficients = hll_coefficients(s_minus, s_plus)
     return hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients)
@@ -136,8 +132,8 @@ def _checked_corner_fan(corners, speeds):
         raise ValueError("wave speeds must satisfy s_left <= s_right, s_down <= s_up")
     if not np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)):
         raise DispatchError(
-            "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up; "
-            "one-signed fans belong to the 1D solver"
+            "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up: "
+            "its quadrant weights divide by each speed"
         )
     return s_l, s_r, s_d, s_u
 
@@ -195,18 +191,23 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
                         (G_RU - G_RD) - (G_LU - G_LD));
       coefficients: `hll_coefficients` of (s_left, s_right), (s_down, s_up).
     The corner flux
-        flux_x = [S_U+ F_U** - S_D- F_D** - 2 S_L- S_R+ / (S_R+ - S_L-) dG]
+        flux_x = [S_U+ F_U** - S_D- F_D** - S_L- S_R+ / (S_R+ - S_L-) dG]
                  / (S_U+ - S_D-)
-    is F_D* + a_y (F_U* - F_D*) - 2 kr_x w_y dG, with
+    is F_D* + a_y (F_U* - F_D*) - kr_x w_y dG, with
     F_U* - F_D* = (F_LU - F_LD) + kr_x d2u - k_x dF, so it is one linear
     combination:
         flux_x = F_D* + a_y (F_LU - F_LD) + a_y kr_x d2u - a_y k_x dF
-                 - 2 kr_x w_y dG,
+                 - kr_x w_y dG,
     and symmetrically for flux_y.  Every added term vanishes exactly on
     corner data invariant along y (along x), so flux_x (flux_y) reproduces
     the edge's 1D flux exactly in every regime, and equal corners give
     their physical fluxes exactly.  One-signed fans get the same formula to
-    round-off; the mesh uses only two-sided ones.
+    round-off; the mesh feeds every fan to its composite.  Coefficient 1 on
+    dG, as in `hll_state_2d`, gives a diagonal neighbour F and G weights
+    -1/S_R and -1/S_U times its U weight in the mesh update; with 2 they
+    are -3/(2 S_R) and -3/(2 S_U), and the PCP certificate of `mesh_solver`
+    fails at alpha = 2 whatever the CFL number.  The paper's own corner-flux
+    equation is not at hand to check this coefficient against.
     """
     workspace = np.empty_like(edges[0])
     for flux, cross, d2f, d2f_across, along, across in zip(
@@ -216,7 +217,7 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
             (across.a, cross),
             (across.a * along.kr, d2u),
             (-(across.a * along.k), d2f),
-            (-2.0 * along.kr * across.w, d2f_across),
+            (-(along.kr * across.w), d2f_across),
         )
         for coefficient, jump in terms:
             flux += np.multiply(coefficient[..., None], jump, out=workspace)

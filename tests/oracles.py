@@ -165,10 +165,10 @@ def corner_fluxes_from_states(u, fx, fy, speeds):
         dg = fy["ru"][m] - fy["rd"][m] - fy["lu"][m] + fy["ld"][m]
         df = fx["ru"][m] - fx["rd"][m] - fx["lu"][m] + fx["ld"][m]
         out_x.append(
-            (sup * f_up[m] - sdm * f_down[m] - (2 * slm * srp / (srp - slm)) * dg) / (sup - sdm)
+            (sup * f_up[m] - sdm * f_down[m] - (slm * srp / (srp - slm)) * dg) / (sup - sdm)
         )
         out_y.append(
-            (srp * g_right[m] - slm * g_left[m] - (2 * sdm * sup / (sup - sdm)) * df) / (srp - slm)
+            (srp * g_right[m] - slm * g_left[m] - (sdm * sup / (sup - sdm)) * df) / (srp - slm)
         )
     return out_x, out_y
 

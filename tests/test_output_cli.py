@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import assert_close
 from rhd2d import cli, output, physics, problems
-from rhd2d.errors import ConfigurationError, PcpAuditError
+from rhd2d.errors import (
+    AdmissibilityError,
+    ConfigurationError,
+    PcpAuditError,
+    RecoveryConvergenceError,
+)
 from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
 from rhd2d.recovery import recover_with_iterations
 
@@ -340,11 +345,10 @@ class TestCommands:
         monkeypatch.setattr(cli, "run_solver", boom)
         assert cli.main(["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"]) == 3
 
-    def test_recovery_exit_code(self, monkeypatch):
-        from rhd2d.errors import RecoveryConvergenceError
-
+    @pytest.mark.parametrize("error", [RecoveryConvergenceError, AdmissibilityError])
+    def test_recovery_exit_code(self, monkeypatch, error):
         def boom(*args, **kwargs):
-            raise RecoveryConvergenceError("synthetic recovery failure")
+            raise error("synthetic recovery failure")
 
         monkeypatch.setattr(cli, "run_solver", boom)
         assert cli.main(["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"]) == 4
