@@ -35,7 +35,7 @@ EXIT_VALIDATION = 2
 EXIT_PCP = 3
 EXIT_RECOVERY = 4
 
-_EMIT_CHOICES = ("field", "cuts", "report", "schlieren", "schlieren_data")
+_EMIT_CHOICES = ("field", "cuts", "report", "schlieren")
 _MODE_ALIASES = {**{mode: mode for mode in MODES}, "split": "dimension_split"}
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -55,7 +55,7 @@ class RunConfig:
     pcp_audit: bool = SolverConfig.pcp_audit
     t_end: Optional[float] = None
     snapshots: tuple = ()
-    out_dir: str = "."
+    out_dir: Optional[str] = "."
     emit: tuple = ("field", "report")
     levels: int = 4
     samples: int = 100_000
@@ -248,7 +248,7 @@ def _cmd_run(config: RunConfig) -> int:
         output.write_field(result.field, spec.eos, out / "field.dat")
     if "cuts" in config.emit:
         output.write_cuts(result.field, spec.eos, out / "cuts.dat")
-    if "schlieren" in config.emit or "schlieren_data" in config.emit:
+    if "schlieren" in config.emit:
         output.write_schlieren(result.field, spec.eos, out / "schlieren.dat")
     if "report" in config.emit:
         entries = {
@@ -315,7 +315,7 @@ def _cmd_converge(config: RunConfig) -> int:
 
 def _optional_report(config: RunConfig, entries: dict, name: str) -> None:
     """Write a report only when an output directory was asked for."""
-    if config.out_dir != ".":
+    if config.out_dir is not None:
         output.write_report(entries, _ensure_out_dir(config) / name)
 
 
@@ -352,11 +352,11 @@ def _cmd_compare_symmetry(config: RunConfig) -> int:
 _COMMANDS = {
     "run": (_cmd_run, "run one simulation and emit data files", {}),
     "converge": (_cmd_converge, "mesh-doubling error/order study", {}),
-    "verify": (_cmd_verify, "randomized property suites", {}),
+    "verify": (_cmd_verify, "randomized property suites", {"out_dir": None}),
     "compare-symmetry": (
         _cmd_compare_symmetry,
         "explosion test in both modes; reports the deviation ratio",
-        {"problem": "explosion", "n": 64},
+        {"problem": "explosion", "n": 64, "out_dir": None},
     ),
 }
 

@@ -7,13 +7,11 @@ is left to external tools.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
 
-from . import recovery
-from .errors import ConfigurationError
+from . import problems, recovery
 from .mesh_solver import Field
 from .physics import EosParams
 
@@ -75,26 +73,13 @@ def read_field(path):
 
 
 def write_cuts(field: Field, eos: EosParams, path) -> None:
-    """Density profiles along the y-axis and the diagonal y = x.
+    """The two `problems.density_cuts` profiles as `coord value` blocks.
 
-    Two `coord value` blocks; the coordinate is the signed distance from the
-    origin along the ray (y itself on the axis, sqrt(2) x on the diagonal).
-    Profiles are taken from the cells nearest each ray.  The diagonal cut
-    needs a square grid.
+    The y-axis block comes first, then the diagonal y = x; the coordinate is
+    the signed distance from the origin along the ray.
     """
-    grid = field.grid
-    if grid.n_x != grid.n_y:
-        raise ConfigurationError("diagonal cut needs a square grid")
-    prim, _ = recovery.recover_with_iterations(field.interior, eos)
-    rho = prim[..., 0]
-    xs = grid.centers_x()
-    col = int(np.argmin(np.abs(xs - 1e-15)))  # ties go to the positive side
-    cuts = (
-        ("y-axis", grid.centers_y(), rho[col, :]),
-        ("diagonal", math.sqrt(2.0) * xs, np.diagonal(rho)),
-    )
     blocks = []
-    for ray, coords, values in cuts:
+    for ray, (coords, values) in zip(("y-axis", "diagonal"), problems.density_cuts(field, eos)):
         lines = [f"# cut: {ray}"]
         lines += [f"{_fmt(c)} {_fmt(v)}" for c, v in zip(coords, values)]
         blocks.append("\n".join(lines))

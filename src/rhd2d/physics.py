@@ -50,6 +50,14 @@ class EigenSpeeds(NamedTuple):
     lam4: np.ndarray
 
 
+def _speed_squared(vel_x, vel_y):
+    """|u|^2; raises SuperluminalError when |u| >= 1."""
+    speed_sq = vel_x * vel_x + vel_y * vel_y
+    if not np.all(speed_sq < 1.0):
+        raise SuperluminalError(float(np.max(speed_sq)))
+    return speed_sq
+
+
 def primitive(rho, vel_x, vel_y, pressure) -> np.ndarray:
     """Stack and validate a primitive state (rho, u, v, p).
 
@@ -63,19 +71,13 @@ def primitive(rho, vel_x, vel_y, pressure) -> np.ndarray:
         raise ValueError("rest-mass density must be positive")
     if not np.all(pressure > 0.0):
         raise ValueError("pressure must be positive")
-    speed_sq = vel_x * vel_x + vel_y * vel_y
-    if not np.all(speed_sq < 1.0):
-        raise SuperluminalError(float(np.max(speed_sq)))
+    _speed_squared(vel_x, vel_y)
     return np.stack([rho, vel_x, vel_y, pressure], axis=-1)
 
 
 def lorentz_factor(vel_x, vel_y) -> np.ndarray:
     """1 / sqrt(1 - |u|^2); raises SuperluminalError when |u| >= 1."""
-    vel_x = np.asarray(vel_x, dtype=float)
-    vel_y = np.asarray(vel_y, dtype=float)
-    speed_sq = vel_x * vel_x + vel_y * vel_y
-    if not np.all(speed_sq < 1.0):
-        raise SuperluminalError(float(np.max(speed_sq)))
+    speed_sq = _speed_squared(np.asarray(vel_x, dtype=float), np.asarray(vel_y, dtype=float))
     return 1.0 / np.sqrt(1.0 - speed_sq)
 
 
@@ -138,11 +140,7 @@ def _speed_terms(prim: np.ndarray, eos: EosParams):
     Returns (|u|^2, c_s / gamma, c_s^2, 1 - c_s^2, 1 - c_s^2 |u|^2); raises
     SuperluminalError when |u| >= 1.
     """
-    vel_x = prim[..., VX]
-    vel_y = prim[..., VY]
-    speed_sq = vel_x * vel_x + vel_y * vel_y
-    if not np.all(speed_sq < 1.0):
-        raise SuperluminalError(float(np.max(speed_sq)))
+    speed_sq = _speed_squared(prim[..., VX], prim[..., VY])
     _, _, cs = thermo(prim, eos)
     cs2 = cs * cs
     return speed_sq, cs * np.sqrt(1.0 - speed_sq), cs2, 1.0 - cs2, 1.0 - cs2 * speed_sq

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -171,9 +172,6 @@ def explosion_problem() -> ProblemSpec:
 
 RP2_RHO = 0.00414329639576
 RP2_VEL = 0.9946418833556542
-# Reference speed of the upper/right shocks of the second problem, for
-# diagnostics only.
-RP2_SHOCK_SPEED = -0.66525606186639
 
 _RP_STATES = {
     # quadrant order: (x>0, y>0), (x<0, y>0), (x<0, y<0), (x>0, y<0)
@@ -312,22 +310,23 @@ JET_CONFIGS = {
 # --- registry ----------------------------------------------------------------
 
 
+_PROBLEMS = {
+    "sine": sine_wave_problem,
+    "vortex": vortex_problem,
+    "explosion": explosion_problem,
+    **{variant: partial(riemann_problem, variant) for variant in _RP_STATES},
+    **{name: partial(lambda args: jet_setup(*args)[1], args) for name, args in JET_CONFIGS.items()},
+}
+
+
 def problem_names():
-    return ("sine", "vortex", "explosion", "rp1", "rp2", *JET_CONFIGS)
+    return tuple(_PROBLEMS)
 
 
 def problem_by_name(name: str) -> ProblemSpec:
-    if name == "sine":
-        return sine_wave_problem()
-    if name == "vortex":
-        return vortex_problem()
-    if name == "explosion":
-        return explosion_problem()
-    if name in ("rp1", "rp2"):
-        return riemann_problem(name)
-    if name in JET_CONFIGS:
-        return jet_setup(*JET_CONFIGS[name])[1]
-    raise ConfigurationError(f"unknown problem {name!r}; choose from {problem_names()}")
+    if name not in _PROBLEMS:
+        raise ConfigurationError(f"unknown problem {name!r}; choose from {problem_names()}")
+    return _PROBLEMS[name]()
 
 
 # --- error norms and symmetry diagnostics ------------------------------------
@@ -367,34 +366,35 @@ def convergence_orders(errors) -> list:
     return [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
 
 
-def symmetry_deviation(field: Field, eos: EosParams) -> float:
-    """Max gap between the density profiles along the +y axis and y = x.
+def density_cuts(field: Field, eos: EosParams):
+    """Density profiles along the y-axis and the diagonal y = x.
 
-    Both profiles (taken from the cell columns nearest each ray, on the
-    positive side) are linearly interpolated in radius onto the common
-    samples r_k = (k + 1/2) min(dx, dy) up to the domain half-width.
-    Requires a square grid.
+    Returns ((y, rho), (sqrt(2) x, rho)): the column of cells nearest x = 0
+    (ties go to the positive side) and the diagonal cells (i, i), each with
+    its signed distance from the origin along the ray.  The diagonal cells
+    lie on y = x only when n_x = n_y, dx = dy and x_min = y_min, so any
+    other grid is a ConfigurationError.
     """
     grid = field.grid
-    if grid.n_x != grid.n_y or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
-        raise ConfigurationError("symmetry deviation needs a square grid")
+    if (grid.n_x != grid.n_y or grid.x_min != grid.y_min
+            or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12)):
+        raise ConfigurationError("density cuts need n_x = n_y, dx = dy and x_min = y_min")
     prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., RHO]
     xs = grid.centers_x()
-    ys = grid.centers_y()
+    col = int(np.argmin(np.abs(xs - 1e-15)))  # ties go to the positive side
+    return (grid.centers_y(), rho[col, :]), (math.sqrt(2.0) * xs, np.diagonal(rho))
 
-    col = int(np.argmin(np.where(xs > 0.0, xs, np.inf)))  # first center right of x = 0
-    upper = ys > 0.0
-    axis_r = ys[upper]
-    axis_rho = rho[col, upper]
 
-    diag_mask = xs > 0.0
-    diag_r = math.sqrt(2.0) * xs[diag_mask]
-    diag_rho = np.diagonal(rho)[diag_mask]
+def symmetry_deviation(field: Field, eos: EosParams) -> float:
+    """Max gap between the density profiles along the +y axis and y = x.
 
-    half_width = 0.5 * (grid.x_max - grid.x_min)
-    step = min(grid.dx, grid.dy)
-    samples = np.arange(0.5 * step, half_width + 0.5 * step, step)
-    on_axis = np.interp(samples, axis_r, axis_rho)
-    on_diag = np.interp(samples, diag_r, diag_rho)
+    Both `density_cuts` profiles, restricted to positive distances, are
+    linearly interpolated in radius onto the common samples
+    r_k = (k + 1/2) dx up to the domain half-width.
+    """
+    cuts = density_cuts(field, eos)
+    grid = field.grid
+    samples = np.arange(0.5 * grid.dx, 0.5 * (grid.x_max - grid.x_min) + 0.5 * grid.dx, grid.dx)
+    on_axis, on_diag = (np.interp(samples, r[r > 0.0], values[r > 0.0]) for r, values in cuts)
     return float(np.max(np.abs(on_axis - on_diag)))

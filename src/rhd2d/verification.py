@@ -148,26 +148,27 @@ def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosP
         rng, n, eos=eos, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
     )
     cons_b = physics.prim_to_cons(prim_b, eos)
+    speeds, speeds_b = physics.extreme_speeds(prim, eos), physics.extreme_speeds(prim_b, eos)
     for axis, axis_name in ((0, "x"), (1, "y")):
-        lam = physics.eigenvalues(prim, eos, axis)
+        lam1, lam4 = speeds[axis]
+        lam1_b, lam4_b = speeds_b[axis]
         flux = physics.physical_flux(prim, cons, axis)
-        lam_b = physics.eigenvalues(prim_b, eos, axis)
         flux_b = physics.physical_flux(prim_b, cons_b, axis)
         results.append(
             _count(
                 f"alpha U - F_{axis_name} admissible at the extreme eigenvalue",
-                physics.is_admissible(lam_b.lam4[:, None] * cons_b - flux_b),
+                physics.is_admissible(lam4_b[:, None] * cons_b - flux_b),
             )
         )
         results.append(
             _count(
                 f"F_{axis_name} - beta U admissible at the extreme eigenvalue",
-                physics.is_admissible(flux_b - lam_b.lam1[:, None] * cons_b),
+                physics.is_admissible(flux_b - lam1_b[:, None] * cons_b),
             )
         )
         for delta in (1e-3, 1.0, 10.0):
-            a = (lam.lam4 + delta)[:, None]
-            b = (lam.lam1 - delta)[:, None]
+            a = (lam4 + delta)[:, None]
+            b = (lam1 - delta)[:, None]
             results.append(
                 _count(
                     f"alpha U - F_{axis_name} admissible at extreme + {delta:g}",
@@ -183,61 +184,74 @@ def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosP
     return results
 
 
-def _fan_speeds_2d(prims, eos, alpha):
-    """(s_left, s_right, s_down, s_up) over four primitive arrays."""
+def _two_sided_batch(rng, size, eos, alpha, **sample_kwargs):
+    """One batch of corner quadruples, cut to the lanes whose fans are two-sided.
+
+    Returns the kept primitives in (ld, rd, lu, ru) order and their fan
+    speeds (s_left, s_right, s_down, s_up).
+    """
+    centers = rng.uniform(-6.0, 1.0, size)
+    prims = [
+        sample_primitives(
+            rng, size, eos=eos, rho_decades=(-1.0, 1.0), rho_center=centers, **sample_kwargs
+        )
+        for _ in range(4)
+    ]
+    lams = [physics.extreme_speeds(p, eos) for p in prims]
     speeds = ()
     for axis in (0, 1):
-        lam = [physics.eigenvalues(p, eos, axis) for p in prims]
-        speeds += riemann.fan_speeds([l.lam1 for l in lam], [l.lam4 for l in lam], alpha)
-    return speeds
+        speeds += riemann.fan_speeds([l[axis][0] for l in lams], [l[axis][1] for l in lams], alpha)
+    s_l, s_r, s_d, s_u = speeds
+    keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
+    return [p[keep] for p in prims], [s[keep] for s in speeds]
 
 
-def _corner_fan(prims, eos, alpha):
-    """Corner-solver input from four primitive arrays in (ld, rd, lu, ru) order:
-    the (U, F, G) triple of each state and the fan speeds."""
+def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
+    """The first n two-sided corner quadruples of batches drawn until there are n.
+
+    Returns their primitives and fan speeds, as `_two_sided_batch` does.
+    """
+    batches, kept = [], 0
+    while kept < n:
+        prims, speeds = _two_sided_batch(rng, max(n, 4096), eos, alpha, **sample_kwargs)
+        batches.append((prims, speeds))
+        kept += len(speeds[0])
+
+    def first_n(part, k):
+        return np.concatenate([batch[part][k] for batch in batches])[:n]
+
+    return [first_n(0, k) for k in range(4)], tuple(first_n(1, k) for k in range(4))
+
+
+def _subsonic_fans(rng, n, eos, alpha, **sample_kwargs):
+    """Corner-solver input of n two-sided fans: four (U, F, G) triples and the speeds."""
+    prims, speeds = _subsonic_corners(rng, n, eos, alpha, **sample_kwargs)
     corners = []
     for prim in prims:
         cons = physics.prim_to_cons(prim, eos)
         corners.append(
             (cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1))
         )
-    return corners, _fan_speeds_2d(prims, eos, alpha)
-
-
-def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
-    """Draw corner quadruples until n of them have two-sided fans."""
-    kept_prims, kept = [], 0
-    while kept < n:
-        batch = max(n, 4096)
-        centers = rng.uniform(-6.0, 1.0, batch)
-        prims = [
-            sample_primitives(
-                rng, batch, eos=eos, rho_decades=(-1.0, 1.0), rho_center=centers, **sample_kwargs
-            )
-            for _ in range(4)
-        ]
-        s_l, s_r, s_d, s_u = _fan_speeds_2d(prims, eos, alpha)
-        keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
-        kept_prims.append([p[keep] for p in prims])
-        kept += int(np.sum(keep))
-    return [np.concatenate([batch[k] for batch in kept_prims])[:n] for k in range(4)]
+    return corners, speeds
 
 
 def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams(), alpha=2.0):
     """Admissibility of the corner intermediate state and its quadrant parts."""
-    corners, speeds = _corner_fan(_subsonic_corners(rng, n, eos, alpha), eos, alpha)
-    star = riemann.hll_state_2d(corners, speeds)
-    results = [_count("corner intermediate state admissible (alpha = 2)", physics.is_admissible(star))]
+    results = [
+        _count(
+            "corner intermediate state admissible (alpha = 2)",
+            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n, eos, alpha))),
+        )
+    ]
 
     # The quadrant composites touch the fan boundary (the slowest corner sits
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
-    prims_b = _subsonic_corners(
-        rng, n, eos, alpha, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
+    quadrants = riemann.quadrant_fan_states(
+        *_subsonic_fans(rng, n, eos, alpha, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
     )
-    corners_b, speeds_b = _corner_fan(prims_b, eos, alpha)
     names = ("left-down", "right-down", "left-up", "right-up")
-    for name, h in zip(names, riemann.quadrant_fan_states(corners_b, speeds_b)):
+    for name, h in zip(names, quadrants):
         results.append(_count(f"{name} quadrant composite admissible", physics.is_admissible(h)))
     return results
 

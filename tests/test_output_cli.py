@@ -113,6 +113,14 @@ class TestCutsAndSchlieren:
             assert len(rows) == field.grid.n_y
             assert all(len(row) == 2 for row in rows)
 
+    def test_cuts_need_cells_on_the_diagonal(self, tmp_path, capsys):
+        """On a jet grid the cells (i, i) lie on y = 2.5 x, not on y = x."""
+        code = cli.main(["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "0",
+                         "--emit", "cuts", "--out", str(tmp_path)])
+        assert code == 2
+        assert "x_min = y_min" in capsys.readouterr().err
+        assert not (tmp_path / "cuts.dat").exists()
+
     def test_schlieren_columns(self, tmp_path, small_run):
         spec, field = small_run
         path = tmp_path / "schlieren.dat"
@@ -308,6 +316,19 @@ class TestCommands:
         assert code == 0
         assert "deviation ratio" in capsys.readouterr().out
         assert (tmp_path / "symmetry.txt").exists()
+
+    @pytest.mark.parametrize("command, argv, name", [
+        ("verify", ["--samples", "200"], "verify.txt"),
+        ("compare-symmetry", ["--n", "8", "--t-end", "0.02"], "symmetry.txt"),
+    ])
+    def test_report_in_the_current_directory(self, tmp_path, monkeypatch, capsys, command, argv,
+                                             name):
+        """`--out .` asks for the report like any other directory; no `--out` writes none."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, *argv]) == 0
+        assert not (tmp_path / name).exists()
+        assert cli.main([command, *argv, "--out", "."]) == 0
+        assert (tmp_path / name).exists()
 
     def test_validation_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sine", "--cfl", "2.0"]) == 2

@@ -134,7 +134,6 @@ class TestRiemannQuadrants:
         assert np.array_equal(got, [problems.RP2_RHO, 0.0, problems.RP2_VEL, 0.05])
         assert problems.RP2_RHO == 0.00414329639576
         assert problems.RP2_VEL == 0.9946418833556542
-        assert problems.RP2_SHOCK_SPEED == -0.66525606186639
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigurationError):
@@ -290,4 +289,15 @@ class TestSymmetryDeviation:
             eos53,
         )
         with pytest.raises(ConfigurationError):
+            symmetry_deviation(field, eos53)
+
+    def test_requires_diagonal_cells_on_y_equals_x(self, eos53):
+        grid = Grid(16, 16, -0.5, 0.5, 0.0, 1.0)  # dx = dy, but the cells (i, i) lie on y = x + 0.5
+        field = Field.from_primitives(
+            grid,
+            lambda x, y: np.broadcast_to([1.0, 0.0, 0.0, 1.0],
+                                         np.broadcast_shapes(x.shape, y.shape) + (4,)),
+            eos53,
+        )
+        with pytest.raises(ConfigurationError, match="x_min = y_min"):
             symmetry_deviation(field, eos53)

@@ -24,7 +24,13 @@ def pair_speeds(eos, prims, axis, alpha=2.0):
 
 def corner_fan(eos, prims, alpha=2.0):
     """(corners, speeds) of four primitive states in (ld, rd, lu, ru) order."""
-    return verification._corner_fan(prims, eos, alpha)
+    speeds = pair_speeds(eos, prims, 0, alpha) + pair_speeds(eos, prims, 1, alpha)
+    return [ufg(eos, prim) for prim in prims], speeds
+
+
+def two_sided(speeds):
+    s_l, s_r, s_d, s_u = speeds
+    return (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
 
 
 def fan_fluxes(corners, speeds):
@@ -197,8 +203,33 @@ class TestHll1D:
 
 
 def random_subsonic_prims(rng, eos, n, tame=False):
+    """n corner quadruples with two-sided fans, drawn in batches as `rhd2d verify` draws them."""
     kwargs = {"gamma_cap": 10.0, "guard": verification.BOUNDARY_GUARD} if tame else {}
-    return verification._subsonic_corners(rng, n, eos, 2.0, **kwargs)
+    kept = []
+    while sum(len(batch[0]) for batch in kept) < n:
+        size = max(n, 4096)
+        centers = rng.uniform(-6.0, 1.0, size)
+        prims = [
+            random_prims(rng, eos, size, rho_decades=(-1.0, 1.0), rho_center=centers, **kwargs)
+            for _ in range(4)
+        ]
+        keep = two_sided(pair_speeds(eos, prims, 0) + pair_speeds(eos, prims, 1))
+        kept.append([p[keep] for p in prims])
+    return [np.concatenate([batch[k] for batch in kept])[:n] for k in range(4)]
+
+
+class TestSubsonicSampler:
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"gamma_cap": verification.BOUNDARY_GAMMA_CAP, "guard": verification.BOUNDARY_GUARD}
+    ])
+    def test_speeds_are_the_fan_speeds_of_the_primitives(self, eos53, kwargs):
+        """The sampler's speeds are those of its primitives' eigenvalues, bit for bit."""
+        rng = np.random.default_rng(5)
+        prims, speeds = verification._subsonic_corners(rng, 5000, eos53, 2.0, **kwargs)
+        assert [p.shape for p in prims] == [(5000, 4)] * 4
+        assert np.all(two_sided(speeds))
+        for got, want in zip(speeds, corner_fan(eos53, prims)[1], strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 def mixed_reduction_batch(rng, eos, n=100):
@@ -212,8 +243,7 @@ def mixed_reduction_batch(rng, eos, n=100):
     quads = zip([ld, rd, ld, rd], [ld, ld, lu, lu], generic)
     prims = [np.concatenate(lanes) for lanes in quads]
     kind = np.repeat([0, 1, 2], n)
-    s_l, s_r, s_d, s_u = corner_fan(eos, prims)[1]
-    keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
+    keep = two_sided(corner_fan(eos, prims)[1])
     corners, speeds = corner_fan(eos, [p[keep] for p in prims])
     y_inv, x_inv = kind[keep] == 0, kind[keep] == 1
     assert y_inv.any() and x_inv.any() and (kind[keep] == 2).any()
