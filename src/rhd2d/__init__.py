@@ -50,7 +50,6 @@ from .physics import (
     thermo,
 )
 from .problems import (
-    JetConfig,
     Norms,
     ProblemSpec,
     convergence_orders,

@@ -1,13 +1,14 @@
 """Command line front end: run, converge, verify, compare-symmetry.
 
-Every setting is declared once, as a row of `_SETTINGS`: its config-file
-key (also its `RunConfig` field), its flag, the commands that read it, the
-parser of its text and its help.  A flag's text is parsed exactly as the
-config-file line `key = text` is, so `--no-pcp-audit` reads like
-`pcp_audit = false`.  A setting that the command does not read is rejected,
-from a flag or from a file.  Flags override an optional flat `key = value`
-file (`--config`), which overrides the defaults.  Exit codes: 0 success,
-2 validation error, 3 PCP audit failure, 4 recovery failure.
+Every setting is declared once, as a `RunConfig` field: its name is the
+config-file key, its default the default, and its metadata hold its flag,
+the commands that read it, the parser of its text and its help.  A flag's
+text is parsed exactly as the config-file line `key = text` is, so
+`--no-pcp-audit` reads like `pcp_audit = false`.  A setting that the
+command does not read is rejected, from a flag or from a file.  Flags
+override an optional flat `key = value` file (`--config`), which overrides
+the defaults.  Exit codes: 0 success, 2 validation error, 3 PCP audit
+failure, 4 recovery failure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time as _time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import output, problems, verification
 from .errors import (
@@ -41,38 +42,6 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-@dataclass
-class RunConfig:
-    """Validated description of a single run."""
-
-    problem: str = ""
-    n: int = 100
-    n_x: Optional[int] = None
-    n_y: Optional[int] = None
-    cfl_sigma: float = SolverConfig.cfl_sigma
-    alpha: float = SolverConfig.alpha
-    mode: str = SolverConfig.mode
-    pcp_audit: bool = SolverConfig.pcp_audit
-    t_end: Optional[float] = None
-    snapshots: tuple = ()
-    out_dir: Optional[str] = "."
-    emit: tuple = ("field", "report")
-    levels: int = 4
-    samples: int = 100_000
-    seed: int = 20260808
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(cfl_sigma=self.cfl_sigma, alpha=self.alpha, mode=self.mode,
-                            pcp_audit=self.pcp_audit)
-
-    def grid_for(self, spec) -> Grid:
-        if self.n_x is not None or self.n_y is not None:
-            if self.n_x is None or self.n_y is None:
-                raise ConfigurationError("--nx and --ny must be given together")
-            return Grid(self.n_x, self.n_y, spec.x_min, spec.x_max, spec.y_min, spec.y_max)
-        return spec.default_grid(self.n)
-
-
 def _items(text: str) -> tuple:
     """The stripped, non-blank items of a comma-separated list."""
     return tuple(item.strip() for item in text.split(",") if item.strip())
@@ -93,49 +62,70 @@ def _count(text: str) -> int:
     return value
 
 
-class _Setting(NamedTuple):
-    key: str  # config-file key and RunConfig field
-    flag: str  # a "--no-" flag takes no value and stands for the text "false"
-    commands: tuple
-    parse: Callable
-    help: str
+def _setting(default, flag: str, commands: tuple, parse: Callable, help: str):
+    """A RunConfig field read by `commands`; a "--no-" flag takes no value and means "false"."""
+    return field(default=default,
+                 metadata={"flag": flag, "commands": commands, "parse": parse, "help": help})
 
 
 _SOLVE = ("run", "converge", "compare-symmetry")
-_SETTINGS = (
-    _Setting("problem", "--problem", ("run", "converge"), str,
-             f"one of {', '.join(problems.problem_names())}"),
-    _Setting("n", "--n", _SOLVE, int, "cells across x (y scaled to square cells)"),
-    _Setting("n_x", "--nx", ("run", "compare-symmetry"), int, "cells in x (with --ny)"),
-    _Setting("n_y", "--ny", ("run", "compare-symmetry"), int, "cells in y (with --nx)"),
-    _Setting("cfl_sigma", "--cfl", _SOLVE, float, "CFL number"),
-    _Setting("alpha", "--alpha", _SOLVE, float, "wave-speed amplifier"),
-    _Setting("mode", "--mode", ("run", "converge"), lambda text: _MODE_ALIASES[text],
-             f"solver mode, one of {', '.join(_MODE_ALIASES)}"),
-    _Setting("pcp_audit", "--no-pcp-audit", _SOLVE, lambda text: _BOOLEANS[text.lower()],
-             "switch the per-step PCP audit off"),
-    _Setting("t_end", "--t-end", _SOLVE, float, "final time (default: the problem's)"),
-    _Setting("snapshots", "--snapshots", ("run",),
-             lambda text: tuple(float(t) for t in _items(text)),
-             "comma-separated intermediate output times"),
-    _Setting("out_dir", "--out", (*_SOLVE, "verify"), str, "output directory"),
-    _Setting("emit", "--emit", ("run",), _emit,
-             f"comma-separated subset of {', '.join(_EMIT_CHOICES)}"),
-    _Setting("levels", "--levels", ("converge",), _count, "number of meshes N, 2N, 4N, ..."),
-    _Setting("samples", "--samples", ("verify",), _count, "draws per suite"),
-    _Setting("seed", "--seed", ("verify",), int, "RNG seed"),
-)
-_FILE_KEYS = {setting.key: setting.parse for setting in _SETTINGS}
+
+
+@dataclass
+class RunConfig:
+    """Validated description of a single run."""
+
+    problem: str = _setting("", "--problem", ("run", "converge"), str,
+                            f"one of {', '.join(problems.problem_names())}")
+    n: int = _setting(100, "--n", _SOLVE, int, "cells across x (y scaled to square cells)")
+    n_x: Optional[int] = _setting(None, "--nx", ("run", "compare-symmetry"), int,
+                                  "cells in x (with --ny)")
+    n_y: Optional[int] = _setting(None, "--ny", ("run", "compare-symmetry"), int,
+                                  "cells in y (with --nx)")
+    cfl_sigma: float = _setting(SolverConfig.cfl_sigma, "--cfl", _SOLVE, float, "CFL number")
+    alpha: float = _setting(SolverConfig.alpha, "--alpha", _SOLVE, float, "wave-speed amplifier")
+    mode: str = _setting(SolverConfig.mode, "--mode", ("run", "converge"),
+                         lambda text: _MODE_ALIASES[text],
+                         f"solver mode, one of {', '.join(_MODE_ALIASES)}")
+    pcp_audit: bool = _setting(SolverConfig.pcp_audit, "--no-pcp-audit", _SOLVE,
+                               lambda text: _BOOLEANS[text.lower()],
+                               "switch the per-step PCP audit off")
+    t_end: Optional[float] = _setting(None, "--t-end", _SOLVE, float,
+                                      "final time (default: the problem's)")
+    snapshots: tuple = _setting((), "--snapshots", ("run",),
+                                lambda text: tuple(float(t) for t in _items(text)),
+                                "comma-separated intermediate output times")
+    out_dir: Optional[str] = _setting(".", "--out", (*_SOLVE, "verify"), str, "output directory")
+    emit: tuple = _setting(("field", "report"), "--emit", ("run",), _emit,
+                           f"comma-separated subset of {', '.join(_EMIT_CHOICES)}")
+    levels: int = _setting(4, "--levels", ("converge",), _count, "number of meshes N, 2N, 4N, ...")
+    samples: int = _setting(100_000, "--samples", ("verify",), _count, "draws per suite")
+    seed: int = _setting(20260808, "--seed", ("verify",), int, "RNG seed")
+
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(cfl_sigma=self.cfl_sigma, alpha=self.alpha, mode=self.mode,
+                            pcp_audit=self.pcp_audit)
+
+    def grid_for(self, spec) -> Grid:
+        if self.n_x is not None or self.n_y is not None:
+            if self.n_x is None or self.n_y is None:
+                raise ConfigurationError("--nx and --ny must be given together")
+            return Grid(self.n_x, self.n_y, spec.x_min, spec.x_max, spec.y_min, spec.y_max)
+        return spec.default_grid(self.n)
+
+
+# config-file key: its flag, commands, parser and help
+_SETTINGS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def _settings_of(command: str) -> dict:
-    return {s.key: s for s in _SETTINGS if command in s.commands}
+    return {key: s for key, s in _SETTINGS.items() if command in s["commands"]}
 
 
 def _parse_value(key: str, text: str, origin: str):
     """Parse one setting's text, from a config-file line or a flag alike."""
     try:
-        return _FILE_KEYS[key](text)
+        return _SETTINGS[key]["parse"](text)
     except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"{origin}: bad value for {key!r}: {text!r}") from exc
 
@@ -155,7 +145,7 @@ def _read_config_file(path, command: str) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
+        if key not in _SETTINGS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in reads:
             raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
@@ -191,11 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key = value configuration file")
         base = RunConfig(**defaults)
-        for s in _settings_of(command).values():
-            if s.flag.startswith("--no-"):
-                p.add_argument(s.flag, dest=s.key, action="store_const", const="false", help=s.help)
+        for key, s in _settings_of(command).items():
+            if s["flag"].startswith("--no-"):
+                p.add_argument(s["flag"], dest=key, action="store_const", const="false",
+                               help=s["help"])
             else:
-                p.add_argument(s.flag, dest=s.key, help=_with_default(s.help, getattr(base, s.key)))
+                p.add_argument(s["flag"], dest=key,
+                               help=_with_default(s["help"], getattr(base, key)))
     return parser
 
 
@@ -206,10 +198,10 @@ def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
     values = dict(_COMMANDS[command][2])
     if args.config:
         values.update(_read_config_file(args.config, command))
-    for s in reads.values():
-        text = getattr(args, s.key)
+    for key, s in reads.items():
+        text = getattr(args, key)
         if text is not None:
-            values[s.key] = _parse_value(s.key, text, f"argument {s.flag}")
+            values[key] = _parse_value(key, text, f"argument {s['flag']}")
     if "problem" in reads and not values.get("problem"):
         raise ConfigurationError("a problem name is required (--problem)")
     config = RunConfig(**values)
@@ -233,6 +225,8 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 def _cmd_run(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
     grid = config.grid_for(spec)
+    if "cuts" in config.emit:
+        problems.check_cut_grid(grid)
     out = _ensure_out_dir(config)
 
     def on_snapshot(field):
@@ -258,6 +252,7 @@ def _cmd_run(config: RunConfig) -> int:
             "cfl_sigma": solver_config.cfl_sigma,
             "alpha": solver_config.alpha,
             "mode": solver_config.mode,
+            "pcp_audit": solver_config.pcp_audit,
             "t_end": float(t_end),
             "wall_seconds": elapsed,
         }
@@ -336,6 +331,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_compare_symmetry(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
     grid = config.grid_for(spec)
+    problems.check_cut_grid(grid)
     deviations = {}
     for mode in MODES:
         result = run_solver(spec, grid, replace(solver_config, mode=mode), t_end=t_end)

@@ -322,18 +322,13 @@ def assemble_fluxes(
     low = (slice(None), slice(0, -1))  # each vertex's low transverse side
     if speeds is None:
         speeds = extreme_speeds(prim, eos)
-    cell_speeds = list(speeds)
-    del speeds
     face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
-        # Each intermediate is dropped once spent (the cell speeds too, unless
-        # the caller holds them): a fresh page costs more than the arithmetic
-        # on it.
-        lam1, lam4 = (np.swapaxes(a, 0, axis) for a in cell_speeds[axis])
-        cell_speeds[axis] = None
+        # Each intermediate is dropped once spent: a fresh page costs more
+        # than the arithmetic on it.
+        lam1, lam4 = (np.swapaxes(a, 0, axis) for a in speeds[axis])
         s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
-        del lam1, lam4
         if multidimensional:
             # Corner fans: vertex (i+1/2, j+1/2) for i in 0..nx, j in 0..ny
             # sits between transverse rows j and j+1 of this axis's faces, so
@@ -442,7 +437,6 @@ class RunDiagnostics:
     recovery_sweeps_max: int = 0
     recovery_sweeps_total: int = 0
     dt_clamped_steps: int = 0
-    pcp_audit: bool = True
 
     def observe(self, prim: np.ndarray):
         self.min_density = min(self.min_density, float(np.min(prim[..., physics.RHO])))
@@ -487,10 +481,8 @@ def run(
     if not all(math.isfinite(t) for t in snapshot_times):
         raise ConfigurationError(f"snapshot times must be finite, got {tuple(snapshot_times)}")
 
-    field = Field.from_primitives(
-        grid, problem.initial, eos, average=getattr(problem, "average_init", False)
-    )
-    diag = RunDiagnostics(pcp_audit=config.pcp_audit)
+    field = Field.from_primitives(grid, problem.initial, eos, average=problem.average_init)
+    diag = RunDiagnostics()
     targets = sorted({float(t) for t in snapshot_times if 0.0 < t <= t_end} | {t_end})
     pressure_hint = None
 

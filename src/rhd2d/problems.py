@@ -34,9 +34,15 @@ class ProblemSpec:
     t_end: float
     initial: Callable  # (x, y) -> primitive array
     exact: Optional[Callable] = None  # (t, x, y) -> primitive array
-    # Smooth accuracy problems initialise with cell averages of the conserved
-    # image; discontinuous data are sampled at cell centers.
-    average_init: bool = False
+
+    @property
+    def average_init(self) -> bool:
+        """Whether the initial field holds cell averages of the conserved image.
+
+        True for the smooth problems, those with an exact solution;
+        discontinuous data are sampled at cell centers.
+        """
+        return self.exact is not None
 
     def default_grid(self, n: int) -> Grid:
         """N cells across x, scaled in y to keep cells square."""
@@ -74,7 +80,6 @@ def sine_wave_problem() -> ProblemSpec:
         t_end=0.1,
         initial=lambda x, y: sine_wave(0.0, x, y),
         exact=sine_wave,
-        average_init=True,
     )
 
 
@@ -137,7 +142,6 @@ def vortex_problem() -> ProblemSpec:
         t_end=1.0,
         initial=lambda x, y: vortex(0.0, x, y),
         exact=vortex,
-        average_init=True,
     )
 
 
@@ -218,23 +222,8 @@ def riemann_problem(variant: str) -> ProblemSpec:
 # --- relativistic jets -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JetConfig:
-    """Pressure-matched jet inflow derived from (v_beam, classical Mach)."""
-
-    model: str
-    v_beam: float
-    mach_beam: float
-    beam_density: float
-    beam_pressure: float
-    sound_speed: float
-    lorentz_beam: float
-    lorentz_sound: float
-    mach_relativistic: float
-
-
-def jet_setup(model: str, v_beam: float, mach_beam: float):
-    """Build (JetConfig, ProblemSpec) for a hot or cold jet.
+def jet_setup(model: str, v_beam: float, mach_beam: float) -> ProblemSpec:
+    """The ProblemSpec of a hot or cold jet.
 
     The beam sound speed is v_beam / mach_beam; the matched pressure solves
     c_s^2 = Gamma p / (rho h) for the beam density, and the ambient gas is
@@ -257,19 +246,6 @@ def jet_setup(model: str, v_beam: float, mach_beam: float):
         )
     rho_b = 0.01 if model == "hot" else 0.1
     p_b = cs * cs * rho_b * (g - 1.0) / (g * (g - 1.0 - cs * cs))
-    gamma_beam = 1.0 / math.sqrt(1.0 - v_beam * v_beam)
-    gamma_sound = 1.0 / math.sqrt(1.0 - cs * cs)
-    config = JetConfig(
-        model=model,
-        v_beam=v_beam,
-        mach_beam=mach_beam,
-        beam_density=rho_b,
-        beam_pressure=p_b,
-        sound_speed=cs,
-        lorentz_beam=gamma_beam,
-        lorentz_sound=gamma_sound,
-        mach_relativistic=mach_beam * gamma_beam / gamma_sound,
-    )
 
     y_max = 30.0 if model == "hot" else 25.0
     ambient = np.array([1.0, 0.0, 0.0, p_b])
@@ -278,7 +254,7 @@ def jet_setup(model: str, v_beam: float, mach_beam: float):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return np.broadcast_to(_ambient, x.shape + (4,)).copy()
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         name=f"jet-{model}",
         x_min=0.0,
         x_max=12.0,
@@ -294,7 +270,6 @@ def jet_setup(model: str, v_beam: float, mach_beam: float):
         t_end=30.0,
         initial=initial,
     )
-    return config, spec
 
 
 JET_CONFIGS = {
@@ -315,7 +290,7 @@ _PROBLEMS = {
     "vortex": vortex_problem,
     "explosion": explosion_problem,
     **{variant: partial(riemann_problem, variant) for variant in _RP_STATES},
-    **{name: partial(lambda args: jet_setup(*args)[1], args) for name, args in JET_CONFIGS.items()},
+    **{name: partial(jet_setup, *args) for name, args in JET_CONFIGS.items()},
 }
 
 
@@ -366,19 +341,27 @@ def convergence_orders(errors) -> list:
     return [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
 
 
+def check_cut_grid(grid: Grid) -> None:
+    """Reject a grid whose diagonal cells (i, i) are off y = x.
+
+    They lie on it only when n_x = n_y, dx = dy and x_min = y_min; any
+    other grid is a ConfigurationError.
+    """
+    if (grid.n_x != grid.n_y or grid.x_min != grid.y_min
+            or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12)):
+        raise ConfigurationError("density cuts need n_x = n_y, dx = dy and x_min = y_min")
+
+
 def density_cuts(field: Field, eos: EosParams):
     """Density profiles along the y-axis and the diagonal y = x.
 
     Returns ((y, rho), (sqrt(2) x, rho)): the column of cells nearest x = 0
     (ties go to the positive side) and the diagonal cells (i, i), each with
-    its signed distance from the origin along the ray.  The diagonal cells
-    lie on y = x only when n_x = n_y, dx = dy and x_min = y_min, so any
-    other grid is a ConfigurationError.
+    its signed distance from the origin along the ray.  The grid must pass
+    `check_cut_grid`.
     """
     grid = field.grid
-    if (grid.n_x != grid.n_y or grid.x_min != grid.y_min
-            or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12)):
-        raise ConfigurationError("density cuts need n_x = n_y, dx = dy and x_min = y_min")
+    check_cut_grid(grid)
     prim, _ = recovery.recover_with_iterations(field.interior, eos)
     rho = prim[..., RHO]
     xs = grid.centers_x()

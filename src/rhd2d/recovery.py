@@ -26,18 +26,16 @@ from .errors import AdmissibilityError, RecoveryConvergenceError
 from .physics import DEN, ENE, MOMX, MOMY, EosParams, _lane_exponent, _square_dd, _two_sum
 
 _EPS = float(np.finfo(float).eps)
+REL_TOLERANCE = 1e-12  # a lane converges once |psi| <= REL_TOLERANCE * E / 2
 
 
 @dataclass(frozen=True)
 class RecoveryOptions:
-    """Iteration controls: the relative residual tolerance and the sweep cap."""
+    """Iteration control: the cap on each lane's Newton or bisection steps."""
 
-    rel_tolerance: float = 1e-12
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.rel_tolerance > 0.0:
-            raise ValueError("rel_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -180,7 +178,7 @@ def _pressure_root(dens, energy, m2_head, m2_tail, eos, opts, hint):
     # Converge on the residual with a factor-two safety, against E itself
     # rather than max(E, 1): for small-energy states the looser normalisation
     # would stop orders of magnitude short of the representable root.
-    tol = 0.5 * opts.rel_tolerance * energy
+    tol = 0.5 * REL_TOLERANCE * energy
     lanes = np.arange(pressure.size)
     p = pressure
     iterations = 0

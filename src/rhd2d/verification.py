@@ -23,6 +23,8 @@ from . import physics, recovery, riemann
 from .physics import EosParams
 
 _EPS = float(np.finfo(float).eps)
+EOS = EosParams()  # the suites' equation of state
+ALPHA = 2.0  # the corner suite's wave-speed amplifier, which the PCP claim needs
 
 # p >= rho * gamma^2 * eps * GUARD keeps admissibility margins at least
 # ~1/GUARD above construction round-off; the recovery guard is stricter
@@ -102,16 +104,16 @@ def _count(name, ok, detail="") -> SuiteResult:
     return SuiteResult(name, ok.size, int(np.sum(~ok)), detail)
 
 
-def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams()):
+def admissible_set_suite(rng: np.random.Generator, n: int):
     """Convexity and closure properties of the admissible set."""
     results = []
 
-    prim = sample_primitives(rng, n, eos=eos)
-    cons = physics.prim_to_cons(prim, eos)
+    prim = sample_primitives(rng, n, eos=EOS)
+    cons = physics.prim_to_cons(prim, EOS)
     results.append(_count("forward map lands in the admissible set", physics.is_admissible(cons)))
 
-    _, _, cs = physics.thermo(prim, eos)
-    results.append(_count("sound speed bound c_s^2 < Gamma - 1", cs * cs < eos.gamma_adiabatic - 1.0))
+    _, _, cs = physics.thermo(prim, EOS)
+    results.append(_count("sound speed bound c_s^2 < Gamma - 1", cs * cs < EOS.gamma_adiabatic - 1.0))
 
     kappa = 10.0 ** rng.uniform(-6.0, 6.0, n)
     results.append(
@@ -122,8 +124,8 @@ def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosP
     centers = rng.uniform(-6.0, 1.0, n)
     pair = [
         physics.prim_to_cons(
-            sample_primitives(rng, n, eos=eos, rho_decades=(-1.5, 1.5), rho_center=centers),
-            eos,
+            sample_primitives(rng, n, eos=EOS, rho_decades=(-1.5, 1.5), rho_center=centers),
+            EOS,
         )
         for _ in range(2)
     ]
@@ -145,10 +147,10 @@ def admissible_set_suite(rng: np.random.Generator, n: int, eos: EosParams = EosP
     # Probes exactly on the fan boundary draw from the boundary-guarded
     # sampler; their margins vanish quadratically there.
     prim_b = sample_primitives(
-        rng, n, eos=eos, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
+        rng, n, eos=EOS, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
     )
-    cons_b = physics.prim_to_cons(prim_b, eos)
-    speeds, speeds_b = physics.extreme_speeds(prim, eos), physics.extreme_speeds(prim_b, eos)
+    cons_b = physics.prim_to_cons(prim_b, EOS)
+    speeds, speeds_b = physics.extreme_speeds(prim, EOS), physics.extreme_speeds(prim_b, EOS)
     for axis, axis_name in ((0, "x"), (1, "y")):
         lam1, lam4 = speeds[axis]
         lam1_b, lam4_b = speeds_b[axis]
@@ -235,12 +237,12 @@ def _subsonic_fans(rng, n, eos, alpha, **sample_kwargs):
     return corners, speeds
 
 
-def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams(), alpha=2.0):
+def corner_solver_suite(rng: np.random.Generator, n: int):
     """Admissibility of the corner intermediate state and its quadrant parts."""
     results = [
         _count(
-            "corner intermediate state admissible (alpha = 2)",
-            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n, eos, alpha))),
+            f"corner intermediate state admissible (alpha = {ALPHA:g})",
+            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n, EOS, ALPHA))),
         )
     ]
 
@@ -248,7 +250,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosPa
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
     quadrants = riemann.quadrant_fan_states(
-        *_subsonic_fans(rng, n, eos, alpha, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+        *_subsonic_fans(rng, n, EOS, ALPHA, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
     )
     names = ("left-down", "right-down", "left-up", "right-up")
     for name, h in zip(names, quadrants):
@@ -256,14 +258,13 @@ def corner_solver_suite(rng: np.random.Generator, n: int, eos: EosParams = EosPa
     return results
 
 
-def recovery_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams()):
+def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
     prim = sample_primitives(
-        rng, n, eos=eos, gamma_cap=100.0, p_max_decade=3.0, guard=RECOVERY_GUARD
+        rng, n, eos=EOS, gamma_cap=100.0, p_max_decade=3.0, guard=RECOVERY_GUARD
     )
-    cons = physics.prim_to_cons(prim, eos)
-    opts = recovery.DEFAULT_OPTIONS
-    back, _ = recovery.recover_with_iterations(cons, eos, opts)
+    cons = physics.prim_to_cons(prim, EOS)
+    back, _ = recovery.recover_with_iterations(cons, EOS)
 
     scale = np.maximum(np.abs(prim), np.finfo(float).tiny)
     rel = np.max(np.abs(back - prim) / scale, axis=-1)
@@ -283,8 +284,8 @@ def recovery_suite(rng: np.random.Generator, n: int, eos: EosParams = EosParams(
     p = ld(back[..., physics.PRE])
     w = energy + p
     gam_sq = 1.0 / (1.0 - m_sq / (w * w))
-    psi = dens * np.sqrt(gam_sq) + ld(eos.gamma_ratio) * p * gam_sq - w
-    tol = ld(opts.rel_tolerance) * np.maximum(energy, 1.0)
+    psi = dens * np.sqrt(gam_sq) + ld(EOS.gamma_ratio) * p * gam_sq - w
+    tol = ld(recovery.REL_TOLERANCE) * np.maximum(energy, 1.0)
     results.append(
         _count(
             "pressure-equation residual within tolerance",

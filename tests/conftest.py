@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from rhd2d import physics
 from rhd2d.physics import EosParams
 
 
@@ -23,3 +24,15 @@ def assert_close(actual, expected, rel=1e-13, abs_tol=0.0):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     np.testing.assert_allclose(actual, expected, rtol=rel, atol=abs_tol)
+
+
+def beam_numbers(spec):
+    """(Lorentz factor, relativistic Mach number) of a jet's inflow beam.
+
+    The Mach number is v gamma / (c_s gamma_s), with gamma_s the Lorentz
+    factor of the beam's sound speed c_s.
+    """
+    beam = physics.primitive(*spec.boundaries.bottom.state)
+    _, _, cs = physics.thermo(beam, spec.eos)
+    gam = physics.lorentz_factor(beam[physics.VX], beam[physics.VY])
+    return float(gam), float(beam[physics.VY] * gam / (cs * physics.lorentz_factor(cs, 0.0)))

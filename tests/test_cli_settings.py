@@ -1,29 +1,49 @@
 """Each setting is read only by the commands that use it, from a flag or a file alike."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from rhd2d import cli
 from rhd2d.errors import ConfigurationError
 
-# A valid text and the flag of every setting; "--no-pcp-audit" takes no value.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table():
+    """{file key: (flag, commands)} from the README's settings table, the spec."""
+    table = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`--"):
+            continue
+        flags = re.findall(r"`([^`]+)`", cells[0])
+        keys = re.findall(r"`([^`]+)`", cells[1])[: len(flags)]  # the rest name values
+        commands = (set(cli._COMMANDS) if cells[2] == "every command"
+                    else {command.strip() for command in cells[2].split(",")})
+        table.update({key: (flag, commands) for flag, key in zip(flags, keys)})
+    return table
+
+
+_TABLE = _readme_table()
+# The settings each command reads, as the README's table lists them.
+_READS = {command: {key for key, (_, reads) in _TABLE.items() if command in reads}
+          for command in cli._COMMANDS}
+# A valid text of every setting; "--no-pcp-audit" takes none.
 _VALID = {
-    "problem": ("--problem", "rp1"), "n": ("--n", "8"), "n_x": ("--nx", "8"),
-    "n_y": ("--ny", "6"), "cfl_sigma": ("--cfl", "0.3"), "alpha": ("--alpha", "3"),
-    "mode": ("--mode", "split"), "pcp_audit": ("--no-pcp-audit", "false"),
-    "t_end": ("--t-end", "0.1"), "snapshots": ("--snapshots", "0.05"), "out_dir": ("--out", "x"),
-    "emit": ("--emit", "report"), "levels": ("--levels", "2"), "samples": ("--samples", "10"),
-    "seed": ("--seed", "3"),
+    "problem": "rp1", "n": "8", "n_x": "8", "n_y": "6", "cfl_sigma": "0.3", "alpha": "3",
+    "mode": "split", "pcp_audit": "false", "t_end": "0.1", "snapshots": "0.05", "out_dir": "x",
+    "emit": "report", "levels": "2", "samples": "10", "seed": "3",
 }
 _BASE = {"run": ["--problem", "sine"], "converge": ["--problem", "sine"], "verify": [],
          "compare-symmetry": []}
-# The settings each command reads, as the README's table lists them.
-_SOLVE = {"n", "cfl_sigma", "alpha", "pcp_audit", "t_end", "out_dir"}
-_READS = {
-    "run": _SOLVE | {"problem", "n_x", "n_y", "mode", "snapshots", "emit"},
-    "converge": _SOLVE | {"problem", "mode", "levels"},
-    "compare-symmetry": _SOLVE | {"n_x", "n_y"},
-    "verify": {"samples", "seed", "out_dir"},
-}
+
+
+def test_readme_table_is_the_declaration():
+    """Each README row's flag and commands are those of the setting's one declaration."""
+    declared = {key: (s["flag"], set(s["commands"])) for key, s in cli._SETTINGS.items()}
+    assert _TABLE == declared
 
 
 def _parse(argv, tmp_path=None, lines=""):
@@ -43,14 +63,14 @@ def _outcome(argv, tmp_path=None, lines=""):
 
 
 def test_every_setting_has_a_case():
-    assert sorted(_VALID) == sorted(cli._FILE_KEYS)
+    assert sorted(_VALID) == sorted(cli._SETTINGS)
 
 
 @pytest.mark.parametrize("command", sorted(_BASE))
 @pytest.mark.parametrize("key", sorted(_VALID))
 def test_flag_and_file_line_agree(tmp_path, command, key):
     """A command accepts the settings it reads, from a flag and a file line alike."""
-    flag, text = _VALID[key]
+    flag, text = _TABLE[key][0], _VALID[key]
     base = [command, *(_BASE[command] if key != "problem" else [])]
     flag_argv = [*base, flag] if flag.startswith("--no-") else [*base, flag, text]
     from_flag = _outcome(flag_argv)

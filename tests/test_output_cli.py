@@ -121,6 +121,24 @@ class TestCutsAndSchlieren:
         assert "x_min = y_min" in capsys.readouterr().err
         assert not (tmp_path / "cuts.dat").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "2",
+         "--emit", "cuts,field"],
+        ["compare-symmetry", "--nx", "8", "--ny", "6"],
+    ])
+    def test_bad_cut_grid_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        solve = cli.run_solver
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_solver", counted)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert "x_min = y_min" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "field.dat").exists()
+
     def test_schlieren_columns(self, tmp_path, small_run):
         spec, field = small_run
         path = tmp_path / "schlieren.dat"
@@ -211,15 +229,10 @@ class TestParseConfig:
             config.grid_for(problems.problem_by_name("sine"))
 
 
-# Flag spelling and subcommand of every config-file key; pcp_audit's flag
-# takes no value, so only its file line is fuzzed.
-_FLAGS = {
-    "problem": ("run", "--problem"), "n": ("run", "--n"), "n_x": ("run", "--nx"),
-    "n_y": ("run", "--ny"), "cfl_sigma": ("run", "--cfl"), "alpha": ("run", "--alpha"),
-    "mode": ("run", "--mode"), "t_end": ("run", "--t-end"), "snapshots": ("run", "--snapshots"),
-    "out_dir": ("run", "--out"), "emit": ("run", "--emit"), "levels": ("converge", "--levels"),
-    "samples": ("verify", "--samples"), "seed": ("verify", "--seed"),
-}
+# A command that reads each setting, and its flag; pcp_audit's flag takes no
+# value, so only its file line is fuzzed.
+_FLAGS = {key: (s["commands"][0], s["flag"]) for key, s in cli._SETTINGS.items()
+          if not s["flag"].startswith("--no-")}
 _NUMBERS = st.one_of(
     st.integers(-(10**30), 10**30).map(str),
     st.floats().map(repr),
@@ -243,7 +256,7 @@ def parses_or_rejects(argv):
 
 class TestParseConfigFuzz:
     @_FUZZ
-    @given(key=st.sampled_from(sorted(cli._FILE_KEYS)), value=_VALUES)
+    @given(key=st.sampled_from(sorted(cli._SETTINGS)), value=_VALUES)
     def test_config_file_line(self, tmp_path_factory, key, value):
         cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
         cfg.write_text(f"problem = sine\n{key} = {value}\n", encoding="utf-8")

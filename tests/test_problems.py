@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close
+from conftest import assert_close, beam_numbers
 from rhd2d import physics, problems
 from rhd2d.errors import ConfigurationError
 from rhd2d.mesh_solver import Field, Grid, Inflow
 from rhd2d.problems import (
-    JET_CONFIGS,
     convergence_orders,
     error_norms,
     explosion_init,
@@ -142,18 +141,20 @@ class TestRiemannQuadrants:
 
 class TestJets:
     def test_hot_i(self):
-        config, spec = jet_setup("hot", 0.99, 1.72)
-        assert abs(config.lorentz_beam - 7.0888) < 1e-3
-        assert abs(config.mach_relativistic - 9.971) < 1e-3 + 5e-4
-        assert_close(config.beam_pressure, 0.0039513523, rel=1e-6)
+        spec = jet_setup("hot", 0.99, 1.72)
+        gam, mach = beam_numbers(spec)
+        assert abs(gam - 7.0888) < 1e-3
+        assert abs(mach - 9.971) < 1e-3 + 5e-4
+        rho_b, _, _, p_b = spec.boundaries.bottom.state
+        assert_close(p_b, 0.0039513523, rel=1e-6)
         assert spec.boundaries.left == "reflect"
         assert isinstance(spec.boundaries.bottom, Inflow)
         assert spec.boundaries.bottom.span == (-0.5, 0.5)
-        assert (spec.y_max, config.beam_density) == (30.0, 0.01)
+        assert (spec.y_max, rho_b) == (30.0, 0.01)
 
     def test_cold_domain_and_density(self):
-        config, spec = jet_setup("cold", 0.99, 50.0)
-        assert (spec.y_max, config.beam_density) == (25.0, 0.1)
+        spec = jet_setup("cold", 0.99, 50.0)
+        assert (spec.y_max, spec.boundaries.bottom.state[0]) == (25.0, 0.1)
 
     def test_all_six_configs_to_three_significant_figures(self):
         quoted = {
@@ -165,19 +166,18 @@ class TestJets:
             "jet-cold-iii": (70.712, 35356.152),
         }
         for name, (gam_ref, mach_ref) in quoted.items():
-            config, _ = jet_setup(*JET_CONFIGS[name])
-            assert abs(config.lorentz_beam - gam_ref) / gam_ref < 5e-4, name
-            assert abs(config.mach_relativistic - mach_ref) / mach_ref < 5e-4, name
+            gam, mach = beam_numbers(problem_by_name(name))
+            assert abs(gam - gam_ref) / gam_ref < 5e-4, name
+            assert abs(mach - mach_ref) / mach_ref < 5e-4, name
 
     def test_sonic_limit_rejected(self):
         with pytest.raises(ConfigurationError):
             jet_setup("hot", 0.99, 1.2)  # c_s^2 would exceed Gamma - 1
 
     def test_pressure_matches_sound_speed(self):
-        config, _ = jet_setup("hot", 0.99, 1.72)
-        prim = physics.primitive(config.beam_density, 0.0, config.v_beam, config.beam_pressure)
-        _, _, cs = physics.thermo(prim, physics.EosParams(5.0 / 3.0))
-        assert_close(cs, config.sound_speed, rel=1e-12)
+        spec = jet_setup("hot", 0.99, 1.72)
+        _, _, cs = physics.thermo(physics.primitive(*spec.boundaries.bottom.state), spec.eos)
+        assert_close(cs, 0.99 / 1.72, rel=1e-12)
 
 
 class TestRegistry:
