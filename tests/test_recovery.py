@@ -32,7 +32,7 @@ class TestOptions:
         assert RecoveryOptions().max_iterations == 100
         assert REL_TOLERANCE == 1e-12
 
-    @pytest.mark.parametrize("kwargs", [{"max_iterations": 0}])
+    @pytest.mark.parametrize("kwargs", [{"max_iterations": -1}, {"max_iterations": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RecoveryOptions(**kwargs)
