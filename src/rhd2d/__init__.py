@@ -12,7 +12,6 @@ audit enforces it during runs.
 
 from .errors import (
     AdmissibilityError,
-    CflViolationError,
     ConfigurationError,
     DegenerateFanError,
     DispatchError,

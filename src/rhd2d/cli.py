@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 from . import output, problems, verification
 from .errors import (
     AdmissibilityError,
-    CflViolationError,
     ConfigurationError,
     PcpAuditError,
     RecoveryConvergenceError,
@@ -94,7 +93,7 @@ class RunConfig:
                                       "final time (default: the problem's)")
     snapshots: tuple = _setting((), "--snapshots", ("run",),
                                 lambda text: tuple(float(t) for t in _items(text)),
-                                "comma-separated intermediate output times")
+                                "comma-separated output times in [0, t_end]")
     out_dir: Optional[str] = _setting(".", "--out", (*_SOLVE, "verify"), str, "output directory")
     emit: tuple = _setting(("field", "report"), "--emit", ("run",), _emit,
                            f"comma-separated subset of {', '.join(_EMIT_CHOICES)}")
@@ -131,7 +130,7 @@ def _parse_value(key: str, text: str, origin: str):
 
 
 def _read_config_file(path, command: str) -> dict:
-    """Flat `key = value` UTF-8 file; rejects unknown keys and those `command` does not read."""
+    """Flat `key = value` UTF-8 file; rejects unknown, repeated and unread keys."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -149,6 +148,8 @@ def _read_config_file(path, command: str) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in reads:
             raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
         values[key] = _parse_value(key, value, f"{path}:{lineno}")
     return values
 
@@ -363,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, config = parse_config(list(argv))
         return _COMMANDS[command][0](config)
-    except (PcpAuditError, CflViolationError) as exc:
+    except PcpAuditError as exc:
         print(f"PCP audit failure: {exc}", file=sys.stderr)
         return EXIT_PCP
     # AdmissibilityError is a ValueError too, so it must be caught first.

@@ -2,7 +2,8 @@
 
 The command line front end maps these onto process exit codes, so solver
 internals should always raise one of the classes below rather than bare
-built-ins when the failure is meaningful to a caller.
+built-ins when the failure is meaningful to a caller: the PCP audit's one
+type exits 3, recovery and admissibility failures 4, any other error 2.
 """
 
 
@@ -50,12 +51,10 @@ class DispatchError(RhdError, ValueError):
     """A point-wise corner solver got a one-signed fan; it divides by each speed."""
 
 
-class CflViolationError(RhdError, RuntimeError):
-    """Composite-flux weight went negative; the time step is too large."""
-
-
 class PcpAuditError(RhdError, RuntimeError):
-    """An updated cell failed the admissibility audit."""
+    """A step failed the PCP audit: a negative composite-flux weight (dt too
+    large) in `assemble_fluxes`, or an updated cell, named by `index` and
+    `state`, outside the admissible set in `step`."""
 
     def __init__(self, message, *, index=None, state=None, cfl_sigma=None, alpha=None):
         self.index = index

@@ -43,12 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import physics
-from .errors import (
-    AdmissibilityError,
-    CflViolationError,
-    ConfigurationError,
-    PcpAuditError,
-)
+from .errors import AdmissibilityError, ConfigurationError, PcpAuditError
 from .physics import EosParams, extreme_speeds, is_admissible, physical_flux
 from .recovery import recover_with_iterations
 from .riemann import (
@@ -313,6 +308,8 @@ def assemble_fluxes(
     fill_ghosts.  The jumps of U and of the axis's flux across every face
     of the ghosted mesh are taken once per axis and shared by the face
     fluxes, the corner fans' edge fluxes and their second differences.
+    With config.pcp_audit on, a negative weight on a face's 1D flux raises
+    PcpAuditError; compute_dt's dt keeps each weight >= 1 - sigma, up to rounding.
     Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
     grid = field.grid
@@ -380,9 +377,12 @@ def assemble_fluxes(
         if config.pcp_audit:
             weight = 1.0 - weight_scale * (plus_low - minus_high)
             if np.any(weight < 0.0):
-                raise CflViolationError(
+                raise PcpAuditError(
                     f"negative 1D-flux weight in {name}-face composite; "
-                    f"dt = {dt:.6e} violates the corner CFL bound"
+                    f"dt = {dt:.6e} violates the corner CFL bound "
+                    f"(sigma = {config.cfl_sigma}, alpha = {config.alpha})",
+                    cfl_sigma=config.cfl_sigma,
+                    alpha=config.alpha,
                 )
         blend = f2d[:, :-1] - f1
         blend *= (weight_scale * plus_low)[..., None]
@@ -399,8 +399,9 @@ def step(field: Field, dt: float, fluxes, config: SolverConfig) -> Field:
     """Forward-Euler update of the interior cells, in place.
 
     With pcp_audit on, every updated cell must remain admissible; a failure
-    carries the cell index, the offending state, and (sigma, alpha) so the
-    cause (sigma > 1/2, alpha != 2, or a bug) can be told apart.
+    raises PcpAuditError with the cell index, the offending state, and
+    (sigma, alpha) so the cause (sigma > 1/2, alpha != 2, or a bug) can be
+    told apart.
     """
     fhat, ghat = fluxes
     grid = field.grid
@@ -470,7 +471,8 @@ def run(
 
     The time step is reduced (never increased) to land exactly on every
     snapshot time and on t_end.  on_snapshot(field) fires at each snapshot
-    time; the returned diagnostics track field extremes and recovery cost.
+    time, each in [0, t_end] (0 fires on the initial field), and at t_end;
+    the returned diagnostics track field extremes and recovery cost.
     """
     eos = problem.eos
     if t_end is None:
@@ -478,12 +480,13 @@ def run(
     # A NaN or infinite time would finish at once with NaN output, or never.
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be finite and non-negative, got {t_end}")
-    if not all(math.isfinite(t) for t in snapshot_times):
-        raise ConfigurationError(f"snapshot times must be finite, got {tuple(snapshot_times)}")
+    if not all(0.0 <= t <= t_end for t in snapshot_times):
+        raise ConfigurationError(f"snapshot times must be finite and in [0, t_end = {t_end}], "
+                                 f"got {tuple(snapshot_times)}")
 
     field = Field.from_primitives(grid, problem.initial, eos, average=problem.average_init)
     diag = RunDiagnostics()
-    targets = sorted({float(t) for t in snapshot_times if 0.0 < t <= t_end} | {t_end})
+    targets = sorted({float(t) for t in snapshot_times} | {t_end})
     pressure_hint = None
 
     # With t_end = 0 the only target is 0: no step runs, the snapshot fires

@@ -22,9 +22,10 @@ the mesh update relies on:
     lane and in every regime, and equal corners their physical fluxes.
 The corner state is written in difference form from the 1D HLL states of
 its edge pairs.  `hll_state_2d` and `quadrant_fan_states` check their
-input; `corner_fluxes`, the mesh kernel, does not.  All functions broadcast
-over leading axes and are pure, except that `corner_fluxes` writes its
-result into the edge fluxes it is given.
+input (admissible corners; s_left < 0 < s_right and s_down < 0 < s_up,
+which orders each pair); `corner_fluxes`, the mesh kernel, does not.  All
+functions broadcast over leading axes and are pure, except that
+`corner_fluxes` writes its result into the edge fluxes it is given.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .physics import is_admissible
 _CORNER_NAMES = ("left_down", "right_down", "left_up", "right_up")
 
 
-def fan_speeds(lam1s, lam4s, alpha=2.0):
+def fan_speeds(lam1s, lam4s, alpha):
     """(alpha * min of lam1s, alpha * max of lam4s) over the states of a fan.
 
     The arrays are reduced pairwise, so views into a mesh are never
@@ -128,8 +129,6 @@ def _checked_corner_fan(corners, speeds):
         if not np.all(is_admissible(u)):
             raise AdmissibilityError(f"corner state {name} is not admissible")
     s_l, s_r, s_d, s_u = (np.asarray(s, dtype=float) for s in speeds)
-    if np.any(s_l > s_r) or np.any(s_d > s_u):
-        raise ValueError("wave speeds must satisfy s_left <= s_right, s_down <= s_up")
     if not np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)):
         raise DispatchError(
             "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up: "

@@ -24,7 +24,7 @@ from .physics import EosParams
 
 _EPS = float(np.finfo(float).eps)
 EOS = EosParams()  # the suites' equation of state
-ALPHA = 2.0  # the corner suite's wave-speed amplifier, which the PCP claim needs
+ALPHA = 2.0  # the corner fans' wave-speed amplifier, which the PCP claim needs
 
 # p >= rho * gamma^2 * eps * GUARD keeps admissibility margins at least
 # ~1/GUARD above construction round-off; the recovery guard is stricter
@@ -43,7 +43,6 @@ def sample_primitives(
     rng: np.random.Generator,
     n: int,
     *,
-    eos: EosParams,
     rho_decades=(-10.0, 2.0),
     p_max_decade=3.0,
     p_min=1e-12,
@@ -108,7 +107,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     """Convexity and closure properties of the admissible set."""
     results = []
 
-    prim = sample_primitives(rng, n, eos=EOS)
+    prim = sample_primitives(rng, n)
     cons = physics.prim_to_cons(prim, EOS)
     results.append(_count("forward map lands in the admissible set", physics.is_admissible(cons)))
 
@@ -124,7 +123,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     centers = rng.uniform(-6.0, 1.0, n)
     pair = [
         physics.prim_to_cons(
-            sample_primitives(rng, n, eos=EOS, rho_decades=(-1.5, 1.5), rho_center=centers),
+            sample_primitives(rng, n, rho_decades=(-1.5, 1.5), rho_center=centers),
             EOS,
         )
         for _ in range(2)
@@ -146,9 +145,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
 
     # Probes exactly on the fan boundary draw from the boundary-guarded
     # sampler; their margins vanish quadratically there.
-    prim_b = sample_primitives(
-        rng, n, eos=EOS, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD
-    )
+    prim_b = sample_primitives(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
     cons_b = physics.prim_to_cons(prim_b, EOS)
     speeds, speeds_b = physics.extreme_speeds(prim, EOS), physics.extreme_speeds(prim_b, EOS)
     for axis, axis_name in ((0, "x"), (1, "y")):
@@ -186,7 +183,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     return results
 
 
-def _two_sided_batch(rng, size, eos, alpha, **sample_kwargs):
+def _two_sided_batch(rng, size, **sample_kwargs):
     """One batch of corner quadruples, cut to the lanes whose fans are two-sided.
 
     Returns the kept primitives in (ld, rd, lu, ru) order and their fan
@@ -194,28 +191,26 @@ def _two_sided_batch(rng, size, eos, alpha, **sample_kwargs):
     """
     centers = rng.uniform(-6.0, 1.0, size)
     prims = [
-        sample_primitives(
-            rng, size, eos=eos, rho_decades=(-1.0, 1.0), rho_center=centers, **sample_kwargs
-        )
+        sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers, **sample_kwargs)
         for _ in range(4)
     ]
-    lams = [physics.extreme_speeds(p, eos) for p in prims]
+    lams = [physics.extreme_speeds(p, EOS) for p in prims]
     speeds = ()
     for axis in (0, 1):
-        speeds += riemann.fan_speeds([l[axis][0] for l in lams], [l[axis][1] for l in lams], alpha)
+        speeds += riemann.fan_speeds([l[axis][0] for l in lams], [l[axis][1] for l in lams], ALPHA)
     s_l, s_r, s_d, s_u = speeds
     keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
     return [p[keep] for p in prims], [s[keep] for s in speeds]
 
 
-def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
+def _subsonic_corners(rng, n, **sample_kwargs):
     """The first n two-sided corner quadruples of batches drawn until there are n.
 
     Returns their primitives and fan speeds, as `_two_sided_batch` does.
     """
     batches, kept = [], 0
     while kept < n:
-        prims, speeds = _two_sided_batch(rng, max(n, 4096), eos, alpha, **sample_kwargs)
+        prims, speeds = _two_sided_batch(rng, max(n, 4096), **sample_kwargs)
         batches.append((prims, speeds))
         kept += len(speeds[0])
 
@@ -225,12 +220,12 @@ def _subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
     return [first_n(0, k) for k in range(4)], tuple(first_n(1, k) for k in range(4))
 
 
-def _subsonic_fans(rng, n, eos, alpha, **sample_kwargs):
+def _subsonic_fans(rng, n, **sample_kwargs):
     """Corner-solver input of n two-sided fans: four (U, F, G) triples and the speeds."""
-    prims, speeds = _subsonic_corners(rng, n, eos, alpha, **sample_kwargs)
+    prims, speeds = _subsonic_corners(rng, n, **sample_kwargs)
     corners = []
     for prim in prims:
-        cons = physics.prim_to_cons(prim, eos)
+        cons = physics.prim_to_cons(prim, EOS)
         corners.append(
             (cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1))
         )
@@ -242,7 +237,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
     results = [
         _count(
             f"corner intermediate state admissible (alpha = {ALPHA:g})",
-            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n, EOS, ALPHA))),
+            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n))),
         )
     ]
 
@@ -250,7 +245,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
     quadrants = riemann.quadrant_fan_states(
-        *_subsonic_fans(rng, n, EOS, ALPHA, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+        *_subsonic_fans(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
     )
     names = ("left-down", "right-down", "left-up", "right-up")
     for name, h in zip(names, quadrants):
@@ -260,9 +255,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
 
 def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
-    prim = sample_primitives(
-        rng, n, eos=EOS, gamma_cap=100.0, p_max_decade=3.0, guard=RECOVERY_GUARD
-    )
+    prim = sample_primitives(rng, n, gamma_cap=100.0, p_max_decade=3.0, guard=RECOVERY_GUARD)
     cons = physics.prim_to_cons(prim, EOS)
     back, _ = recovery.recover_with_iterations(cons, EOS)
 
@@ -296,7 +289,7 @@ def recovery_suite(rng: np.random.Generator, n: int):
     return results
 
 
-def run_all(seed: int = 20260808, samples: int = 100_000):
+def run_all(seed: int, samples: int):
     """Every suite at the given size; returns a flat list of SuiteResults."""
     rng = np.random.default_rng(seed)
     results = []

@@ -105,6 +105,18 @@ class TestUnreadSettingsRejected:
         assert config.problem == "explosion" and config.n == 64
 
 
+@pytest.mark.parametrize("second", ["12", "8"])
+def test_repeated_file_key_rejected(tmp_path, capsys, second):
+    """A key's second line is an error naming its path:line, as an unknown key is."""
+    lines = f"problem = sine\nn = 8\nn = {second}\n"
+    with pytest.raises(ConfigurationError, match=r"run\.cfg:3: repeated key 'n'"):
+        _parse(["run"], tmp_path, lines)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--t-end", "0.01", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestPcpAuditSpellings:
     @pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "TRUE"])
     def test_on(self, tmp_path, text):

@@ -7,12 +7,7 @@ import pytest
 import oracles
 from conftest import assert_close
 from rhd2d import physics, problems, verification
-from rhd2d.errors import (
-    AdmissibilityError,
-    CflViolationError,
-    ConfigurationError,
-    PcpAuditError,
-)
+from rhd2d.errors import AdmissibilityError, ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import (
     GHOST,
     MODES,
@@ -268,7 +263,7 @@ class TestAssembleFluxes:
             bcs = spec.boundaries
         else:
             rng = np.random.default_rng(4)  # 4 one-sided corners, 1 supersonic face
-            states = verification.sample_primitives(rng, n_x * n_y, eos=eos53, gamma_cap=10.0)
+            states = verification.sample_primitives(rng, n_x * n_y, gamma_cap=10.0)
             field = Field.from_primitives(grid, lambda x, y: states.reshape(n_x, n_y, 4), eos53)
             bcs = periodic_boundaries()
         fill_ghosts(field, bcs, eos53)
@@ -441,8 +436,9 @@ class TestStep:
         fill_ghosts(field, spec.boundaries, eos53)
         prim, _ = recover_with_iterations(field.cells, eos53)
         dt = compute_dt(field, eos53, 0.45, 2.0, prim)
-        with pytest.raises(CflViolationError):
+        with pytest.raises(PcpAuditError) as err:
             assemble_fluxes(field, 50.0 * dt, eos53, SolverConfig(), prim)
+        assert (err.value.cfl_sigma, err.value.alpha) == (0.45, 2.0)
 
 
 class TestModes:
@@ -529,10 +525,10 @@ class TestRun:
             spec.default_grid(10),
             SolverConfig(),
             t_end=0.05,
-            snapshot_times=[0.013, 0.04],
+            snapshot_times=[0.013, 0.04, 0.0],
             on_snapshot=lambda field: seen.append(field.time),
         )
-        assert seen == [0.013, 0.04, 0.05]
+        assert seen == [0.0, 0.013, 0.04, 0.05]
         assert result.field.time == 0.05
         assert result.diagnostics.dt_clamped_steps >= 3
 
@@ -566,6 +562,9 @@ class TestRun:
             {"t_end": float("inf")},
             {"t_end": 0.05, "snapshot_times": [0.01, float("nan")]},
             {"t_end": 0.05, "snapshot_times": [float("inf")]},
+            {"t_end": 0.05, "snapshot_times": [0.01, 0.5]},
+            {"t_end": 0.05, "snapshot_times": [-0.01]},
+            {"t_end": 0.0, "snapshot_times": [0.01]},
         ],
     )
     def test_non_finite_times_rejected_before_stepping(self, monkeypatch, kwargs):

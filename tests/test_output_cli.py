@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close
-from rhd2d import cli, output, physics, problems
+from rhd2d import cli, output, physics, problems, verification
 from rhd2d.errors import (
     AdmissibilityError,
     ConfigurationError,
@@ -259,7 +261,8 @@ class TestParseConfigFuzz:
     @given(key=st.sampled_from(sorted(cli._SETTINGS)), value=_VALUES)
     def test_config_file_line(self, tmp_path_factory, key, value):
         cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
-        cfg.write_text(f"problem = sine\n{key} = {value}\n", encoding="utf-8")
+        problem = "" if key == "problem" else "problem = sine\n"  # a key's second line is an error
+        cfg.write_text(f"{problem}{key} = {value}\n", encoding="utf-8")
         parses_or_rejects(["run", "--config", str(cfg)])
 
     @_FUZZ
@@ -296,6 +299,13 @@ class TestCommands:
         ])
         assert code == 0
         assert (tmp_path / "field_t0.01.dat").exists()
+
+    def test_snapshot_at_zero_writes_the_initial_field(self, tmp_path):
+        argv = ["run", "--problem", "sine", "--n", "8", "--emit", "field"]
+        assert cli.main([*argv, "--t-end", "0.02", "--snapshots", "0", "--out", str(tmp_path)]) == 0
+        assert cli.main([*argv, "--t-end", "0", "--out", str(tmp_path / "initial")]) == 0
+        initial = (tmp_path / "initial" / "field.dat").read_bytes()
+        assert (tmp_path / "field_t0.dat").read_bytes() == initial
 
     def test_trailing_commas_in_list_flags(self, tmp_path):
         code = cli.main([
@@ -359,9 +369,10 @@ class TestCommands:
         assert code == 2
         assert "speed amplifier" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args", [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0.02", "--snapshots", "0.01,nan"]]
-    )
+    @pytest.mark.parametrize("args", [
+        ["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0.02", "--snapshots", "0.01,nan"],
+        ["--t-end", "0.1", "--snapshots", "0.5"], ["--t-end", "0.1", "--snapshots", "-0.01"],
+    ])
     def test_non_finite_time_exit_code(self, tmp_path, monkeypatch, capsys, args):
         def no_step(*a, **kw):
             raise AssertionError("run stepped with a non-finite time")
@@ -371,6 +382,17 @@ class TestCommands:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "field.dat").exists()
+
+    def test_verify_exit_code_per_suite(self, monkeypatch, capsys):
+        """A failed recovery-suite result exits 4; a failure of any other suite exits 3."""
+        results = verification.run_all(seed=1, samples=200)
+        recovery = {r.name for r in verification.recovery_suite(np.random.default_rng(1), 200)}
+        assert len(recovery) == 2 and recovery <= {r.name for r in results}
+        for failing in results:
+            failed = [replace(r, failures=int(r is failing)) for r in results]
+            monkeypatch.setattr(verification, "run_all", lambda seed, samples: failed)
+            want = cli.EXIT_RECOVERY if failing.name in recovery else cli.EXIT_PCP
+            assert cli.main(["verify", "--samples", "10"]) == want, failing.name
 
     def test_pcp_exit_code(self, monkeypatch):
         def boom(*args, **kwargs):

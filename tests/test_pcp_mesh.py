@@ -48,7 +48,7 @@ ROUND_OFF = 1e-12  # the weights are dimensionless and of order one
 
 def reproduction_states(rng, n):
     return verification.sample_primitives(
-        rng, n, eos=EOS, rho_decades=(-0.5, 0.5), gamma_cap=10.0, p_min=1e-2, p_max_decade=1.0
+        rng, n, rho_decades=(-0.5, 0.5), gamma_cap=10.0, p_min=1e-2, p_max_decade=1.0
     )
 
 
@@ -56,7 +56,7 @@ def drifting_states(rng, n):
     """Six decades of density, pressures down to 1e-6 and u_x >= 0: about
     four in five cells have lam1 > 0 along x, so many fans are one-signed."""
     prim = verification.sample_primitives(
-        rng, n, eos=EOS, rho_decades=(-3.0, 3.0), gamma_cap=100.0, p_min=1e-6, p_max_decade=1.0
+        rng, n, rho_decades=(-3.0, 3.0), gamma_cap=100.0, p_min=1e-6, p_max_decade=1.0
     )
     prim[..., physics.VX] = np.abs(prim[..., physics.VX])
     return prim

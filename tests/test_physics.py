@@ -46,7 +46,7 @@ class TestThermo:
     @pytest.mark.parametrize("gamma", [1.1, 4.0 / 3.0, 5.0 / 3.0, 2.0])
     def test_sound_speed_bound(self, rng, gamma):
         eos = EosParams(gamma)
-        prim = verification.sample_primitives(rng, 10_000, eos=eos)
+        prim = verification.sample_primitives(rng, 10_000)
         _, _, cs = physics.thermo(prim, eos)
         assert np.all(cs * cs < gamma - 1.0)
 
@@ -63,14 +63,14 @@ class TestPrimToCons:
         assert_close(cons, [0.70888120500833563, 129.34673366834159, 0.0, 129.65326633165818], rel=1e-14)
 
     def test_momentum_velocity_relation(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 5_000, eos=eos53)
+        prim = verification.sample_primitives(rng, 5_000)
         cons = physics.prim_to_cons(prim, eos53)
         lhs = cons[:, physics.MOMX]
         rhs = (cons[:, physics.ENE] + prim[:, physics.PRE]) * prim[:, physics.VX]
         assert_close(lhs, rhs, rel=1e-12, abs_tol=1e-300)
 
     def test_always_admissible(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 10_000, eos=eos53)
+        prim = verification.sample_primitives(rng, 10_000)
         assert np.all(physics.is_admissible(physics.prim_to_cons(prim, eos53)))
 
 
@@ -115,7 +115,7 @@ class TestEigenvalues:
         assert_close(lam.lam4, float(expected[3]), rel=1e-14)
 
     def test_bracketing_and_causality(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 10_000, eos=eos53)
+        prim = verification.sample_primitives(rng, 10_000)
         for axis in (0, 1):
             lam = physics.eigenvalues(prim, eos53, axis)
             u_n = prim[:, physics.VX + axis]
@@ -135,7 +135,7 @@ class TestExtremeSpeeds:
 
     def test_bitwise_on_sampled_states(self, rng, eos53):
         for cap in (1.5, 10.0, 100.0):
-            prim = verification.sample_primitives(rng, 20_000, eos=eos53, gamma_cap=cap)
+            prim = verification.sample_primitives(rng, 20_000, gamma_cap=cap)
             self.assert_matches_eigenvalues(prim, eos53)
 
     def test_bitwise_on_ghosted_rp2_mesh(self):
@@ -210,12 +210,12 @@ class TestCertifiedAdmissibility:
 
     def test_verification_samplers(self, rng, eos53):
         n = 20_000
-        prim = verification.sample_primitives(rng, n, eos=eos53)
+        prim = verification.sample_primitives(rng, n)
         cons = physics.prim_to_cons(prim, eos53)
         self.assert_matches_reference(cons)
         self.assert_matches_reference(10.0 ** rng.uniform(-6.0, 6.0, n)[:, None] * cons)
         prim_b = verification.sample_primitives(
-            rng, n, eos=eos53, gamma_cap=verification.BOUNDARY_GAMMA_CAP,
+            rng, n, gamma_cap=verification.BOUNDARY_GAMMA_CAP,
             guard=verification.BOUNDARY_GUARD,
         )
         cons_b = physics.prim_to_cons(prim_b, eos53)
@@ -267,7 +267,7 @@ class TestCertifiedAdmissibility:
 
     def test_shapes(self, rng, eos53):
         cons = physics.prim_to_cons(
-            verification.sample_primitives(rng, 24, eos=eos53), eos53
+            verification.sample_primitives(rng, 24), eos53
         ).reshape(4, 6, 4)
         cons[0, 0] = [1.0, 0.0, 0.0, 1.0]  # a lane the filter cannot decide
         single = physics.is_admissible(cons[1, 2])

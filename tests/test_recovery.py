@@ -102,7 +102,7 @@ class TestRecovery:
 
     def test_forward_map_closure(self, rng, eos53):
         """prim_to_cons(recover(cons)) reproduces cons to 10x the tolerance."""
-        prim = verification.sample_primitives(rng, 5_000, eos=eos53, gamma_cap=100.0,
+        prim = verification.sample_primitives(rng, 5_000, gamma_cap=100.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         again = physics.prim_to_cons(recover_with_iterations(cons, eos53)[0], eos53)
@@ -110,7 +110,7 @@ class TestRecovery:
         assert np.max(np.abs(again - cons) / scale) <= 1e-11
 
     def test_velocity_from_momentum(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 2_000, eos=eos53, gamma_cap=50.0,
+        prim = verification.sample_primitives(rng, 2_000, gamma_cap=50.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         back, _ = recover_with_iterations(cons, eos53)
@@ -118,7 +118,7 @@ class TestRecovery:
         assert_close(back[:, physics.VX], cons[:, physics.MOMX] / w, rel=1e-14, abs_tol=1e-300)
 
     def test_hint_matches_cold_start(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 2_000, eos=eos53, gamma_cap=50.0,
+        prim = verification.sample_primitives(rng, 2_000, gamma_cap=50.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         cold, _ = recover_with_iterations(cons, eos53)
@@ -148,7 +148,7 @@ class TestLaneIndependence:
 
     @pytest.fixture
     def mixed_batch(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 120, eos=eos53, gamma_cap=100.0,
+        prim = verification.sample_primitives(rng, 120, gamma_cap=100.0,
                                               guard=verification.RECOVERY_GUARD)
         prim[::17, 1:3] = 0.0  # zero momentum: an endpoint of the bracket is the root
         return prim, physics.prim_to_cons(prim, eos53)
@@ -244,7 +244,7 @@ class TestRoundTripSuite:
 
     def test_residual_certificate(self, rng, eos53):
         """|psi(p)| <= rtol * max(E, 1) measured in extended precision."""
-        prim = verification.sample_primitives(rng, 5_000, eos=eos53, gamma_cap=100.0,
+        prim = verification.sample_primitives(rng, 5_000, gamma_cap=100.0,
                                               guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         back, _ = recover_with_iterations(cons, eos53)

@@ -5,6 +5,7 @@ import oracles
 from conftest import assert_close
 from rhd2d import physics, riemann, verification
 from rhd2d.errors import AdmissibilityError, DegenerateFanError, DispatchError
+from rhd2d.verification import sample_primitives
 
 SOD_LEFT = physics.primitive(1.0, 0.0, 0.0, 1.0)
 SOD_RIGHT = physics.primitive(0.125, 0.0, 0.0, 0.1)
@@ -49,10 +50,6 @@ def fan_fluxes(corners, speeds):
     return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients)
 
 
-def random_prims(rng, eos, n, **kwargs):
-    return verification.sample_primitives(rng, n, eos=eos, **kwargs)
-
-
 class TestWaveSpeeds1D:
     def test_rest_pair_amplified(self, eos53):
         rest = physics.primitive(1.0, 0.0, 0.0, 1.0)
@@ -67,8 +64,8 @@ class TestWaveSpeeds1D:
         assert s_minus == lam.lam1 and s_plus == lam.lam4
 
     def test_ordering(self, rng, eos53):
-        left = random_prims(rng, eos53, 2_000)
-        right = random_prims(rng, eos53, 2_000)
+        left = sample_primitives(rng, 2_000)
+        right = sample_primitives(rng, 2_000)
         s_minus, s_plus = pair_speeds(eos53, (left, right), 0)
         assert np.all(s_minus < s_plus)
 
@@ -94,7 +91,7 @@ class TestWaveSpeeds2D:
         assert s_l != -s_r
 
     def test_alpha_scaling_exact(self, rng, eos53):
-        prims = [random_prims(rng, eos53, 500) for _ in range(4)]
+        prims = [sample_primitives(rng, 500) for _ in range(4)]
         one = corner_fan(eos53, prims, alpha=1.0)[1]
         two = corner_fan(eos53, prims, alpha=2.0)[1]
         assert np.array_equal(two[0], 2.0 * one[0])
@@ -167,7 +164,7 @@ class TestHll1D:
         n = 40
         regimes = ("subsonic", "right_supersonic", "left_supersonic", "equal", "empty")
         regime = np.repeat(regimes, n)
-        left, right = random_prims(rng, eos53, 5 * n), random_prims(rng, eos53, 5 * n)
+        left, right = sample_primitives(rng, 5 * n), sample_primitives(rng, 5 * n)
         equal = regime == "equal"
         right[equal] = left[equal]
         (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, left), ufg(eos53, right)
@@ -210,7 +207,7 @@ def random_subsonic_prims(rng, eos, n, tame=False):
         size = max(n, 4096)
         centers = rng.uniform(-6.0, 1.0, size)
         prims = [
-            random_prims(rng, eos, size, rho_decades=(-1.0, 1.0), rho_center=centers, **kwargs)
+            sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers, **kwargs)
             for _ in range(4)
         ]
         keep = two_sided(pair_speeds(eos, prims, 0) + pair_speeds(eos, prims, 1))
@@ -225,7 +222,7 @@ class TestSubsonicSampler:
     def test_speeds_are_the_fan_speeds_of_the_primitives(self, eos53, kwargs):
         """The sampler's speeds are those of its primitives' eigenvalues, bit for bit."""
         rng = np.random.default_rng(5)
-        prims, speeds = verification._subsonic_corners(rng, 5000, eos53, 2.0, **kwargs)
+        prims, speeds = verification._subsonic_corners(rng, 5000, **kwargs)
         assert [p.shape for p in prims] == [(5000, 4)] * 4
         assert np.all(two_sided(speeds))
         for got, want in zip(speeds, corner_fan(eos53, prims)[1], strict=True):
