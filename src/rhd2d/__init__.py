@@ -13,8 +13,6 @@ audit enforces it during runs.
 from .errors import (
     AdmissibilityError,
     ConfigurationError,
-    DegenerateFanError,
-    DispatchError,
     PcpAuditError,
     RecoveryConvergenceError,
     RhdError,
@@ -59,12 +57,6 @@ from .problems import (
     symmetry_deviation,
 )
 from .recovery import RecoveryOptions, recover_with_iterations
-from .riemann import (
-    fan_speeds,
-    hll_flux_1d,
-    hll_state_1d,
-    hll_state_2d,
-    quadrant_fan_states,
-)
+from .riemann import fan_speeds
 
 __version__ = "0.1.0"

@@ -228,9 +228,10 @@ def _cmd_run(config: RunConfig) -> int:
     grid = config.grid_for(spec)
     if "cuts" in config.emit:
         problems.check_cut_grid(grid)
-    out = _ensure_out_dir(config)
+    out = Path(config.out_dir)
 
     def on_snapshot(field):
+        out.mkdir(parents=True, exist_ok=True)  # run() has accepted the times; t_end always fires
         if field.time != t_end and "field" in config.emit:
             output.write_field(field, spec.eos, out / f"field_t{field.time:.12g}.dat")
 
@@ -274,7 +275,6 @@ def _cmd_converge(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
     if spec.exact is None:
         raise ConfigurationError(f"problem {spec.name!r} has no exact solution to converge against")
-    out = _ensure_out_dir(config)
 
     sizes = [config.n * 2**level for level in range(config.levels)]
     errors = {"l1": [], "l2": [], "linf": []}
@@ -305,7 +305,7 @@ def _cmd_converge(config: RunConfig) -> int:
                 entries[f"{key}_order_n{n}"] = orders[key][row - 1]
                 cells.append(f"{orders[key][row - 1]:>11.3f}")
         print(" ".join(cells))
-    output.write_report(entries, out / "convergence.txt")
+    output.write_report(entries, _ensure_out_dir(config) / "convergence.txt")
     return EXIT_OK
 
 

@@ -43,14 +43,6 @@ class RecoveryConvergenceError(RhdError, RuntimeError):
         super().__init__(message)
 
 
-class DegenerateFanError(RhdError, ValueError):
-    """Wave fan collapsed (zero signal-speed spread); formula undefined."""
-
-
-class DispatchError(RhdError, ValueError):
-    """A point-wise corner solver got a one-signed fan; it divides by each speed."""
-
-
 class PcpAuditError(RhdError, RuntimeError):
     """A step failed the PCP audit: a negative composite-flux weight (dt too
     large) in `assemble_fluxes`, or an updated cell, named by `index` and

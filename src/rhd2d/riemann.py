@@ -1,4 +1,4 @@
-"""Approximate Riemann solvers: 1D HLL and the four-state corner HLL.
+"""The mesh's HLL kernel: 1D face fluxes and four-state corner fluxes.
 
 Everything here takes plain arrays.  A 1D fan is given by its two states'
 conserved arrays U and physical fluxes F along the fan's axis; a corner fan
@@ -20,12 +20,12 @@ the mesh update relies on:
   - sr = 0 (supersonic leftward) gives f_r, set by index;
   - corner data invariant along y (x) give the x (y) edge's 1D flux, per
     lane and in every regime, and equal corners their physical fluxes.
-The corner state is written in difference form from the 1D HLL states of
-its edge pairs.  `hll_state_2d` and `quadrant_fan_states` check their
-input (admissible corners; s_left < 0 < s_right and s_down < 0 < s_up,
-which orders each pair); `corner_fluxes`, the mesh kernel, does not.  All
-functions broadcast over leading axes and are pure, except that
-`corner_fluxes` writes its result into the edge fluxes it is given.
+The kernel checks neither its states nor the signs of its speeds.  The
+corner fan's intermediate state and its quadrant composites, which the
+paper's PCP lemma is about and the mesh never forms, are what `rhd2d
+verify` checks; they live in `verification`.  All functions broadcast over
+leading axes and are pure, except that `corner_fluxes` writes its result
+into the edge fluxes it is given.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import AdmissibilityError, DegenerateFanError, DispatchError
-from .physics import is_admissible
-
-_CORNER_NAMES = ("left_down", "right_down", "left_up", "right_up")
 
 
 def fan_speeds(lam1s, lam4s, alpha):
@@ -100,83 +95,6 @@ def hll_flux_from_jumps(f_l, f_r, du, df, coefficients):
     return flux
 
 
-def hll_flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Clipped-fan HLL flux f_l + kr (u_r - u_l) - k (f_r - f_l) of two states.
-
-    This is `hll_flux_from_jumps`, the kernel the mesh runs on its shared
-    jumps, so it is exact in the same regimes (see `hll_coefficients`).
-    """
-    coefficients = hll_coefficients(s_minus, s_plus)
-    return hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients)
-
-
-def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
-    """Intermediate HLL state (S_R U_R - S_L U_L + F_L - F_R) / (S_R - S_L).
-
-    Unclipped speeds; the subsonic case s_minus < 0 < s_plus is the
-    caller's contract.
-    """
-    sl = np.asarray(s_minus, dtype=float)[..., None]
-    sr = np.asarray(s_plus, dtype=float)[..., None]
-    if np.any(sl == sr):
-        raise DegenerateFanError("degenerate fan: s_minus == s_plus")
-    return u_l + (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl)
-
-
-def _checked_corner_fan(corners, speeds):
-    """Check a corner fan's input; return its speeds as float arrays."""
-    for name, (u, _, _) in zip(_CORNER_NAMES, corners):
-        if not np.all(is_admissible(u)):
-            raise AdmissibilityError(f"corner state {name} is not admissible")
-    s_l, s_r, s_d, s_u = (np.asarray(s, dtype=float) for s in speeds)
-    if not np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)):
-        raise DispatchError(
-            "corner solver needs s_left < 0 < s_right and s_down < 0 < s_up: "
-            "its quadrant weights divide by each speed"
-        )
-    return s_l, s_r, s_d, s_u
-
-
-def hll_state_2d(corners, speeds) -> np.ndarray:
-    """Intermediate state of the four-state corner Riemann fan.
-
-    Built, like `corner_fluxes`, from the 1D HLL states U_D* and U_U* of
-    the down and up edge pairs plus a transverse flux-difference correction:
-
-        U* = U_D* + [S_U (U_U* - U_D*) - dG_L
-                     - S_R (dG_R - dG_L) / (S_R - S_L)] / (S_U - S_D),
-
-    with dG_L = G_LU - G_LD and dG_R = G_RU - G_RD.  This regroups the
-    four-state formula, the combination of `quadrant_fan_states`, so corner
-    data invariant along either axis give `hll_state_1d` exactly, per lane.
-    """
-    sl, sr, sd, su = _checked_corner_fan(corners, speeds)
-    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
-    u_down = hll_state_1d(u_ld, f_ld, u_rd, f_rd, sl, sr)
-    u_up = hll_state_1d(u_lu, f_lu, u_ru, f_ru, sl, sr)
-    dg_left = g_lu - g_ld
-    dg_right = g_ru - g_rd
-    slv, srv, sdv, suv = (s[..., None] for s in (sl, sr, sd, su))
-    transverse = dg_left + srv * (dg_right - dg_left) / (srv - slv)
-    return u_down + (suv * (u_up - u_down) - transverse) / (suv - sdv)
-
-
-def quadrant_fan_states(corners, speeds):
-    """The four per-quadrant composites U - F/S_x - G/S_y (subsonic fans only).
-
-    Each is admissible when the speeds carry amplifier alpha = 2, and the
-    corner state is their convex combination with weights
-    S_L S_D / B, -S_R S_D / B, -S_L S_U / B, S_R S_U / B.
-    """
-    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
-    sl, sr, sd, su = (s[..., None] for s in _checked_corner_fan(corners, speeds))
-    h_ld = u_ld - f_ld / sl - g_ld / sd
-    h_rd = u_rd - f_rd / sr - g_rd / sd
-    h_lu = u_lu - f_lu / sl - g_lu / su
-    h_ru = u_ru - f_ru / sr - g_ru / su
-    return h_ld, h_rd, h_lu, h_ru
-
-
 def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
     """(flux_x, flux_y) of corner fans from their shared jumps, without checks.
 
@@ -202,10 +120,11 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
     the edge's 1D flux exactly in every regime, and equal corners give
     their physical fluxes exactly.  One-signed fans get the same formula to
     round-off; the mesh feeds every fan to its composite.  Coefficient 1 on
-    dG, as in `hll_state_2d`, gives a diagonal neighbour F and G weights
-    -1/S_R and -1/S_U times its U weight in the mesh update; with 2 they
-    are -3/(2 S_R) and -3/(2 S_U), and the PCP certificate of `mesh_solver`
-    fails at alpha = 2 whatever the CFL number.  The paper's own corner-flux
+    dG, as in the corner state `verification.hll_state_2d`, gives a
+    diagonal neighbour F and G weights -1/S_R and -1/S_U times its U weight
+    in the mesh update; with 2 they are -3/(2 S_R) and -3/(2 S_U), and the
+    PCP certificate of `mesh_solver` fails at alpha = 2 whatever the CFL
+    number.  The paper's own corner-flux
     equation is not at hand to check this coefficient against.
     """
     workspace = np.empty_like(edges[0])

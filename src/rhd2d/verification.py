@@ -2,8 +2,10 @@
 
 Three families: closure properties of the admissible set (convexity,
 scaling, flux closure at the extreme signal speeds), admissibility of the
-corner solver's intermediate state and of its per-quadrant composites with
-amplifier alpha = 2, and primitive-recovery round trips.
+corner fan's intermediate state and of its per-quadrant composites with
+amplifier alpha = 2, and primitive-recovery round trips.  The corner state
+and its composites, the four-state lemma behind the PCP claim, are formed
+only here: the mesh's flux kernel in `riemann` never forms them.
 
 Sampling stresses ultra-relativistic speeds (up to 1 - 1e-8) and
 near-vacuum pressures (down to 1e-12), but couples the pressure floor to
@@ -232,19 +234,67 @@ def _subsonic_fans(rng, n, **sample_kwargs):
     return corners, speeds
 
 
+def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
+    """Intermediate HLL state (S_R U_R - S_L U_L + F_L - F_R) / (S_R - S_L)
+    of two states, with unclipped speeds s_minus < 0 < s_plus."""
+    sl, sr = s_minus[..., None], s_plus[..., None]
+    return u_l + (sr * (u_r - u_l) - (f_r - f_l)) / (sr - sl)
+
+
+def hll_state_2d(corners, speeds) -> np.ndarray:
+    """Intermediate state of the four-state corner fan of (U, F, G) triples
+    (ld, rd, lu, ru) with two-sided speeds (s_left, s_right, s_down, s_up).
+
+    Built, like `riemann.corner_fluxes`, from the 1D HLL states U_D* and
+    U_U* of the down and up edge pairs plus a transverse flux-difference
+    correction:
+
+        U* = U_D* + [S_U (U_U* - U_D*) - dG_L
+                     - S_R (dG_R - dG_L) / (S_R - S_L)] / (S_U - S_D),
+
+    with dG_L = G_LU - G_LD and dG_R = G_RU - G_RD.  This regroups the
+    four-state formula, the combination of `quadrant_fan_states`, so corner
+    data invariant along either axis give `hll_state_1d` exactly, per lane.
+    """
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    u_down = hll_state_1d(u_ld, f_ld, u_rd, f_rd, speeds[0], speeds[1])
+    u_up = hll_state_1d(u_lu, f_lu, u_ru, f_ru, speeds[0], speeds[1])
+    dg_left = g_lu - g_ld
+    dg_right = g_ru - g_rd
+    sl, sr, sd, su = (s[..., None] for s in speeds)
+    transverse = dg_left + sr * (dg_right - dg_left) / (sr - sl)
+    return u_down + (su * (u_up - u_down) - transverse) / (su - sd)
+
+
+def quadrant_fan_states(corners, speeds):
+    """The four per-quadrant composites U - F/S_x - G/S_y of a two-sided fan.
+
+    Each is admissible when the speeds carry amplifier alpha = 2, and the
+    corner state is their convex combination with weights
+    S_L S_D / B, -S_R S_D / B, -S_L S_U / B, S_R S_U / B.
+    """
+    (u_ld, f_ld, g_ld), (u_rd, f_rd, g_rd), (u_lu, f_lu, g_lu), (u_ru, f_ru, g_ru) = corners
+    sl, sr, sd, su = (s[..., None] for s in speeds)
+    h_ld = u_ld - f_ld / sl - g_ld / sd
+    h_rd = u_rd - f_rd / sr - g_rd / sd
+    h_lu = u_lu - f_lu / sl - g_lu / su
+    h_ru = u_ru - f_ru / sr - g_ru / su
+    return h_ld, h_rd, h_lu, h_ru
+
+
 def corner_solver_suite(rng: np.random.Generator, n: int):
     """Admissibility of the corner intermediate state and its quadrant parts."""
     results = [
         _count(
             f"corner intermediate state admissible (alpha = {ALPHA:g})",
-            physics.is_admissible(riemann.hll_state_2d(*_subsonic_fans(rng, n))),
+            physics.is_admissible(hll_state_2d(*_subsonic_fans(rng, n))),
         )
     ]
 
     # The quadrant composites touch the fan boundary (the slowest corner sits
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
-    quadrants = riemann.quadrant_fan_states(
+    quadrants = quadrant_fan_states(
         *_subsonic_fans(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
     )
     names = ("left-down", "right-down", "left-up", "right-up")

@@ -383,6 +383,15 @@ class TestCommands:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "field.dat").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "sine", "--n", "8", "--t-end", "0.1", "--snapshots", "0.5"],
+        ["converge", "--problem", "sine", "--n", "8", "--levels", "2", "--t-end", "nan"],
+    ])
+    def test_rejected_run_makes_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "new"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_verify_exit_code_per_suite(self, monkeypatch, capsys):
         """A failed recovery-suite result exits 4; a failure of any other suite exits 3."""
         results = verification.run_all(seed=1, samples=200)
