@@ -7,8 +7,8 @@ text is parsed exactly as the config-file line `key = text` is, so
 `--no-pcp-audit` reads like `pcp_audit = false`.  A setting that the
 command does not read is rejected, from a flag or from a file.  Flags
 override an optional flat `key = value` file (`--config`), which overrides
-the defaults.  Exit codes: 0 success, 2 validation error, 3 PCP audit
-failure, 4 recovery failure.
+the defaults.  Exit codes: 0 success, 2 validation error (an `--out` that
+cannot be made included), 3 PCP audit failure, 4 recovery failure.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RecoveryConvergenceError, AdmissibilityError) as exc:
         print(f"recovery failure: {exc}", file=sys.stderr)
         return EXIT_RECOVERY
-    except (RhdError, ValueError) as exc:  # ConfigurationError among them
+    except (RhdError, ValueError, OSError) as exc:  # a bad setting, or an --out it cannot make
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -44,8 +44,8 @@ class RecoveryConvergenceError(RhdError, RuntimeError):
 
 
 class PcpAuditError(RhdError, RuntimeError):
-    """A step failed the PCP audit: a negative composite-flux weight (dt too
-    large) in `assemble_fluxes`, or an updated cell, named by `index` and
+    """A step failed the PCP audit: a dt above `compute_dt`'s bound at
+    sigma = 1 in `assemble_fluxes`, or an updated cell, named by `index` and
     `state`, outside the admissible set in `step`."""
 
     def __init__(self, message, *, index=None, state=None, cfl_sigma=None, alpha=None):

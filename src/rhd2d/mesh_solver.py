@@ -142,8 +142,8 @@ class SolverConfig:
     """Scheme parameters.
 
     The admissibility guarantee requires cfl_sigma <= 0.5 and alpha = 2;
-    other values are allowed for experiments and the audit reports when
-    they break.
+    other values are allowed for experiments.  pcp_audit checks each step's
+    dt against compute_dt's bound at sigma = 1 and each updated cell.
     """
 
     cfl_sigma: float = 0.45
@@ -308,8 +308,9 @@ def assemble_fluxes(
     fill_ghosts.  The jumps of U and of the axis's flux across every face
     of the ghosted mesh are taken once per axis and shared by the face
     fluxes, the corner fans' edge fluxes and their second differences.
-    With config.pcp_audit on, a negative weight on a face's 1D flux raises
-    PcpAuditError; compute_dt's dt keeps each weight >= 1 - sigma, up to rounding.
+    With config.pcp_audit on, a dt above compute_dt's bound at sigma = 1
+    raises PcpAuditError, in either mode; at or below it every composite
+    weight is >= 0, and compute_dt's dt never exceeds it (a caller's may).
     Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
     grid = field.grid
@@ -319,6 +320,13 @@ def assemble_fluxes(
     low = (slice(None), slice(0, -1))  # each vertex's low transverse side
     if speeds is None:
         speeds = extreme_speeds(prim, eos)
+    if config.pcp_audit:
+        bound = compute_dt(field, eos, 1.0, config.alpha, prim, speeds)
+        if dt > bound:
+            raise PcpAuditError(
+                f"dt = {dt:.6e} exceeds compute_dt's bound {bound:.6e} at sigma = 1 "
+                f"(sigma = {config.cfl_sigma}, alpha = {config.alpha})",
+                cfl_sigma=config.cfl_sigma, alpha=config.alpha)
     face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
@@ -368,22 +376,12 @@ def assemble_fluxes(
     # included.  In each axis's view the second index runs across the face,
     # so [:, :-1] is the corner on its low side and [:, 1:] the high side.
     composite = []
-    for axis, name, across in ((0, "x", grid.dy), (1, "y", grid.dx)):
+    for axis, across in ((0, grid.dy), (1, grid.dx)):
         f1, f2d = (np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis]))
         t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
-        if config.pcp_audit:
-            weight = 1.0 - weight_scale * (plus_low - minus_high)
-            if np.any(weight < 0.0):
-                raise PcpAuditError(
-                    f"negative 1D-flux weight in {name}-face composite; "
-                    f"dt = {dt:.6e} violates the corner CFL bound "
-                    f"(sigma = {config.cfl_sigma}, alpha = {config.alpha})",
-                    cfl_sigma=config.cfl_sigma,
-                    alpha=config.alpha,
-                )
         blend = f2d[:, :-1] - f1
         blend *= (weight_scale * plus_low)[..., None]
         blend += f1
@@ -462,21 +460,20 @@ class RunResult:
 def run(
     problem,
     grid: Grid,
-    config: SolverConfig = SolverConfig(),
-    t_end: Optional[float] = None,
+    config: SolverConfig,
+    t_end: float,
     snapshot_times: Sequence[float] = (),
     on_snapshot: Optional[Callable] = None,
 ) -> RunResult:
     """Advance a problem to t_end: fill ghosts, recover, step, audit.
 
-    The time step is reduced (never increased) to land exactly on every
+    The caller chooses t_end (the problem's own is `problem.t_end`).  The
+    time step is reduced (never increased) to land exactly on every
     snapshot time and on t_end.  on_snapshot(field) fires at each snapshot
     time, each in [0, t_end] (0 fires on the initial field), and at t_end;
     the returned diagnostics track field extremes and recovery cost.
     """
     eos = problem.eos
-    if t_end is None:
-        t_end = problem.t_end
     # A NaN or infinite time would finish at once with NaN output, or never.
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be finite and non-negative, got {t_end}")

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import physics, problems, verification
+from rhd2d import cli, physics, problems, verification
 from rhd2d.errors import AdmissibilityError, ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import (
     GHOST,
@@ -42,6 +43,15 @@ def smooth_periodic_field(grid, eos):
         return out
 
     return Field.from_primitives(grid, init, eos)
+
+
+def rest_problem(side, rho, p):
+    """A periodic gas at rest on [0, side]^2, under Gamma = 5/3."""
+    def init(x, y):
+        return np.broadcast_to([rho, 0.0, 0.0, p], np.broadcast_shapes(x.shape, y.shape) + (4,))
+
+    return problems.ProblemSpec("rest", 0.0, side, 0.0, side, physics.EosParams(),
+                                periodic_boundaries(), 1.0, init)
 
 
 class TestGrid:
@@ -439,6 +449,61 @@ class TestStep:
         with pytest.raises(PcpAuditError) as err:
             assemble_fluxes(field, 50.0 * dt, eos53, SolverConfig(), prim)
         assert (err.value.cfl_sigma, err.value.alpha) == (0.45, 2.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_audit_bound_is_compute_dt_at_sigma_one(self, eos53, mode):
+        """dt equal to compute_dt's bound at sigma = 1 passes the audit and one
+        ulp above it raises, in either mode; with the audit off neither does."""
+        spec = problems.problem_by_name("rp1")
+        grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)
+        field = Field.from_primitives(grid, spec.initial, eos53)
+        fill_ghosts(field, spec.boundaries, eos53)
+        prim, _ = recover_with_iterations(field.cells, eos53)
+        bound = compute_dt(field, eos53, 1.0, 2.0, prim)
+        above = float(np.nextafter(bound, np.inf))
+        audited = SolverConfig(cfl_sigma=1.0, mode=mode)
+        assemble_fluxes(field, bound, eos53, audited, prim)
+        with pytest.raises(PcpAuditError) as err:
+            assemble_fluxes(field, above, eos53, audited, prim)
+        assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
+        for dt in (bound, above):
+            assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim)
+
+    def test_run_at_sigma_one_on_gas_at_rest(self):
+        """Each step takes compute_dt's bound itself as dt; on this mesh some
+        composite weights, formed from the corner speeds, round below zero there."""
+        side = 3.6605404448336447
+        spec = rest_problem(side, 0.007461759189635847, 122.95529882984123)
+        grid = Grid(3, 3, 0.0, side, 0.0, side)
+        result = run(spec, grid, SolverConfig(cfl_sigma=1.0), t_end=spec.t_end)
+        assert result.diagnostics.steps > 0
+        initial = Field.from_primitives(grid, spec.initial, spec.eos)
+        assert np.array_equal(result.field.interior, initial.interior)
+
+    def test_compute_dt_at_sigma_one_passes_the_audit(self):
+        """Random periodic gases at rest, n in 3..11 and rho, p and the side
+        log-uniform over 1e-3..1e3: compute_dt's dt at sigma = 1 never raises."""
+        rng = np.random.default_rng(0)
+        config = SolverConfig(cfl_sigma=1.0)
+        for _ in range(500):
+            n = int(rng.integers(3, 12))
+            rho, p, side = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+            spec = rest_problem(side, rho, p)
+            field = Field.from_primitives(Grid(n, n, 0.0, side, 0.0, side), spec.initial, spec.eos)
+            fill_ghosts(field, spec.boundaries, spec.eos)
+            prim, _ = recover_with_iterations(field.cells, spec.eos)
+            dt = compute_dt(field, spec.eos, 1.0, 2.0, prim)
+            assemble_fluxes(field, dt, spec.eos, config, prim)
+
+    def test_cli_run_at_cfl_one(self, tmp_path, capsys):
+        """The explosion at --cfl 1 passes the audit, which changes no bit."""
+        fields = []
+        for name, audit in (("audited", []), ("unaudited", ["--no-pcp-audit"])):
+            out = tmp_path / name
+            assert cli.main(["run", "--problem", "explosion", "--n", "36", "--cfl", "1",
+                             "--emit", "field", "--out", str(out), *audit]) == 0
+            fields.append((out / "field.dat").read_bytes())
+        assert fields[0] == fields[1]
 
 
 class TestModes:

@@ -392,6 +392,20 @@ class TestCommands:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"],
+        ["converge", "--problem", "sine", "--n", "8", "--levels", "1", "--t-end", "0.01"],
+        ["verify", "--samples", "10"],
+        ["compare-symmetry", "--n", "8", "--t-end", "0.01"],
+    ], ids=lambda argv: argv[0])
+    def test_out_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, argv):
+        """An --out below a regular file is a validation error naming the path."""
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "x")
+        assert cli.main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
+
     def test_verify_exit_code_per_suite(self, monkeypatch, capsys):
         """A failed recovery-suite result exits 4; a failure of any other suite exits 3."""
         results = verification.run_all(seed=1, samples=200)
