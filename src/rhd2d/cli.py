@@ -8,7 +8,8 @@ text is parsed exactly as the config-file line `key = text` is, so
 command does not read is rejected, from a flag or from a file.  Flags
 override an optional flat `key = value` file (`--config`), which overrides
 the defaults.  Exit codes: 0 success, 2 validation error (an `--out` that
-cannot be made included), 3 PCP audit failure, 4 recovery failure.
+cannot be made and a mesh too large to allocate included), 3 PCP audit
+failure, 4 recovery failure.
 """
 
 from __future__ import annotations
@@ -77,10 +78,8 @@ class RunConfig:
     problem: str = _setting("", "--problem", ("run", "converge"), str,
                             f"one of {', '.join(problems.problem_names())}")
     n: int = _setting(100, "--n", _SOLVE, int, "cells across x (y scaled to square cells)")
-    n_x: Optional[int] = _setting(None, "--nx", ("run", "compare-symmetry"), int,
-                                  "cells in x (with --ny)")
-    n_y: Optional[int] = _setting(None, "--ny", ("run", "compare-symmetry"), int,
-                                  "cells in y (with --nx)")
+    n_x: Optional[int] = _setting(None, "--nx", ("run",), int, "cells in x (with --ny)")
+    n_y: Optional[int] = _setting(None, "--ny", ("run",), int, "cells in y (with --nx)")
     cfl_sigma: float = _setting(SolverConfig.cfl_sigma, "--cfl", _SOLVE, float, "CFL number")
     alpha: float = _setting(SolverConfig.alpha, "--alpha", _SOLVE, float, "wave-speed amplifier")
     mode: str = _setting(SolverConfig.mode, "--mode", ("run", "converge"),
@@ -213,7 +212,8 @@ def parse_config(argv: Sequence[str]) -> "tuple[str, RunConfig]":
 def _problem_setup(config: RunConfig):
     """(spec, t_end, solver config) of a command that runs the solver."""
     spec = problems.problem_by_name(config.problem)
-    t_end = config.t_end if config.t_end is not None else spec.t_end
+    # + 0.0 turns an end time of -0.0 into 0.0, for the report and file headers
+    t_end = config.t_end + 0.0 if config.t_end is not None else spec.t_end
     return spec, t_end, config.solver_config()
 
 
@@ -248,13 +248,10 @@ def _cmd_run(config: RunConfig) -> int:
         output.write_schlieren(result.field, spec.eos, out / "schlieren.dat")
     if "report" in config.emit:
         entries = {
-            "problem": spec.name,
+            "problem": config.problem,
             "n_x": grid.n_x,
             "n_y": grid.n_y,
-            "cfl_sigma": solver_config.cfl_sigma,
-            "alpha": solver_config.alpha,
-            "mode": solver_config.mode,
-            "pcp_audit": solver_config.pcp_audit,
+            **asdict(solver_config),
             "t_end": float(t_end),
             "wall_seconds": elapsed,
         }
@@ -264,8 +261,8 @@ def _cmd_run(config: RunConfig) -> int:
         entries.update({f"diag_{key}": value for key, value in asdict(result.diagnostics).items()})
         output.write_report(entries, out / "report.txt")
     print(
-        f"{spec.name}: {grid.n_x}x{grid.n_y} to t = {t_end:g} in {result.diagnostics.steps} steps "
-        f"({elapsed:.2f} s); min rho {result.diagnostics.min_density:.3e}, "
+        f"{config.problem}: {grid.n_x}x{grid.n_y} to t = {t_end:g} "
+        f"in {result.diagnostics.steps} steps ({elapsed:.2f} s); min rho {result.diagnostics.min_density:.3e}, "
         f"min p {result.diagnostics.min_pressure:.3e}, max gamma {result.diagnostics.max_lorentz:.3f}"
     )
     return EXIT_OK
@@ -274,7 +271,8 @@ def _cmd_run(config: RunConfig) -> int:
 def _cmd_converge(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
     if spec.exact is None:
-        raise ConfigurationError(f"problem {spec.name!r} has no exact solution to converge against")
+        raise ConfigurationError(
+            f"problem {config.problem!r} has no exact solution to converge against")
 
     sizes = [config.n * 2**level for level in range(config.levels)]
     errors = {"l1": [], "l2": [], "linf": []}
@@ -285,13 +283,7 @@ def _cmd_converge(config: RunConfig) -> int:
             errors[key].append(value)
 
     orders = {key: problems.convergence_orders(vals) for key, vals in errors.items()}
-    entries = {
-        "problem": spec.name,
-        "t_end": float(t_end),
-        "cfl_sigma": solver_config.cfl_sigma,
-        "alpha": solver_config.alpha,
-        "mode": solver_config.mode,
-    }
+    entries = {"problem": config.problem, "t_end": float(t_end), **asdict(solver_config)}
     header = f"{'N':>6} " + " ".join(f"{k + ' error':>13} {k + ' order':>11}" for k in errors)
     print(header)
     for row, n in enumerate(sizes):
@@ -331,8 +323,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_compare_symmetry(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
-    grid = config.grid_for(spec)
-    problems.check_cut_grid(grid)
+    grid = spec.default_grid(config.n)
     deviations = {}
     for mode in MODES:
         result = run_solver(spec, grid, replace(solver_config, mode=mode), t_end=t_end)
@@ -371,7 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RecoveryConvergenceError, AdmissibilityError) as exc:
         print(f"recovery failure: {exc}", file=sys.stderr)
         return EXIT_RECOVERY
-    except (RhdError, ValueError, OSError) as exc:  # a bad setting, or an --out it cannot make
+    # a bad setting, an --out it cannot make, or a mesh too large to allocate
+    except (RhdError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -483,7 +483,8 @@ def run(
 
     field = Field.from_primitives(grid, problem.initial, eos, average=problem.average_init)
     diag = RunDiagnostics()
-    targets = sorted({float(t) for t in snapshot_times} | {t_end})
+    # + 0.0 turns -0.0 into 0.0, so no snapshot time or header reads -0
+    targets = sorted({float(t) + 0.0 for t in (*snapshot_times, t_end)})
     pressure_hint = None
 
     # With t_end = 0 the only target is 0: no step runs, the snapshot fires

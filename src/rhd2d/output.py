@@ -54,24 +54,6 @@ def write_field(field: Field, eos: EosParams, path) -> None:
     _write_table(path, header, grid, np.concatenate([prim, cons], axis=-1))
 
 
-def read_field(path):
-    """Parse a write_field file back into (meta dict, data array (n, 10))."""
-    with open(path) as handle:
-        header = handle.readline().split()
-        data = np.loadtxt(handle, ndmin=2)
-    meta = {
-        "n_x": int(header[1]),
-        "n_y": int(header[2]),
-        "x_min": float(header[3]),
-        "x_max": float(header[4]),
-        "y_min": float(header[5]),
-        "y_max": float(header[6]),
-        "time": float(header[7]),
-        "gamma": float(header[8]),
-    }
-    return meta, data
-
-
 def write_cuts(field: Field, eos: EosParams, path) -> None:
     """The two `problems.density_cuts` profiles as `coord value` blocks.
 

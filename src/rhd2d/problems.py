@@ -2,9 +2,11 @@
 
 Each problem is a ProblemSpec bundling the domain, adiabatic index,
 boundary rules, a final time, the initial primitive field, and (for the
-smooth accuracy tests) the exact primitive solution.  Discontinuous data
-are sampled at cell centers with strict region membership; boundary points
-take the outer state.
+smooth accuracy tests) the exact primitive solution.  Each is declared
+once, as the value of its name in one table: `problem_names()` lists the
+names and `problem_by_name` returns the shared, frozen value.
+Discontinuous data are sampled at cell centers with strict region
+membership; boundary points take the outer state.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .physics import EosParams, PRE, RHO, VX, VY
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    name: str
     x_min: float
     x_max: float
     y_min: float
@@ -66,21 +67,6 @@ def sine_wave(t, x, y):
     out[..., VY] = _SINE_SPEED
     out[..., PRE] = 0.01
     return out
-
-
-def sine_wave_problem() -> ProblemSpec:
-    return ProblemSpec(
-        name="sine",
-        x_min=0.0,
-        x_max=1.0,
-        y_min=0.0,
-        y_max=1.0,
-        eos=EosParams(5.0 / 3.0),
-        boundaries=periodic_boundaries(),
-        t_end=0.1,
-        initial=lambda x, y: sine_wave(0.0, x, y),
-        exact=sine_wave,
-    )
 
 
 # --- isentropic vortex -------------------------------------------------------
@@ -130,21 +116,6 @@ def vortex(t, x, y):
     return out
 
 
-def vortex_problem() -> ProblemSpec:
-    return ProblemSpec(
-        name="vortex",
-        x_min=-5.0,
-        x_max=5.0,
-        y_min=-5.0,
-        y_max=5.0,
-        eos=EosParams(VORTEX_GAMMA),
-        boundaries=periodic_boundaries(),
-        t_end=1.0,
-        initial=lambda x, y: vortex(0.0, x, y),
-        exact=vortex,
-    )
-
-
 # --- cylindrical explosion ---------------------------------------------------
 
 
@@ -156,20 +127,6 @@ def explosion_init(x, y):
     out[..., RHO] = 1.0
     out[..., PRE] = np.where(r < 0.1, 20.0, 0.1)
     return out
-
-
-def explosion_problem() -> ProblemSpec:
-    return ProblemSpec(
-        name="explosion",
-        x_min=-0.5,
-        x_max=0.5,
-        y_min=-0.5,
-        y_max=0.5,
-        eos=EosParams(5.0 / 3.0),
-        boundaries=BoundarySpec(),
-        t_end=0.1,
-        initial=explosion_init,
-    )
 
 
 # --- quadrant Riemann problems -----------------------------------------------
@@ -203,20 +160,6 @@ def riemann_quadrant_init(variant: str, x, y):
     east = (x > 0.0)[..., None]
     north = (y > 0.0)[..., None]
     return np.where(north, np.where(east, q1, q2), np.where(east, q4, q3))
-
-
-def riemann_problem(variant: str) -> ProblemSpec:
-    return ProblemSpec(
-        name=variant,
-        x_min=-1.0,
-        x_max=1.0,
-        y_min=-1.0,
-        y_max=1.0,
-        eos=EosParams(5.0 / 3.0),
-        boundaries=BoundarySpec(),
-        t_end=0.8,
-        initial=lambda x, y: riemann_quadrant_init(variant, x, y),
-    )
 
 
 # --- relativistic jets -------------------------------------------------------
@@ -255,7 +198,6 @@ def jet_setup(model: str, v_beam: float, mach_beam: float) -> ProblemSpec:
         return np.broadcast_to(_ambient, x.shape + (4,)).copy()
 
     return ProblemSpec(
-        name=f"jet-{model}",
         x_min=0.0,
         x_max=12.0,
         y_min=0.0,
@@ -272,25 +214,29 @@ def jet_setup(model: str, v_beam: float, mach_beam: float) -> ProblemSpec:
     )
 
 
-JET_CONFIGS = {
-    "jet-hot-i": ("hot", 0.99, 1.72),
-    "jet-hot-ii": ("hot", 0.999, 1.72),
-    "jet-hot-iii": ("hot", 0.9999, 1.72),
-    "jet-cold-i": ("cold", 0.99, 50.0),
-    "jet-cold-ii": ("cold", 0.999, 50.0),
-    "jet-cold-iii": ("cold", 0.9999, 500.0),
-}
-
-
 # --- registry ----------------------------------------------------------------
 
 
 _PROBLEMS = {
-    "sine": sine_wave_problem,
-    "vortex": vortex_problem,
-    "explosion": explosion_problem,
-    **{variant: partial(riemann_problem, variant) for variant in _RP_STATES},
-    **{name: partial(jet_setup, *args) for name, args in JET_CONFIGS.items()},
+    "sine": ProblemSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, eos=EosParams(5.0 / 3.0),
+                        boundaries=periodic_boundaries(), t_end=0.1,
+                        initial=partial(sine_wave, 0.0), exact=sine_wave),
+    "vortex": ProblemSpec(x_min=-5.0, x_max=5.0, y_min=-5.0, y_max=5.0,
+                          eos=EosParams(VORTEX_GAMMA), boundaries=periodic_boundaries(),
+                          t_end=1.0, initial=partial(vortex, 0.0), exact=vortex),
+    "explosion": ProblemSpec(x_min=-0.5, x_max=0.5, y_min=-0.5, y_max=0.5,
+                             eos=EosParams(5.0 / 3.0), boundaries=BoundarySpec(), t_end=0.1,
+                             initial=explosion_init),
+    **{variant: ProblemSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0,
+                            eos=EosParams(5.0 / 3.0), boundaries=BoundarySpec(), t_end=0.8,
+                            initial=partial(riemann_quadrant_init, variant))
+       for variant in _RP_STATES},
+    "jet-hot-i": jet_setup("hot", 0.99, 1.72),
+    "jet-hot-ii": jet_setup("hot", 0.999, 1.72),
+    "jet-hot-iii": jet_setup("hot", 0.9999, 1.72),
+    "jet-cold-i": jet_setup("cold", 0.99, 50.0),
+    "jet-cold-ii": jet_setup("cold", 0.999, 50.0),
+    "jet-cold-iii": jet_setup("cold", 0.9999, 500.0),
 }
 
 
@@ -301,7 +247,7 @@ def problem_names():
 def problem_by_name(name: str) -> ProblemSpec:
     if name not in _PROBLEMS:
         raise ConfigurationError(f"unknown problem {name!r}; choose from {problem_names()}")
-    return _PROBLEMS[name]()
+    return _PROBLEMS[name]
 
 
 # --- error norms and symmetry diagnostics ------------------------------------

@@ -38,7 +38,7 @@ def run_norm_series(spec, sizes, t_end):
 class TestCriterion1SmoothWaveTable:
     def test_sine_wave_convergence(self):
         started = time.perf_counter()
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         errs = run_norm_series(spec, (20, 40, 80, 160), t_end=0.1)
         elapsed = time.perf_counter() - started
 
@@ -80,7 +80,7 @@ class TestCriterion2VortexTable:
         min_rho, min_p = center[physics.RHO], center[physics.PRE]
         minima_ok = 1e-15 <= min_rho <= 1e-13 and 1e-21 <= min_p <= 1e-18
 
-        spec = problems.vortex_problem()
+        spec = problems.problem_by_name("vortex")
         errs = run_norm_series(spec, (20, 40, 80), t_end=1.0)
         orders = problems.convergence_orders(errs["l1"])
         deviations = [abs(o - p) for o, p in zip(orders, (0.818, 0.894))]

@@ -50,7 +50,7 @@ def rest_problem(side, rho, p):
     def init(x, y):
         return np.broadcast_to([rho, 0.0, 0.0, p], np.broadcast_shapes(x.shape, y.shape) + (4,))
 
-    return problems.ProblemSpec("rest", 0.0, side, 0.0, side, physics.EosParams(),
+    return problems.ProblemSpec(0.0, side, 0.0, side, physics.EosParams(),
                                 periodic_boundaries(), 1.0, init)
 
 
@@ -583,7 +583,7 @@ class TestRun:
         assert diag.max_lorentz == np.max(gam)
 
     def test_lands_exactly_on_snapshots_and_t_end(self):
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         seen = []
         result = run(
             spec,
@@ -637,7 +637,7 @@ class TestRun:
             raise AssertionError("run() stepped with a non-finite time")
 
         monkeypatch.setattr("rhd2d.mesh_solver.step", no_step)
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         with pytest.raises(ConfigurationError):
             run(spec, spec.default_grid(8), SolverConfig(), **kwargs)
 

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ from rhd2d.errors import (
 )
 from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
 from rhd2d.recovery import recover_with_iterations
+
+
+def read_field(path):
+    """Parse an `output.write_field` file back into (meta dict, data array (n, 10))."""
+    with open(path) as handle:
+        header = handle.readline().split()
+        data = np.loadtxt(handle, ndmin=2)
+    keys = ("n_x", "n_y", "x_min", "x_max", "y_min", "y_max", "time", "gamma")
+    meta = {key: (int if key.startswith("n_") else float)(text)
+            for key, text in zip(keys, header[1:])}
+    return meta, data
 
 
 @pytest.fixture
@@ -38,7 +50,7 @@ class TestWriteField:
         output.write_field(field, eos53, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5
-        meta, data = output.read_field(path)
+        meta, data = read_field(path)
         assert meta["n_x"] == 2 and meta["gamma"] == eos53.gamma_adiabatic
         assert data.shape == (4, 10)
         # j-outer, i-inner ordering: x varies fastest
@@ -52,7 +64,7 @@ class TestWriteField:
         spec, field = small_run
         path = tmp_path / "field.dat"
         output.write_field(field, spec.eos, path)
-        _, data = output.read_field(path)
+        _, data = read_field(path)
         prim = data[:, 2:6]
         cons = data[:, 6:10]
         again = physics.prim_to_cons(prim, spec.eos)
@@ -126,7 +138,6 @@ class TestCutsAndSchlieren:
     @pytest.mark.parametrize("argv", [
         ["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "2",
          "--emit", "cuts,field"],
-        ["compare-symmetry", "--nx", "8", "--ny", "6"],
     ])
     def test_bad_cut_grid_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -315,6 +326,38 @@ class TestCommands:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
+    @pytest.mark.parametrize("jet", [name for name in problems.problem_names()
+                                     if name.startswith("jet-")])
+    def test_report_names_the_problem_as_given(self, tmp_path, capsys, jet):
+        argv = ["run", "--problem", jet, "--n", "4", "--t-end", "0", "--emit", "report"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.txt").read_text().splitlines()[0] == f"problem = {jet}"
+        assert capsys.readouterr().out.startswith(f"{jet}: ")
+
+    @pytest.mark.parametrize("times", [["--t-end", "0.01", "--snapshots", "{}"], ["--t-end", "{}"]],
+                             ids=["snapshots", "t-end"])
+    def test_negative_zero_time_writes_what_zero_writes(self, tmp_path, times):
+        """No file name, header or report line reads -0."""
+        written = []
+        for zero in ("0", "-0"):
+            out = tmp_path / zero
+            argv = ["run", "--problem", "sine", "--n", "4", "--emit", "field,report"]
+            assert cli.main([*argv, *(a.format(zero) for a in times), "--out", str(out)]) == 0
+            written.append({path.name: re.sub(rb"wall_seconds = .*\n", b"", path.read_bytes())
+                            for path in out.iterdir()})
+        assert written[0] == written[1]
+
+    def test_reports_list_every_solver_setting(self, tmp_path):
+        argv = ["--problem", "sine", "--n", "8", "--t-end", "0.01", "--no-pcp-audit",
+                "--out", str(tmp_path)]
+        assert cli.main(["run", *argv]) == 0
+        assert cli.main(["converge", *argv, "--levels", "2"]) == 0
+        settings = [f.name for f in fields(SolverConfig)]
+        for name in ("report.txt", "convergence.txt"):
+            entries = dict(line.split(" = ") for line in (tmp_path / name).read_text().splitlines())
+            assert [key for key in entries if key in settings] == settings, name
+            assert entries["pcp_audit"] == "False", name
+
     def test_converge_report(self, tmp_path, capsys):
         code = cli.main([
             "converge", "--problem", "sine", "--n", "8", "--levels", "2",
@@ -416,6 +459,18 @@ class TestCommands:
             monkeypatch.setattr(verification, "run_all", lambda seed, samples: failed)
             want = cli.EXIT_RECOVERY if failing.name in recovery else cli.EXIT_PCP
             assert cli.main(["verify", "--samples", "10"]) == want, failing.name
+
+    def test_mesh_too_large_to_allocate_exits_2(self, tmp_path, monkeypatch, capsys):
+        """Stubbed: a real request this size could succeed where memory is overcommitted."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 ZiB for an array with shape "
+                              "(1000000000002, 1000000000002, 4) and data type float64")
+
+        monkeypatch.setattr(cli, "run_solver", too_large)
+        argv = ["run", "--problem", "sine", "--n", "1000000000000", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
 
     def test_pcp_exit_code(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -40,6 +40,7 @@ from rhd2d.mesh_solver import (
 )
 from rhd2d.physics import EosParams, extreme_speeds, is_admissible
 from rhd2d.recovery import recover_with_iterations
+from rhd2d.riemann import hll_coefficients
 
 EOS = EosParams(5.0 / 3.0)
 SIGMA = 0.45
@@ -172,3 +173,30 @@ def test_certificate(mode, monkeypatch):
     assert failures["reproduction", SIGMA] == 0 and failures["drifting", SIGMA] == 0, failures
     # the check is not vacuous: past the CFL bound it fails
     assert failures["reproduction", 0.75] + failures["drifting", 0.75] > 0, failures
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fan_speeds_within_the_time_step_bound(mode, monkeypatch):
+    """Every face and corner fan speed is at most alpha times the fastest
+    cell's speed along its axis, the step of the argument that makes
+    compute_dt's bound (the audit's, at sigma = 1) keep every composite
+    weight non-negative."""
+    fans = []
+
+    def recorded(s_minus, s_plus):
+        fans.append(np.maximum(-s_minus, s_plus).max())
+        return hll_coefficients(s_minus, s_plus)
+
+    monkeypatch.setattr(mesh_solver, "hll_coefficients", recorded)
+    for draw in FAMILIES.values():
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            field, prim, speeds = periodic_mesh(draw(rng, 18 * 18), 18)
+            dt = compute_dt(field, EOS, 1.0, 2.0, prim, speeds)
+            fans.clear()
+            assemble_fluxes(field, dt, EOS, SolverConfig(mode=mode), prim, speeds)
+            per_axis = len(fans) // 2  # the face fan, then in multidimensional mode the corners
+            assert len(fans) == (4 if mode == "multidimensional" else 2)
+            for axis, (lam1, lam4) in enumerate(speeds):
+                fastest = 2.0 * max(lam4.max(), -lam1.min())
+                assert max(fans[axis * per_axis:(axis + 1) * per_axis]) <= fastest

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,17 +194,24 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             problem_by_name("kelvin-helmholtz")
 
+    def test_each_name_is_one_table_value(self):
+        """A problem's name is its registry key; no spec carries a second one."""
+        names = problems.problem_names()
+        assert len(names) == 11
+        assert all(problem_by_name(name) is problems._PROBLEMS[name] for name in names)
+        assert "name" not in {f.name for f in dataclasses.fields(problems.ProblemSpec)}
+
 
 class TestErrorNorms:
     def test_zero_for_exact_initialisation(self, eos53):
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         grid = spec.default_grid(16)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
         norms = error_norms(field, spec.eos, spec.exact)
         assert norms.l1 < 1e-13 and norms.l2 < 1e-13 and norms.linf < 1e-12
 
     def test_constant_offset(self, eos53):
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         grid = spec.default_grid(16)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
         offset = lambda t, x, y: spec.exact(t, x, y) + np.array([0.25, 0, 0, 0])
@@ -213,7 +221,7 @@ class TestErrorNorms:
         assert_close(norms.l2, 0.25, rel=1e-12)
 
     def test_homogeneity(self, eos53):
-        spec = problems.sine_wave_problem()
+        spec = problems.problem_by_name("sine")
         grid = spec.default_grid(8)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
         small = lambda t, x, y: spec.exact(t, x, y) + np.array([0.1, 0, 0, 0])
