@@ -228,6 +228,8 @@ def _cmd_run(config: RunConfig) -> int:
     grid = config.grid_for(spec)
     if "cuts" in config.emit:
         problems.check_cut_grid(grid)
+    if "schlieren" in config.emit and min(grid.n_x, grid.n_y) < 2:
+        raise ConfigurationError("schlieren gradients need at least 2 cells per axis")
     out = Path(config.out_dir)
 
     def on_snapshot(field):
@@ -323,12 +325,16 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_compare_symmetry(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
+    if config.n < 2:
+        raise ConfigurationError("compare-symmetry needs n >= 2: one cell has no profile to compare")
     grid = spec.default_grid(config.n)
     deviations = {}
     for mode in MODES:
         result = run_solver(spec, grid, replace(solver_config, mode=mode), t_end=t_end)
         deviations[mode] = problems.symmetry_deviation(result.field, spec.eos)
         print(f"{mode}: symmetry deviation {deviations[mode]:.6e}")
+    if deviations["dimension_split"] == 0.0:
+        raise ConfigurationError("deviation ratio undefined: the dimension-split deviation is 0")
     ratio = deviations["multidimensional"] / deviations["dimension_split"]
     print(f"deviation ratio (multidimensional / dimension_split) = {ratio:.4f}")
     entries = {f"deviation_{mode}": deviation for mode, deviation in deviations.items()}

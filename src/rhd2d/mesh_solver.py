@@ -220,12 +220,6 @@ class Field:
         return cls(grid, cells)
 
 
-def _reflect(cons: np.ndarray, axis: int) -> np.ndarray:
-    out = cons.copy()
-    out[..., physics.MOMX + axis] = -out[..., physics.MOMX + axis]
-    return out
-
-
 def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
     """Populate the ghost layer in place and return the field.
 
@@ -233,7 +227,8 @@ def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
     every column including the freshly filled ghost columns, which defines
     the corner ghosts.  Reflection mirrors the adjacent interior cell and
     negates the wall-normal momentum; inflow writes the conserved image of
-    the fixed beam state on its interval and copies outward elsewhere.
+    the fixed beam state on its interval and copies outward elsewhere.  An
+    inflow interval that holds no ghost-cell centre is a ConfigurationError.
     """
     cells = field.cells
     sides = (
@@ -248,10 +243,14 @@ def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
             elif rule == "outflow":
                 view[ghost, span] = view[adjacent, span]
             elif rule == "reflect":
-                view[ghost, span] = _reflect(view[adjacent, span], axis=axis)
+                view[ghost, span] = view[adjacent, span]
+                view[ghost, span, physics.MOMX + axis] = -view[adjacent, span, physics.MOMX + axis]
             else:
                 beam = physics.prim_to_cons(physics.primitive(*rule.state), eos)
                 on = (centers >= rule.span[0]) & (centers <= rule.span[1])
+                if not np.any(on):
+                    raise ConfigurationError(f"inflow span {rule.span} holds no boundary cell "
+                                             "centre; refine the grid")
                 view[ghost, span] = np.where(on[:, None], beam, view[adjacent, span])
     return field
 

@@ -134,52 +134,38 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int) -> np.ndarray:
     return flux
 
 
-def _speed_terms(prim: np.ndarray, eos: EosParams):
-    """The axis-independent terms of the extreme speeds.
-
-    Returns (|u|^2, c_s / gamma, c_s^2, 1 - c_s^2, 1 - c_s^2 |u|^2); raises
-    SuperluminalError when |u| >= 1.
-    """
-    speed_sq = _speed_squared(prim[..., VX], prim[..., VY])
-    _, _, cs = thermo(prim, eos)
-    cs2 = cs * cs
-    return speed_sq, cs * np.sqrt(1.0 - speed_sq), cs2, 1.0 - cs2, 1.0 - cs2 * speed_sq
-
-
-def _axis_speeds(u_n, speed_sq, cs_gam_inv, cs2, one_minus_cs2, den):
-    """(lam1, lam4) along the axis whose velocity component is u_n."""
-    un2 = u_n * u_n
-    root = cs_gam_inv * np.sqrt((1.0 - un2) - cs2 * (speed_sq - un2))
-    drift = u_n * one_minus_cs2
-    return (drift - root) / den, (drift + root) / den
-
-
 def eigenvalues(prim: np.ndarray, eos: EosParams, axis: int) -> EigenSpeeds:
-    """Characteristic speeds of the flux Jacobian along one axis.
-
-    The extreme speeds are
-      (u_n (1 - c_s^2) -/+ c_s / gamma * sqrt(1 - u_n^2 - c_s^2 (|u|^2 - u_n^2)))
-        / (1 - c_s^2 |u|^2)
-    and the two middle speeds both equal u_n.  All lie strictly inside
-    (-1, 1) for valid input.
-    """
+    """The characteristic speeds along one axis: `extreme_speeds`' pair, u_n in the middle."""
     prim = np.asarray(prim, dtype=float)
     if axis not in (AXIS_X, AXIS_Y):
         raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
     u_n = prim[..., VX + axis]
-    lam1, lam4 = _axis_speeds(u_n, *_speed_terms(prim, eos))
+    lam1, lam4 = extreme_speeds(prim, eos)[axis]
     return EigenSpeeds(lam1, u_n, u_n, lam4)
 
 
 def extreme_speeds(prim: np.ndarray, eos: EosParams):
     """((lam1, lam4) along x, (lam1, lam4) along y) in one pass.
 
-    The two axes share c_s, |u|^2, 1/gamma and the denominator; each pair
-    equals the lam1 and lam4 of `eigenvalues` for that axis bitwise.
+    Along the axis of velocity component u_n the extreme speeds are
+      (u_n (1 - c_s^2) -/+ c_s / gamma * sqrt(1 - u_n^2 - c_s^2 (|u|^2 - u_n^2)))
+        / (1 - c_s^2 |u|^2),
+    strictly inside (-1, 1); the terms shared by both axes are formed once.
     """
     prim = np.asarray(prim, dtype=float)
-    terms = _speed_terms(prim, eos)
-    return tuple(_axis_speeds(prim[..., VX + axis], *terms) for axis in (AXIS_X, AXIS_Y))
+    speed_sq = _speed_squared(prim[..., VX], prim[..., VY])
+    _, _, cs = thermo(prim, eos)
+    cs_gam_inv = cs * np.sqrt(1.0 - speed_sq)
+    cs2 = cs * cs
+    one_minus_cs2 = 1.0 - cs2
+    den = 1.0 - cs2 * speed_sq
+    speeds = []
+    for u_n in (prim[..., VX], prim[..., VY]):
+        un2 = u_n * u_n
+        root = cs_gam_inv * np.sqrt((1.0 - un2) - cs2 * (speed_sq - un2))
+        drift = u_n * one_minus_cs2
+        speeds.append(((drift - root) / den, (drift + root) / den))
+    return tuple(speeds)
 
 
 # --- admissibility -----------------------------------------------------------

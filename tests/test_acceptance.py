@@ -296,7 +296,7 @@ class TestCriterion9JetFeasibility:
 
         The run completes cleanly, but at 60x150 the nozzle is 2.5 cells wide
         and first-order transverse diffusion caps the interior Lorentz factor
-        near 3.5 in both solver modes; the same run at 120x300 (nozzle
+        at 3.30 (3.90 in dimension-split mode); the same run at 120x300 (nozzle
         resolved by 5 cells, well inside the stated runtime budget) reaches
         the inflow value.  See the decisions ledger.
         """

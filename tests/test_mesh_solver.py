@@ -77,8 +77,10 @@ class TestGrid:
 
 class TestBoundarySpec:
     def test_periodic_pairing(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="pair left with right"):
             BoundarySpec(left="periodic", right="outflow")
+        with pytest.raises(ConfigurationError, match="pair bottom with top"):
+            BoundarySpec(bottom="outflow", top="periodic")
 
     def test_unknown_rule(self):
         with pytest.raises(ConfigurationError):
@@ -89,6 +91,19 @@ class TestBoundarySpec:
             Inflow(state=(1.0, 0.0, 0.0), span=(0.0, 1.0))
         with pytest.raises(ConfigurationError):
             Inflow(state=(1.0, 0.0, 0.0, 1.0), span=(1.0, 0.0))
+
+
+class TestField:
+    def test_inadmissible_initial_data_named_by_cell(self, eos53):
+        """This state passes `primitive`, but its conserved image rounds outside the set."""
+        def init(x, y):
+            prim = np.broadcast_to([1.0, 0.0, 0.0, 1.0], x.shape[:1] + y.shape[1:] + (4,)).copy()
+            prim[2, 1] = [1.0, 1.0 - 1e-12, 0.0, 1e-30]
+            return prim
+
+        with pytest.raises(AdmissibilityError, match=r"cell \(2, 1\)") as err:
+            Field.from_primitives(Grid(4, 3, 0.0, 1.0, 0.0, 1.0), init, eos53)
+        assert err.value.index == (2, 1)
 
 
 class TestSolverConfig:
@@ -581,6 +596,15 @@ class TestRun:
         assert diag.max_pressure == np.max(prim[..., physics.PRE])
         assert diag.min_lorentz == np.min(gam) >= 1.0
         assert diag.max_lorentz == np.max(gam)
+
+    @pytest.mark.parametrize("name, n", [("jet-hot-i", 8), ("jet-hot-i", 11), ("jet-cold-i", 8)])
+    def test_jet_needs_a_cell_centre_in_its_nozzle(self, name, n):
+        """Below 12 cells across x = [0, 12] no ghost centre lies in |x| <= 0.5."""
+        spec = problems.problem_by_name(name)
+        with pytest.raises(ConfigurationError, match="no boundary cell centre"):
+            run(spec, spec.default_grid(n), SolverConfig(), t_end=2.0)
+        result = run(spec, spec.default_grid(12), SolverConfig(), t_end=0.5)
+        assert result.diagnostics.max_lorentz > 1.0
 
     def test_lands_exactly_on_snapshots_and_t_end(self):
         spec = problems.problem_by_name("sine")

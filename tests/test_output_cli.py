@@ -37,6 +37,20 @@ def small_run():
     return spec, result.field
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The argument tuples of every `cli.run_solver` call, which still runs."""
+    calls = []
+    solve = cli.run_solver
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_solver", counted)
+    return calls
+
+
 class TestWriteField:
     def test_layout_and_header(self, tmp_path, eos53):
         grid = Grid(2, 2, 0.0, 1.0, 0.0, 1.0)
@@ -139,18 +153,25 @@ class TestCutsAndSchlieren:
         ["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "2",
          "--emit", "cuts,field"],
     ])
-    def test_bad_cut_grid_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch, argv):
-        calls = []
-        solve = cli.run_solver
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_solver", counted)
+    def test_bad_cut_grid_rejected_before_the_solve(self, tmp_path, capsys, solves, argv):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         assert "x_min = y_min" in capsys.readouterr().err
-        assert calls == [] and not (tmp_path / "field.dat").exists()
+        assert solves == [] and not (tmp_path / "field.dat").exists()
+
+    @pytest.mark.parametrize("argv, message, name", [
+        (["run", "--problem", "sine", "--n", "1", "--emit", "schlieren"],
+         "at least 2 cells per axis", "schlieren.dat"),
+        (["run", "--problem", "sine", "--nx", "1", "--ny", "4", "--emit", "schlieren"],
+         "at least 2 cells per axis", "schlieren.dat"),
+        (["compare-symmetry", "--n", "1"], "n >= 2", "symmetry.txt"),
+    ], ids=["schlieren-n1", "schlieren-nx1", "compare-symmetry-n1"])
+    def test_too_few_cells_rejected_before_the_solve(self, tmp_path, capsys, solves, argv,
+                                                     message, name):
+        """numpy's gradient and interpolation would fail only after the solve."""
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert solves == [] and not (tmp_path / name).exists()
 
     def test_schlieren_columns(self, tmp_path, small_run):
         spec, field = small_run
@@ -399,6 +420,27 @@ class TestCommands:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sine", "--cfl", "2.0"]) == 2
         assert cli.main(["run", "--problem", "not-a-problem", "--n", "8"]) == 2
+        assert cli.main(["converge", "--problem", "rp2", "--n", "8", "--levels", "1"]) == 2
+        assert "'rp2' has no exact solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--n", "8", "--t-end", "0"], ["--n", "2", "--t-end", "0.01"]],
+                             ids=["n8-t0", "n2"])
+    def test_zero_split_deviation_exits_2(self, tmp_path, capsys, argv):
+        """Both deviations read 0 here, so their ratio is undefined."""
+        assert cli.main(["compare-symmetry", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == (
+            "error: deviation ratio undefined: the dimension-split deviation is 0")
+        assert not (tmp_path / "symmetry.txt").exists()
+
+    @pytest.mark.parametrize("name, n", [("jet-hot-i", 8), ("jet-hot-i", 11), ("jet-cold-i", 8)])
+    def test_jet_too_coarse_for_its_nozzle_exits_2(self, tmp_path, capsys, name, n):
+        """With no ghost centre in the nozzle the run would end with no beam and exit 0."""
+        argv = ["run", "--problem", name, "--n", str(n), "--t-end", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "holds no boundary cell centre" in err[0]
+        assert not (tmp_path / "field.dat").exists()
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "--problem", "sine", "--n", "abc"]) == 2

@@ -175,6 +175,15 @@ class TestJets:
         with pytest.raises(ConfigurationError):
             jet_setup("hot", 0.99, 1.2)  # c_s^2 would exceed Gamma - 1
 
+    @pytest.mark.parametrize("args, message", [
+        (("warm", 0.99, 1.72), "model"), (("hot", 0.0, 1.72), "speed"),
+        (("hot", 1.0, 1.72), "speed"), (("cold", -0.5, 50.0), "speed"),
+        (("hot", 0.99, 0.0), "Mach"), (("cold", 0.99, -50.0), "Mach"),
+    ])
+    def test_bad_parameters_rejected(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            jet_setup(*args)
+
     def test_pressure_matches_sound_speed(self):
         spec = jet_setup("hot", 0.99, 1.72)
         _, _, cs = physics.thermo(physics.primitive(*spec.boundaries.bottom.state), spec.eos)
