@@ -29,7 +29,7 @@ from .errors import (
     RecoveryConvergenceError,
     RhdError,
 )
-from .mesh_solver import MODES, Grid, SolverConfig, run as run_solver
+from .mesh_solver import MODES, SolverConfig, run as run_solver
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,8 +78,6 @@ class RunConfig:
     problem: str = _setting("", "--problem", ("run", "converge"), str,
                             f"one of {', '.join(problems.problem_names())}")
     n: int = _setting(100, "--n", _SOLVE, int, "cells across x (y scaled to square cells)")
-    n_x: Optional[int] = _setting(None, "--nx", ("run",), int, "cells in x (with --ny)")
-    n_y: Optional[int] = _setting(None, "--ny", ("run",), int, "cells in y (with --nx)")
     cfl_sigma: float = _setting(SolverConfig.cfl_sigma, "--cfl", _SOLVE, float, "CFL number")
     alpha: float = _setting(SolverConfig.alpha, "--alpha", _SOLVE, float, "wave-speed amplifier")
     mode: str = _setting(SolverConfig.mode, "--mode", ("run", "converge"),
@@ -103,13 +101,6 @@ class RunConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(cfl_sigma=self.cfl_sigma, alpha=self.alpha, mode=self.mode,
                             pcp_audit=self.pcp_audit)
-
-    def grid_for(self, spec) -> Grid:
-        if self.n_x is not None or self.n_y is not None:
-            if self.n_x is None or self.n_y is None:
-                raise ConfigurationError("--nx and --ny must be given together")
-            return Grid(self.n_x, self.n_y, spec.x_min, spec.x_max, spec.y_min, spec.y_max)
-        return spec.default_grid(self.n)
 
 
 # config-file key: its flag, commands, parser and help
@@ -225,25 +216,31 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 
 def _cmd_run(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
-    grid = config.grid_for(spec)
+    grid = spec.default_grid(config.n)
     if "cuts" in config.emit:
         problems.check_cut_grid(grid)
     if "schlieren" in config.emit and min(grid.n_x, grid.n_y) < 2:
         raise ConfigurationError("schlieren gradients need at least 2 cells per axis")
     out = Path(config.out_dir)
 
+    def field_name(time):
+        return "field.dat" if time == t_end else f"field_t{time:.12g}.dat"
+
+    if "field" in config.emit:
+        names = {t: field_name(t) for t in config.snapshots}  # each distinct time once
+        if len(set(names.values())) < len(names):
+            raise ConfigurationError(f"two snapshot times write one field file: {names}")
+
     def on_snapshot(field):
         out.mkdir(parents=True, exist_ok=True)  # run() has accepted the times; t_end always fires
-        if field.time != t_end and "field" in config.emit:
-            output.write_field(field, spec.eos, out / f"field_t{field.time:.12g}.dat")
+        if "field" in config.emit:
+            output.write_field(field, spec.eos, out / field_name(field.time))
 
     started = _time.perf_counter()
     result = run_solver(spec, grid, solver_config, t_end=t_end, snapshot_times=config.snapshots,
                         on_snapshot=on_snapshot)
     elapsed = _time.perf_counter() - started
 
-    if "field" in config.emit:
-        output.write_field(result.field, spec.eos, out / "field.dat")
     if "cuts" in config.emit:
         output.write_cuts(result.field, spec.eos, out / "cuts.dat")
     if "schlieren" in config.emit:

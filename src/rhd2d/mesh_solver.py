@@ -503,6 +503,9 @@ def run(
             if dt >= remaining:
                 dt = remaining
                 diag.dt_clamped_steps += 1
+            if field.time + dt == field.time:
+                raise ConfigurationError(f"time step {dt!r} does not advance t = {field.time!r} "
+                                         f"(sigma = {config.cfl_sigma!r}, alpha = {config.alpha!r})")
             fluxes = assemble_fluxes(field, dt, eos, config, prim, speeds)
             del speeds
             step(field, dt, fluxes, config)

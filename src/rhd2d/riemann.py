@@ -42,8 +42,6 @@ def fan_speeds(lam1s, lam4s, alpha):
     The arrays are reduced pairwise, so views into a mesh are never
     stacked into a copy.
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"speed amplifier alpha must be >= 1, got {alpha}")
     return alpha * reduce(np.minimum, lam1s), alpha * reduce(np.maximum, lam4s)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rhd2d import physics
+from rhd2d import mesh_solver, physics
 from rhd2d.physics import EosParams
 
 
@@ -18,6 +18,23 @@ def eos53():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def steps_taken(monkeypatch):
+    """The calls of `mesh_solver.step` that a run makes; the fourth raises, so a
+    run that stops advancing its clock fails instead of looping forever."""
+    calls = []
+    step = mesh_solver.step
+
+    def few_steps(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 3:
+            raise AssertionError("run() kept stepping without advancing the clock")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_solver, "step", few_steps)
+    return calls
 
 
 def assert_close(actual, expected, rel=1e-13, abs_tol=0.0):

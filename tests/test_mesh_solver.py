@@ -665,6 +665,15 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(spec, spec.default_grid(8), SolverConfig(), **kwargs)
 
+    @pytest.mark.parametrize("sigma, alpha", [(5e-324, 2.0), (1e-300, 1e308)])
+    def test_time_step_that_does_not_advance_the_clock_rejected(self, steps_taken, sigma, alpha):
+        """sigma dx / (alpha max|lam|) underflows to dt = 0, which would loop forever."""
+        spec = problems.problem_by_name("sine")
+        config = SolverConfig(cfl_sigma=sigma, alpha=alpha)
+        with pytest.raises(ConfigurationError, match=r"time step 0\.0 does not advance t = 0\.0 "):
+            run(spec, spec.default_grid(8), config, t_end=spec.t_end)
+        assert steps_taken == []
+
     @pytest.mark.parametrize("mode", MODES)
     def test_equals_public_call_loop(self, mode):
         """run() is the loop of public calls that an outside caller (such as

@@ -143,15 +143,14 @@ class TestCutsAndSchlieren:
 
     def test_cuts_need_cells_on_the_diagonal(self, tmp_path, capsys):
         """On a jet grid the cells (i, i) lie on y = 2.5 x, not on y = x."""
-        code = cli.main(["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "0",
+        code = cli.main(["run", "--problem", "jet-hot-i", "--n", "8", "--t-end", "0",
                          "--emit", "cuts", "--out", str(tmp_path)])
         assert code == 2
         assert "x_min = y_min" in capsys.readouterr().err
         assert not (tmp_path / "cuts.dat").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--problem", "jet-hot-i", "--nx", "8", "--ny", "8", "--t-end", "2",
-         "--emit", "cuts,field"],
+        ["run", "--problem", "jet-hot-i", "--n", "8", "--t-end", "2", "--emit", "cuts,field"],
     ])
     def test_bad_cut_grid_rejected_before_the_solve(self, tmp_path, capsys, solves, argv):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
@@ -161,10 +160,8 @@ class TestCutsAndSchlieren:
     @pytest.mark.parametrize("argv, message, name", [
         (["run", "--problem", "sine", "--n", "1", "--emit", "schlieren"],
          "at least 2 cells per axis", "schlieren.dat"),
-        (["run", "--problem", "sine", "--nx", "1", "--ny", "4", "--emit", "schlieren"],
-         "at least 2 cells per axis", "schlieren.dat"),
         (["compare-symmetry", "--n", "1"], "n >= 2", "symmetry.txt"),
-    ], ids=["schlieren-n1", "schlieren-nx1", "compare-symmetry-n1"])
+    ], ids=["schlieren-n1", "compare-symmetry-n1"])
     def test_too_few_cells_rejected_before_the_solve(self, tmp_path, capsys, solves, argv,
                                                      message, name):
         """numpy's gradient and interpolation would fail only after the solve."""
@@ -256,11 +253,6 @@ class TestParseConfig:
             cli.parse_config(["run", "--config", str(cfg)])
         with pytest.raises(ConfigurationError, match="cannot read"):
             cli.parse_config(["run", "--config", str(tmp_path / "missing.cfg")])
-
-    def test_nx_requires_ny(self):
-        _, config = cli.parse_config(["run", "--problem", "sine", "--nx", "10"])
-        with pytest.raises(ConfigurationError):
-            config.grid_for(problems.problem_by_name("sine"))
 
 
 # A command that reads each setting, and its flag; pcp_audit's flag takes no
@@ -513,6 +505,41 @@ class TestCommands:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+
+    def test_time_step_that_does_not_advance_the_clock_exits_2(self, tmp_path, capsys,
+                                                               steps_taken):
+        out = tmp_path / "out"
+        argv = ["run", "--problem", "sine", "--n", "8", "--cfl", "5e-324", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: time step 0.0 does not advance t = 0.0 (sigma = 5e-324, alpha = 2.0)"]
+        assert steps_taken == [] and not out.exists()
+
+    def test_snapshot_times_with_one_file_name_exit_2(self, tmp_path, capsys, solves):
+        """`%.12g` prints both times as 0.05, so the second field file would overwrite the first."""
+        argv = ["run", "--problem", "sine", "--n", "8", "--t-end", "0.1",
+                "--snapshots", "0.05000000000001,0.05000000000002"]
+        assert cli.main([*argv, "--out", str(tmp_path / "field")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "field_t0.05.dat" in err[0]
+        assert solves == [] and not (tmp_path / "field").exists()
+        # without field files the times write nothing to confuse
+        assert cli.main([*argv, "--emit", "report", "--out", str(tmp_path / "report")]) == 0
+
+    @pytest.mark.parametrize("mode, code", [("split", 3), ("multidimensional", 0)])
+    def test_sigma_one_breaks_only_the_split_step(self, tmp_path, capsys, mode, code):
+        """At sigma 1, above the proven 1/2, the split step leaves the admissible set on rp2
+        and the audit stops the run; the multidimensional step holds."""
+        out = tmp_path / "out"
+        argv = ["run", "--problem", "rp2", "--n", "16", "--cfl", "1", "--mode", mode,
+                "--out", str(out)]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert "updated cell (7, 7) left the admissible set" in captured.err
+            assert not out.exists()
+        else:
+            assert " in 13 steps " in captured.out and (out / "field.dat").exists()
 
     def test_pcp_exit_code(self, monkeypatch):
         def boom(*args, **kwargs):

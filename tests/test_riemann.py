@@ -78,11 +78,6 @@ class TestWaveSpeeds1D:
         s_minus, s_plus = pair_speeds(eos53, (left, right), 0)
         assert np.all(s_minus < s_plus)
 
-    def test_alpha_validated(self, eos53):
-        rest = physics.primitive(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            pair_speeds(eos53, (rest, rest), 0, alpha=0.5)
-
 
 class TestWaveSpeeds2D:
     def test_rest_corners(self, eos53):
