@@ -22,7 +22,14 @@ Each step computes the per-cell quantities once: run() recovers the
 primitives of the ghosted array (seeded by the previous level's pressure),
 evaluates the extreme signal speeds of both axes in one pass
 (`physics.extreme_speeds`), and hands them to compute_dt and
-assemble_fluxes.
+assemble_fluxes.  It also keeps one set of flux buffers for the whole run:
+every 4-component array of flux assembly (the physical fluxes, the jumps,
+the face and edge fluxes, the second differences and crosses, the corner
+workspace and the composites) is written into memory that the previous
+step already touched, so a steady step allocates only per-lane scalars and
+the allocator never trims and re-faults the flux arrays' pages.  Like the
+fields, these arrays keep the (..., 4) shape and store each component as
+one contiguous plane.
 
 Fluxes are written into arrays before any cell is touched, so results do
 not depend on traversal order.  The jumps of U and of each axis's flux
@@ -201,7 +208,7 @@ class Field:
         if average:
             nodes = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
             weights = np.array([5.0, 8.0, 5.0]) / 18.0
-            cons = np.zeros((grid.n_x, grid.n_y, 4))
+            cons = physics.stack_planes(np.zeros((4, grid.n_x, grid.n_y)))
             for a, wa in zip(nodes, weights):
                 for b, wb in zip(nodes, weights):
                     cons += (wa * wb) * conserved_at(
@@ -215,7 +222,7 @@ class Field:
             raise AdmissibilityError(
                 f"initial data not admissible at cell ({i}, {j})", index=(int(i), int(j))
             )
-        cells = np.zeros((grid.n_x + 2 * GHOST, grid.n_y + 2 * GHOST, 4))
+        cells = physics.stack_planes(np.zeros((4, grid.n_x + 2 * GHOST, grid.n_y + 2 * GHOST)))
         cells[GHOST:-GHOST, GHOST:-GHOST] = cons
         return cls(grid, cells)
 
@@ -288,6 +295,34 @@ def compute_dt(
     return cfl_sigma * limit
 
 
+class _FluxBuffers:
+    """The 4-component work arrays of flux assembly, kept between calls.
+
+    Each name owns one pool the size of a ghosted field; `planes` views the
+    pool's head as a (..., 4) array whose components are planes in (x, y)
+    order, as `Field.cells` stores them, seen along `axis` as np.swapaxes
+    sees it.  Writing each step into pages already touched spares the
+    allocator the trimming and re-faulting of some 11 MB per call at
+    200x200.  The pools are rows of one block, which the allocator maps and
+    unmaps whole instead of scattering a dozen chunks over a heap that the
+    next run has to grow around.  The fluxes of one call are only valid
+    until the next call on the same buffers.
+    """
+
+    # Split mode uses the first seven pools.
+    NAMES = ("flux", "du", "df", "face0", "face1", "cross0", "cross1",
+             "edge0", "edge1", "d2u", "d2f0", "d2f1")
+
+    def __init__(self, grid: Grid):
+        size = 4 * (grid.n_x + 2 * GHOST) * (grid.n_y + 2 * GHOST)
+        self._pools = dict(zip(self.NAMES, np.empty((len(self.NAMES), size))))
+
+    def planes(self, name: str, shape, axis: int = 0) -> np.ndarray:
+        natural = tuple(shape[::-1]) if axis else tuple(shape)
+        pool = self._pools[name][:4 * math.prod(natural)]
+        return np.swapaxes(physics.stack_planes(pool.reshape(4, *natural)), 0, axis)
+
+
 def assemble_fluxes(
     field: Field,
     dt: float,
@@ -311,7 +346,14 @@ def assemble_fluxes(
     raises PcpAuditError, in either mode; at or below it every composite
     weight is >= 0, and compute_dt's dt never exceeds it (a caller's may).
     Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
+    The work arrays, the returned fluxes among them, belong to this call
+    alone; run() keeps one set for the whole run (`_FluxBuffers`).
     """
+    return _assemble_fluxes(_FluxBuffers(field.grid), field, dt, eos, config, prim, speeds)
+
+
+def _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds):
+    """assemble_fluxes, writing every 4-component array into `buffers`."""
     grid = field.grid
     cons = field.cells
     multidimensional = config.mode == "multidimensional"
@@ -329,8 +371,6 @@ def assemble_fluxes(
     face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
-        # Each intermediate is dropped once spent: a fresh page costs more
-        # than the arithmetic on it.
         lam1, lam4 = (np.swapaxes(a, 0, axis) for a in speeds[axis])
         s_minus, s_plus = fan_speeds((lam1[:-1], lam1[1:]), (lam4[:-1], lam4[1:]), config.alpha)
         if multidimensional:
@@ -343,45 +383,62 @@ def assemble_fluxes(
                       np.maximum(s_plus[low], s_plus[:, 1:]))
             np.minimum(corner[0][low], corner[0][:, 1:], out=s_minus[inner])
             np.maximum(corner[1][low], corner[1][:, 1:], out=s_plus[inner])
-        u, f = (np.swapaxes(a, 0, axis) for a in (cons, physical_flux(prim, cons, axis)))
-        du = u[1:] - u[:-1]
-        df = f[1:] - f[:-1]
-        f1 = hll_flux_from_jumps(f[:-1], f[1:], du, df, hll_coefficients(s_minus, s_plus))
+        flux = physical_flux(prim, cons, axis, out=buffers.planes("flux", cons.shape[:-1]))
+        u, f = (np.swapaxes(a, 0, axis) for a in (cons, flux))
+        faces = (u.shape[0] - 1, u.shape[1])
+        du = np.subtract(u[1:], u[:-1], out=buffers.planes("du", faces, axis))
+        df = np.subtract(f[1:], f[:-1], out=buffers.planes("df", faces, axis))
+        # Only the interior rows' face fluxes are used.  The crosses' pool
+        # is free until they are taken, so it holds the products k df.
+        interior_faces = (faces[0], faces[1] - 2 * GHOST)
+        f1 = hll_flux_from_jumps(
+            f[:-1][inner], f[1:][inner], du[inner], df[inner],
+            hll_coefficients(s_minus[inner], s_plus[inner]),
+            out=buffers.planes(f"face{axis}", interior_faces, axis),
+            workspace=buffers.planes(f"cross{axis}", interior_faces, axis),
+        )
         del s_minus, s_plus
-        face.append(np.swapaxes(f1[inner], 0, axis))
+        face.append(np.swapaxes(f1, 0, axis))
         if not multidimensional:
             continue
 
         coefficient = hll_coefficients(*corner)
-        edge = hll_flux_from_jumps(f[:-1][low], f[1:][low], du[low], df[low], coefficient)
+        vertices = (faces[0], faces[1] - 1)
+        edge = hll_flux_from_jumps(
+            f[:-1][low], f[1:][low], du[low], df[low], coefficient,
+            out=buffers.planes(f"edge{axis}", vertices, axis),
+            workspace=buffers.planes(f"cross{axis}", vertices, axis),
+        )
         if axis == 0:
-            d2u = du[:, 1:] - du[low]
-        del du
-        d2fs.append(np.swapaxes(df[:, 1:] - df[low], 0, axis))
-        del df
-        crosses.append(np.swapaxes(f[:-1, 1:] - f[:-1, :-1], 0, axis))
+            d2u = np.subtract(du[:, 1:], du[low], out=buffers.planes("d2u", vertices))
+        d2f = np.subtract(df[:, 1:], df[low], out=buffers.planes(f"d2f{axis}", vertices, axis))
+        cross = np.subtract(f[:-1, 1:], f[:-1, :-1],
+                            out=buffers.planes(f"cross{axis}", vertices, axis))
+        d2fs.append(np.swapaxes(d2f, 0, axis))
+        crosses.append(np.swapaxes(cross, 0, axis))
         corner_speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
         coefficients.append(FanCoefficients(*(np.swapaxes(c, 0, axis) for c in coefficient)))
         edges.append(np.swapaxes(edge, 0, axis))
-        del f
 
     if not multidimensional:
         return tuple(face)
-    corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients)
-    del crosses, d2u, d2fs
+    # The physical fluxes are spent, so their pool is the corner workspace.
+    corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients,
+                                workspace=buffers.planes("flux", d2u.shape[:-1]))
 
     # Composite: each face blends its 1D flux with the corner fluxes of the
     # two fan triangles that sweep across it during dt, one-signed fans
     # included.  In each axis's view the second index runs across the face,
     # so [:, :-1] is the corner on its low side and [:, 1:] the high side.
+    # The jumps are spent, so their pools take the composites.
     composite = []
-    for axis, across in ((0, grid.dy), (1, grid.dx)):
+    for axis, across, pool in ((0, grid.dy, "du"), (1, grid.dx, "df")):
         f1, f2d = (np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis]))
         t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
-        blend = f2d[:, :-1] - f1
+        blend = np.subtract(f2d[:, :-1], f1, out=buffers.planes(pool, f1.shape[:-1], axis))
         blend *= (weight_scale * plus_low)[..., None]
         blend += f1
         high = f2d[:, 1:]  # the corner fluxes are spent after this term
@@ -485,6 +542,7 @@ def run(
     # + 0.0 turns -0.0 into 0.0, so no snapshot time or header reads -0
     targets = sorted({float(t) + 0.0 for t in (*snapshot_times, t_end)})
     pressure_hint = None
+    buffers = _FluxBuffers(grid)
 
     # With t_end = 0 the only target is 0: no step runs, the snapshot fires
     # once, and the diagnostics observe the initial interior below.
@@ -506,7 +564,7 @@ def run(
             if field.time + dt == field.time:
                 raise ConfigurationError(f"time step {dt!r} does not advance t = {field.time!r} "
                                          f"(sigma = {config.cfl_sigma!r}, alpha = {config.alpha!r})")
-            fluxes = assemble_fluxes(field, dt, eos, config, prim, speeds)
+            fluxes = _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds)
             del speeds
             step(field, dt, fluxes, config)
             diag.steps += 1

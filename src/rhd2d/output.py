@@ -22,21 +22,22 @@ def _fmt(value) -> str:
     return _FMT % float(value)
 
 
-def _write_table(path, header: str, grid, values: np.ndarray) -> None:
+def _write_table(path, header: str, grid, *blocks: np.ndarray) -> None:
     """Header line, then one `x y value...` row per cell, j-outer / i-inner.
 
-    `values` has shape (n_x, n_y, k).  Each row is formatted with one
-    %-string, which gives the same bytes as formatting value by value.
-    Writing one mesh row (fixed j) at a time keeps the text of the whole
-    table out of memory.
+    Each block has shape (n_x, n_y, k); a row holds the cell's values from
+    every block in turn.  Each row is formatted with one %-string, which
+    gives the same bytes as formatting value by value.  Writing one mesh
+    row (fixed j) at a time keeps the text, and the joined table, of the
+    whole mesh out of memory.
     """
-    xs, ys = np.meshgrid(grid.centers_x(), grid.centers_y(), indexing="ij")
-    table = np.concatenate([xs[..., None], ys[..., None], values], axis=-1)
-    row = " ".join([_FMT] * table.shape[-1]) + "\n"
+    row = " ".join([_FMT] * (2 + sum(block.shape[-1] for block in blocks))) + "\n"
+    xs = grid.centers_x().tolist()
     with open(path, "w") as handle:
         handle.write(header + "\n")
-        for cells in table.transpose(1, 0, 2):
-            handle.write("".join([row % tuple(r) for r in cells.tolist()]))
+        for j, y in enumerate(grid.centers_y().tolist()):
+            cells = np.concatenate([block[:, j] for block in blocks], axis=-1).tolist()
+            handle.write("".join([row % (x, y, *values) for x, values in zip(xs, cells)]))
 
 
 def write_field(field: Field, eos: EosParams, path) -> None:
@@ -51,7 +52,7 @@ def write_field(field: Field, eos: EosParams, path) -> None:
         ["#", str(grid.n_x), str(grid.n_y)]
         + [_fmt(v) for v in (grid.x_min, grid.x_max, grid.y_min, grid.y_max, field.time, eos.gamma_adiabatic)]
     )
-    _write_table(path, header, grid, np.concatenate([prim, cons], axis=-1))
+    _write_table(path, header, grid, prim, cons)
 
 
 def write_cuts(field: Field, eos: EosParams, path) -> None:

@@ -4,7 +4,11 @@ States are float arrays whose last axis has length four.  Primitive vectors
 hold (rho, vel_x, vel_y, pressure); conserved vectors hold (D, m_x, m_y, E)
 in the laboratory frame with c = 1.  Every function broadcasts over leading
 axes, so a single state, a batch, or a whole ghosted mesh can be passed
-alike.  All functions are pure.
+alike, whatever its memory layout.  The arrays this package builds keep
+the (..., 4) shape but store each component as one contiguous plane
+(`stack_planes`), so per-lane scalars broadcast over the component axis
+and each component is read as one run of memory.  All functions are pure,
+except that `physical_flux` writes into an `out` array when given one.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ class EigenSpeeds(NamedTuple):
     lam4: np.ndarray
 
 
+def stack_planes(components) -> np.ndarray:
+    """The (..., k) array of k same-shaped components, each stored as one
+    C-contiguous plane [..., i].
+
+    `components` is a sequence of arrays, or an array whose first axis runs
+    over them, which is then viewed rather than copied.
+    """
+    return np.moveaxis(np.asarray(components, dtype=float), 0, -1)
+
+
 def _speed_squared(vel_x, vel_y):
     """|u|^2; raises SuperluminalError when |u| >= 1."""
     speed_sq = vel_x * vel_x + vel_y * vel_y
@@ -72,7 +86,7 @@ def primitive(rho, vel_x, vel_y, pressure) -> np.ndarray:
     if not np.all(pressure > 0.0):
         raise ValueError("pressure must be positive")
     _speed_squared(vel_x, vel_y)
-    return np.stack([rho, vel_x, vel_y, pressure], axis=-1)
+    return stack_planes([rho, vel_x, vel_y, pressure])
 
 
 def lorentz_factor(vel_x, vel_y) -> np.ndarray:
@@ -106,21 +120,14 @@ def prim_to_cons(prim: np.ndarray, eos: EosParams) -> np.ndarray:
     _, h, _ = thermo(prim, eos)
     dens = prim[..., RHO] * gam
     wtot = prim[..., RHO] * h * gam * gam
-    return np.stack(
-        [
-            dens,
-            wtot * prim[..., VX],
-            wtot * prim[..., VY],
-            wtot - prim[..., PRE],
-        ],
-        axis=-1,
-    )
+    return stack_planes([dens, wtot * prim[..., VX], wtot * prim[..., VY], wtot - prim[..., PRE]])
 
 
-def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int) -> np.ndarray:
+def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Physical flux along one axis: (D u_l, m u_l + p e_l, (E + p) u_l).
 
-    `cons` must be the conserved image of `prim`.
+    `cons` must be the conserved image of `prim`.  `out`, when given, is a
+    float array of the flux's shape that receives and returns the flux.
     """
     prim = np.asarray(prim, dtype=float)
     cons = np.asarray(cons, dtype=float)
@@ -128,7 +135,7 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
     u_n = prim[..., VX + axis]
     p = prim[..., PRE]
-    flux = cons * u_n[..., None]
+    flux = np.multiply(cons, u_n[..., None], out=out)
     flux[..., MOMX + axis] += p
     flux[..., ENE] += p * u_n
     return flux
@@ -246,10 +253,11 @@ def is_admissible(cons: np.ndarray) -> np.ndarray:
         scale = ((e2 + d2) + mx2) + my2
         certain = (np.abs(quad) > _CERTIFIED_RATIO * scale) & (scale > _CERTIFIED_FLOOR)
     if not np.all(certain):
-        unsure = np.flatnonzero(~certain)
-        quad = np.ravel(quad)  # C order, like the lane indices; 0-d becomes (1,)
-        quad[unsure] = _admissibility_quadratic(np.reshape(cons, (-1, 4))[unsure])
-        quad = quad.reshape(dens.shape)
+        # Boolean indexing gathers only the uncertain lanes, in C order,
+        # whatever the layout of `cons`.
+        unsure = ~certain
+        quad = np.asarray(quad)  # a 0-d state gives a scalar
+        quad[unsure] = _admissibility_quadratic(cons[unsure])
     return (dens > 0.0) & (energy > 0.0) & (quad > 0.0)
 
 

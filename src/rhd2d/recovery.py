@@ -275,5 +275,5 @@ def recover_with_iterations(
         )
     rho = np.ldexp(dens * np.sqrt(z) / w, exponent)
     p = np.ldexp(p, exponent)
-    prim = np.stack([rho, cons[..., MOMX] / w, cons[..., MOMY] / w, p], axis=-1)
+    prim = physics.stack_planes([rho, cons[..., MOMX] / w, cons[..., MOMY] / w, p])
     return prim, iterations

@@ -25,7 +25,8 @@ corner fan's intermediate state and its quadrant composites, which the
 paper's PCP lemma is about and the mesh never forms, are what `rhd2d
 verify` checks; they live in `verification`.  All functions broadcast over
 leading axes and are pure, except that `corner_fluxes` writes its result
-into the edge fluxes it is given.
+into the edge fluxes it is given, and that the `out` and `workspace` arrays
+a caller passes are written.
 """
 
 from __future__ import annotations
@@ -77,23 +78,25 @@ def hll_coefficients(s_minus, s_plus) -> FanCoefficients:
     return FanCoefficients(sl, kr, sr, w, right)
 
 
-def hll_flux_from_jumps(f_l, f_r, du, df, coefficients):
+def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out=None, workspace=None):
     """Clipped HLL flux f_l + kr du - k df from the jumps du = u_r - u_l,
     df = f_r - f_l and the fan's `hll_coefficients`.
 
     Exact in floating point: equal states (du = df = 0) and sl = 0 (k = 0,
     so supersonic rightward fans and empty fans) give f_l, and the `right`
-    lanes are set to f_r by index.
+    lanes are set to f_r by index.  `out` receives the flux and `workspace`
+    the product k df, each an array of the flux's shape; either is
+    allocated when not given.
     """
-    flux = coefficients.kr[..., None] * du
+    flux = np.multiply(coefficients.kr[..., None], du, out=out)
     flux += f_l
-    flux -= coefficients.k[..., None] * df
+    flux -= np.multiply(coefficients.k[..., None], df, out=workspace)
     right = np.broadcast_to(coefficients.right, flux.shape[:-1])
     flux[right] = np.broadcast_to(f_r, flux.shape)[right]
     return flux
 
 
-def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
+def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace=None):
     """(flux_x, flux_y) of corner fans from their shared jumps, without checks.
 
     For the fan of (U, F, G) triples ld, rd, lu, ru with speeds
@@ -124,8 +127,11 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
     PCP certificate of `mesh_solver` fails at alpha = 2 whatever the CFL
     number.  The paper's own corner-flux
     equation is not at hand to check this coefficient against.
+    `workspace`, an array of an edge flux's shape, holds each term before
+    it is added; it is allocated when not given.
     """
-    workspace = np.empty_like(edges[0])
+    if workspace is None:
+        workspace = np.empty_like(edges[0])
     for flux, cross, d2f, d2f_across, along, across in zip(
         edges, crosses, d2fs, d2fs[::-1], coefficients, coefficients[::-1]
     ):

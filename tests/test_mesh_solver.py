@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import cli, physics, problems, verification
+from rhd2d import cli, mesh_solver, physics, problems, verification
 from rhd2d.errors import AdmissibilityError, ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import (
     GHOST,
@@ -25,6 +29,11 @@ from rhd2d.mesh_solver import (
     step,
 )
 from rhd2d.recovery import DEFAULT_OPTIONS, recover_with_iterations
+
+try:
+    import resource
+except ImportError:  # not a Unix
+    resource = None
 
 
 def uniform_field(grid, eos, prim=(1.0, 0.0, 0.0, 1.0)):
@@ -382,8 +391,10 @@ class TestAssembleFluxes:
         """One call's peak traced allocation on rp2 64x64, in units of one
         ghosted (n+2)^2 x 4 array, stays within the 18.062 measured here for
         the assembly that preceded the coefficient form.  It now measures
-        15.46 for this call, which computes the speeds itself, and 14.46 when
-        they are passed in, as run() does."""
+        17.75 for this call, which computes the speeds itself and allocates
+        the flux buffers for itself alone, and 16.75 when the speeds are
+        passed in.  A call of run()'s, on its kept buffers and with the
+        speeds passed in, allocates 4.73."""
         spec = problems.problem_by_name("rp2")
         grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
@@ -398,6 +409,146 @@ class TestAssembleFluxes:
         finally:
             tracemalloc.stop()
         assert peak / field.cells.nbytes <= 18.07
+
+    def test_run_keeps_its_flux_buffers(self, monkeypatch):
+        """run() makes one set of flux buffers and writes every 4-component
+        array of flux assembly into it: on rp2 64x64 each call's peak traced
+        allocation, in units of one ghosted (n+2)^2 x 4 array, measures 4.73
+        (per-lane scalars), where one more 4-component temporary adds 1."""
+        made, peaks = [], []
+        buffers, assemble = mesh_solver._FluxBuffers, mesh_solver._assemble_fluxes
+
+        def counted(grid):
+            made.append(grid)
+            return buffers(grid)
+
+        def measured(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fluxes = assemble(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return fluxes
+
+        monkeypatch.setattr(mesh_solver, "_FluxBuffers", counted)
+        monkeypatch.setattr(mesh_solver, "_assemble_fluxes", measured)
+        spec = problems.problem_by_name("rp2")
+        grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
+        tracemalloc.start()
+        try:
+            field = run(spec, grid, SolverConfig(), t_end=0.05).field
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1 and len(peaks) >= 4
+        assert max(peaks) / field.cells.nbytes <= 5.2, peaks
+
+
+class TestPlanarLayout:
+    """Arrays keep their (..., 4) shape and store each component as one
+    C-contiguous plane; any (..., 4) array is still accepted."""
+
+    @staticmethod
+    def assert_planar(array):
+        assert array.shape[-1] == 4
+        assert all(array[..., k].flags.c_contiguous for k in range(4))
+
+    def test_constructors_store_planes(self, eos53):
+        spec = problems.problem_by_name("sine")
+        for average in (False, True):
+            self.assert_planar(Field.from_primitives(
+                Grid(6, 5, 0.0, 1.0, 0.0, 1.0), spec.initial, eos53, average=average).cells)
+        prim = physics.primitive(np.linspace(1.0, 2.0, 15).reshape(3, 5), 0.5, -0.25, 2.0)
+        cons = physics.prim_to_cons(prim, eos53)
+        for array in (prim, cons, recover_with_iterations(cons, eos53)[0]):
+            self.assert_planar(array)
+        interleaved = np.ascontiguousarray(cons)
+        assert not interleaved[..., 0].flags.c_contiguous
+        self.assert_planar(recover_with_iterations(interleaved, eos53)[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_input_gives_the_same_bits(self, mode):
+        """A caller's interleaved np.zeros((n, m, 4)) field and primitives give
+        the planar field's fluxes and step, bit for bit, on a non-square grid."""
+        spec = problems.problem_by_name("rp2")
+        grid = Grid(12, 10, -1.0, 1.0, -1.0, 1.0)
+        config = SolverConfig(mode=mode)
+        planar = run(spec, grid, config, t_end=0.1).field
+        interleaved = Field(grid, np.zeros((grid.n_x + 2, grid.n_y + 2, 4)), planar.time)
+        interleaved.cells[...] = planar.cells
+        self.assert_planar(planar.cells)
+        assert interleaved.cells.flags.c_contiguous
+        results = []
+        for field in (planar, interleaved):
+            fill_ghosts(field, spec.boundaries, spec.eos)
+            prim, _ = recover_with_iterations(field.cells, spec.eos)
+            if field is interleaved:
+                prim = np.ascontiguousarray(prim)
+            dt = compute_dt(field, spec.eos, config.cfl_sigma, config.alpha, prim)
+            fluxes = assemble_fluxes(field, dt, spec.eos, config, prim)
+            step(field, dt, fluxes, config)
+            results.append((dt, fluxes, field.cells))
+        (dt, fluxes, cells), (dt_i, fluxes_i, cells_i) = results
+        assert dt == dt_i
+        for flux, flux_i in zip(fluxes, fluxes_i):
+            assert np.array_equal(flux, flux_i)
+        assert np.array_equal(cells, cells_i)
+
+
+# Mean minor page faults of one steady rp2 step at 200x200, in a process
+# that has finished one run before.  Measured 0 on a 2-core x86-64 Linux
+# machine with glibc 2.36; about 2,500 when each step allocated its flux
+# arrays afresh and glibc trimmed and re-faulted some 11 MB of heap per step.
+MAX_FAULTS_PER_STEP = 300
+
+# A short run, then the minor faults of 5 steps of a second run's loop
+# after 2 warm-up steps, printed.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from rhd2d import mesh_solver, problems
+
+spec = problems.problem_by_name("rp2")
+grid = spec.default_grid(200)
+mesh_solver.run(spec, grid, mesh_solver.SolverConfig(), 0.005)
+faults = []
+step = mesh_solver.step
+
+class Enough(Exception):
+    pass
+
+def counted(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    if len(faults) == 8:
+        raise Enough
+    return step(*args)
+
+mesh_solver.step = counted
+try:
+    mesh_solver.run(spec, grid, mesh_solver.SolverConfig(), spec.t_end)
+except Enough:
+    print(*np.diff(faults)[2:])
+"""
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of glibc's allocator")
+def test_steady_steps_touch_no_fresh_pages():
+    """rp2 at 200x200: after 2 warm-up steps, 5 steps of run()'s loop take
+    at most MAX_FAULTS_PER_STEP minor page faults each on average.
+
+    The probe runs in a fresh interpreter, since how glibc trims its heap
+    depends on what the process allocated before.  It runs a short job
+    first, as a benchmark's later repetitions and a convergence study's
+    later levels have: freeing that run's flux buffers raises glibc's
+    dynamic mmap and trim thresholds above the step's temporaries.  A
+    process's first run still takes about 1,000 faults per step at this
+    size, from the per-lane temporaries of recovery and flux assembly,
+    which glibc trims; test_run_keeps_its_flux_buffers guards the flux
+    arrays themselves."""
+    src = str(Path(mesh_solver.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+    per_step = [int(word) for word in done.stdout.split()]
+    assert len(per_step) == 5 and np.mean(per_step) < MAX_FAULTS_PER_STEP, per_step
 
 
 class TestStep:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import fields, replace
 
@@ -96,6 +97,18 @@ class TestWriteField:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+
+    def test_rp2_field_bytes_pinned(self, tmp_path):
+        """The SHA-256 of `rhd2d run --problem rp2 --n 32`'s field.dat, as
+        the solver wrote it before the arrays became planar and the flux
+        buffers were reused.  rp2 needs only arithmetic and square roots,
+        which IEEE 754 rounds exactly, so the digest holds on any such
+        machine; a change in memory layout or buffer reuse must not move a
+        bit."""
+        argv = ["run", "--problem", "rp2", "--n", "32", "--emit", "field", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
+        assert digest == "eaeca942d34c8a77419605742eae2b2406a61103fba7bbe0ad24772044a2d2dc"
 
     def test_bytes_match_per_value_formatting(self, tmp_path, eos53):
         """Row-at-a-time formatting writes what "%.17g" per value writes."""

@@ -101,7 +101,7 @@ def stencil_weights(field, prim, speeds, dt, mode, monkeypatch):
             for role in range(3):  # U, F, G
                 fluxes = (indicator if role == 1 else zero, indicator if role == 2 else zero)
                 monkeypatch.setattr(
-                    mesh_solver, "physical_flux", lambda p, u, axis: fluxes[axis].copy()
+                    mesh_solver, "physical_flux", lambda p, u, axis, out: fluxes[axis].copy()
                 )
                 probe = Field(field.grid, (indicator if role == 0 else zero).copy())
                 step_once(probe, prim, speeds, dt, mode)

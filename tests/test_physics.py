@@ -315,6 +315,29 @@ class TestCertifiedAdmissibility:
         self.assert_matches_reference(cons[1:3, ::2])  # strided view, as a mesh interior
         self.assert_matches_reference(np.asfortranarray(cons))
 
+    def test_uncertain_lanes_of_any_layout(self, rng, eos53, monkeypatch):
+        """Only the lanes the filter cannot decide reach the compensated
+        reference, gathered in place: a non-contiguous interior and a planar
+        array (each component one contiguous plane) that mix certain and
+        uncertain lanes give the reference booleans."""
+        cons = physics.prim_to_cons(verification.sample_primitives(rng, 9 * 8), eos53)
+        cons = np.ascontiguousarray(cons).reshape(9, 8, 4)
+        cons[::2, ::3] = [3.0, 4.0, 0.0, 5.0]  # zero margin, which the filter cannot decide
+        planar = physics.stack_planes([cons[..., k] for k in range(4)])
+        assert np.array_equal(planar, cons) and planar[..., 0].flags.c_contiguous
+        quadratic = physics._admissibility_quadratic
+        for layout in (cons[1:-1, 1:-1], planar, planar[1:-1, 1:-1]):
+            assert not layout.flags.c_contiguous
+            gathered = []
+            monkeypatch.setattr(physics, "_admissibility_quadratic",
+                                lambda lanes: gathered.append(lanes.shape) or quadratic(lanes))
+            got = physics.is_admissible(layout)
+            monkeypatch.undo()
+            lanes = layout.shape[0] * layout.shape[1]
+            assert len(gathered) == 1 and 0 < gathered[0][0] < lanes and gathered[0][1:] == (4,)
+            assert np.array_equal(got, reference_admissible(layout))
+            assert not np.all(got)
+
 
 class TestAdmissibleSetProperties:
     """Closure of the admissible set, at reduced sample count (the acceptance
