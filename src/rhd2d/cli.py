@@ -7,9 +7,9 @@ text is parsed exactly as the config-file line `key = text` is, so
 `--no-pcp-audit` reads like `pcp_audit = false`.  A setting that the
 command does not read is rejected, from a flag or from a file.  Flags
 override an optional flat `key = value` file (`--config`), which overrides
-the defaults.  Exit codes: 0 success, 2 validation error (an `--out` that
-cannot be made and a mesh too large to allocate included), 3 PCP audit
-failure, 4 recovery failure.
+the defaults.  A command exits 0, or with the exit code that the class of
+its failure carries (the table is `errors.py`'s); a bad value, an `--out`
+that cannot be made and a mesh too large to allocate exit as `RhdError`.
 """
 
 from __future__ import annotations
@@ -22,19 +22,12 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import output, problems, verification
-from .errors import (
-    AdmissibilityError,
-    ConfigurationError,
-    PcpAuditError,
-    RecoveryConvergenceError,
-    RhdError,
-)
+from .errors import ConfigurationError, PcpAuditError, RecoveryConvergenceError, RhdError
 from .mesh_solver import MODES, SolverConfig, run as run_solver
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_PCP = 3
-EXIT_RECOVERY = 4
+EXIT_PCP = PcpAuditError.exit_code
+EXIT_RECOVERY = RecoveryConvergenceError.exit_code
 
 _EMIT_CHOICES = ("field", "cuts", "report", "schlieren")
 _MODE_ALIASES = {**{mode: mode for mode in MODES}, "split": "dimension_split"}
@@ -311,11 +304,9 @@ def _cmd_verify(config: RunConfig) -> int:
     for result in results:
         print(result.line())
     _optional_report(config, {r.name.replace(" ", "_"): r.failures for r in results}, "verify.txt")
-    failed = [r for r in results if not r.passed]
+    failed = [r.exit_code for r in results if not r.passed]
     if failed:
-        if any("round trip" in r.name or "residual" in r.name for r in failed):
-            return EXIT_RECOVERY
-        return EXIT_PCP
+        return max(failed)
     print(f"all {len(results)} suites passed")
     return EXIT_OK
 
@@ -358,17 +349,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, config = parse_config(list(argv))
         return _COMMANDS[command][0](config)
-    except PcpAuditError as exc:
-        print(f"PCP audit failure: {exc}", file=sys.stderr)
-        return EXIT_PCP
-    # AdmissibilityError is a ValueError too, so it must be caught first.
-    except (RecoveryConvergenceError, AdmissibilityError) as exc:
-        print(f"recovery failure: {exc}", file=sys.stderr)
-        return EXIT_RECOVERY
-    # a bad setting, an --out it cannot make, or a mesh too large to allocate
+    # A package error carries its exit code and label; any other (a bad value,
+    # an --out it cannot make, a mesh too large to allocate) ends as RhdError.
     except (RhdError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        failure = exc if isinstance(exc, RhdError) else RhdError
+        print(f"{failure.label}: {exc}", file=sys.stderr)
+        return failure.exit_code
 
 
 if __name__ == "__main__":

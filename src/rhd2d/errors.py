@@ -1,14 +1,18 @@
 """Exception types raised across the solver.
 
-The command line front end maps these onto process exit codes, so solver
-internals should always raise one of the classes below rather than bare
-built-ins when the failure is meaningful to a caller: the PCP audit's one
-type exits 3, recovery and admissibility failures 4, any other error 2.
+Solver internals should always raise one of the classes below rather than
+bare built-ins when the failure is meaningful to a caller.  Each class
+carries the exit code and stderr label with which the command line ends on
+it, and this is their one table: the PCP audit's one type exits 3,
+recovery and admissibility failures 4, any other error 2.
 """
 
 
 class RhdError(Exception):
     """Base class for all solver errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class ConfigurationError(RhdError, ValueError):
@@ -26,6 +30,9 @@ class SuperluminalError(RhdError, ValueError):
 class AdmissibilityError(RhdError, ValueError):
     """A conserved state lies outside the physically admissible set."""
 
+    exit_code = 4
+    label = "recovery failure"
+
     def __init__(self, message, *, mass=None, margin=None, index=None):
         self.mass = mass
         self.margin = margin
@@ -35,6 +42,9 @@ class AdmissibilityError(RhdError, ValueError):
 
 class RecoveryConvergenceError(RhdError, RuntimeError):
     """Pressure iteration failed to close its bracket to tolerance."""
+
+    exit_code = 4
+    label = "recovery failure"
 
     def __init__(self, message, *, bracket=None, index=None, iterations=None):
         self.bracket = bracket
@@ -47,6 +57,9 @@ class PcpAuditError(RhdError, RuntimeError):
     """A step failed the PCP audit: a dt above `compute_dt`'s bound at
     sigma = 1 in `assemble_fluxes`, or an updated cell, named by `index` and
     `state`, outside the admissible set in `step`."""
+
+    exit_code = 3
+    label = "PCP audit failure"
 
     def __init__(self, message, *, index=None, state=None, cfl_sigma=None, alpha=None):
         self.index = index

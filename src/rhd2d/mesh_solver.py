@@ -65,6 +65,9 @@ GHOST = 1  # ghost-layer width; the stencil is the 3x3 neighbourhood
 
 MODES = ("multidimensional", "dimension_split")
 
+# run() rejects a run that could need more steps to reach its t_end
+MAX_STEPS = 10**9  # rp2 at 200x200 takes 356
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -189,19 +192,17 @@ class Field:
     ) -> "Field":
         """Initialise the interior cells from a primitive-valued function.
 
-        With average=False the function is sampled at cell centers; with
-        average=True the conserved image is integrated over each cell with a
-        3x3 Gauss rule (the right choice for smooth accuracy studies, and
-        admissible by convexity of the admissible set).  The data must be
-        admissible at every sample point.
+        `initial(xs, ys)` returns any state that broadcasts to (n_x, n_y, 4),
+        sampled at cell centers with average=False; with average=True its
+        conserved image is integrated over each cell with a 3x3 Gauss rule
+        (the right choice for smooth accuracy studies, and admissible by
+        convexity of the admissible set).  The data must be admissible at
+        every sample point.
         """
 
         def conserved_at(xs, ys):
-            prim = np.asarray(initial(xs, ys), dtype=float)
-            if prim.shape != (grid.n_x, grid.n_y, 4):
-                prim = np.broadcast_to(prim, (grid.n_x, grid.n_y, 4)).copy()
-            prim = physics.primitive(prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3])
-            return physics.prim_to_cons(prim, eos)
+            prim = np.broadcast_to(initial(xs, ys), (grid.n_x, grid.n_y, 4))
+            return physics.prim_to_cons(physics.primitive(*np.moveaxis(prim, -1, 0)), eos)
 
         centers_x = grid.centers_x()[:, None]
         centers_y = grid.centers_y()[None, :]
@@ -543,6 +544,8 @@ def run(
     targets = sorted({float(t) + 0.0 for t in (*snapshot_times, t_end)})
     pressure_hint = None
     buffers = _FluxBuffers(grid)
+    # Every fan speed is below alpha, so no step is shorter than this.
+    dt_floor = config.cfl_sigma * (min(grid.dx, grid.dy) / config.alpha)
 
     # With t_end = 0 the only target is 0: no step runs, the snapshot fires
     # once, and the diagnostics observe the initial interior below.
@@ -563,6 +566,10 @@ def run(
                 diag.dt_clamped_steps += 1
             if field.time + dt == field.time:
                 raise ConfigurationError(f"time step {dt!r} does not advance t = {field.time!r} "
+                                         f"(sigma = {config.cfl_sigma!r}, alpha = {config.alpha!r})")
+            if t_end - field.time > MAX_STEPS * dt_floor:
+                raise ConfigurationError(f"t_end = {t_end!r} may take over {MAX_STEPS:.0e} steps "
+                                         f"as short as {dt_floor!r} to reach "
                                          f"(sigma = {config.cfl_sigma!r}, alpha = {config.alpha!r})")
             fluxes = _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds)
             del speeds

@@ -4,7 +4,9 @@ Each problem is a ProblemSpec bundling the domain, adiabatic index,
 boundary rules, a final time, the initial primitive field, and (for the
 smooth accuracy tests) the exact primitive solution.  Each is declared
 once, as the value of its name in one table: `problem_names()` lists the
-names and `problem_by_name` returns the shared, frozen value.
+names and `problem_by_name` returns the shared, frozen value.  The
+initial and exact states are built by `physics.stack_planes`, one
+contiguous plane per component, like every state the package makes.
 Discontinuous data are sampled at cell centers with strict region
 membership; boundary points take the outer state.
 """
@@ -18,10 +20,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import recovery
+from . import physics, recovery
 from .errors import ConfigurationError
 from .mesh_solver import BoundarySpec, Field, Grid, Inflow, periodic_boundaries
-from .physics import EosParams, PRE, RHO, VX, VY
+from .physics import EosParams, RHO
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,7 @@ def sine_wave(t, x, y):
     """Diagonally advected density wave; the velocity and pressure are uniform."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     rho = 1.0 + SINE_DELTA * np.sin(2.0 * np.pi * (x + y - 0.99 * math.sqrt(2.0) * t))
-    out = np.empty(rho.shape + (4,))
-    out[..., RHO] = rho
-    out[..., VX] = _SINE_SPEED
-    out[..., VY] = _SINE_SPEED
-    out[..., PRE] = 0.01
-    return out
+    return physics.stack_planes(np.broadcast_arrays(rho, _SINE_SPEED, _SINE_SPEED, 0.01))
 
 
 # --- isentropic vortex -------------------------------------------------------
@@ -108,12 +105,8 @@ def vortex(t, x, y):
     swirl = u0 + v0
     denom = 1.0 - w * swirl / math.sqrt(2.0)
     common = -w / math.sqrt(2.0) + gam_w * w * w * swirl / (2.0 * (gam_w + 1.0))
-    out = np.empty(rho.shape + (4,))
-    out[..., RHO] = rho
-    out[..., VX] = (u0 / gam_w + common) / denom
-    out[..., VY] = (v0 / gam_w + common) / denom
-    out[..., PRE] = rho**g
-    return out
+    return physics.stack_planes(
+        [rho, (u0 / gam_w + common) / denom, (v0 / gam_w + common) / denom, rho**g])
 
 
 # --- cylindrical explosion ---------------------------------------------------
@@ -123,10 +116,7 @@ def explosion_init(x, y):
     """Rest gas with a high-pressure disc of radius 0.1 (strict interior)."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     r = np.sqrt(x * x + y * y)
-    out = np.zeros(r.shape + (4,))
-    out[..., RHO] = 1.0
-    out[..., PRE] = np.where(r < 0.1, 20.0, 0.1)
-    return out
+    return physics.stack_planes(np.broadcast_arrays(1.0, 0.0, 0.0, np.where(r < 0.1, 20.0, 0.1)))
 
 
 # --- quadrant Riemann problems -----------------------------------------------
@@ -155,11 +145,11 @@ def riemann_quadrant_init(variant: str, x, y):
     """Four constant states split by the coordinate axes."""
     if variant not in _RP_STATES:
         raise ConfigurationError(f"unknown Riemann problem variant {variant!r}")
-    q1, q2, q3, q4 = (np.asarray(s, dtype=float) for s in _RP_STATES[variant])
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    east = (x > 0.0)[..., None]
-    north = (y > 0.0)[..., None]
-    return np.where(north, np.where(east, q1, q2), np.where(east, q4, q3))
+    east, north = x > 0.0, y > 0.0
+    quadrant = np.where(north, np.where(east, 0, 1), np.where(east, 3, 2))  # _RP_STATES' order
+    return physics.stack_planes([component[quadrant]
+                                 for component in np.transpose(_RP_STATES[variant])])
 
 
 # --- relativistic jets -------------------------------------------------------
@@ -191,11 +181,10 @@ def jet_setup(model: str, v_beam: float, mach_beam: float) -> ProblemSpec:
     p_b = cs * cs * rho_b * (g - 1.0) / (g * (g - 1.0 - cs * cs))
 
     y_max = 30.0 if model == "hot" else 25.0
-    ambient = np.array([1.0, 0.0, 0.0, p_b])
 
-    def initial(x, y, _ambient=ambient):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.broadcast_to(_ambient, x.shape + (4,)).copy()
+    def initial(x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        return physics.stack_planes([np.full(shape, value) for value in (1.0, 0.0, 0.0, p_b)])
 
     return ProblemSpec(
         x_min=0.0,

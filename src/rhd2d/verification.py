@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics, recovery, riemann
+from .errors import PcpAuditError, RecoveryConvergenceError
 from .physics import EosParams
 
 _EPS = float(np.finfo(float).eps)
@@ -89,6 +90,7 @@ class SuiteResult:
     samples: int
     failures: int
     detail: str = ""
+    exit_code: int = PcpAuditError.exit_code  # the `verify` command's exit code if it fails
 
     @property
     def passed(self) -> bool:
@@ -100,9 +102,9 @@ class SuiteResult:
         return f"{status}  {self.name}: {self.failures} failures / {self.samples} samples{extra}"
 
 
-def _count(name, ok, detail="") -> SuiteResult:
+def _count(name, ok, detail="", **kwargs) -> SuiteResult:
     ok = np.asarray(ok)
-    return SuiteResult(name, ok.size, int(np.sum(~ok)), detail)
+    return SuiteResult(name, ok.size, int(np.sum(~ok)), detail, **kwargs)
 
 
 def admissible_set_suite(rng: np.random.Generator, n: int):
@@ -316,6 +318,7 @@ def recovery_suite(rng: np.random.Generator, n: int):
             "round trip accurate to 1e-10 per component",
             rel <= 1e-10,
             detail=f"max rel err {float(np.max(rel)):.3e}",
+            exit_code=RecoveryConvergenceError.exit_code,
         )
     ]
 
@@ -334,6 +337,7 @@ def recovery_suite(rng: np.random.Generator, n: int):
             "pressure-equation residual within tolerance",
             np.abs(psi) <= tol,
             detail=f"worst |psi|/tol {float(np.max(np.abs(psi) / tol)):.3f}",
+            exit_code=RecoveryConvergenceError.exit_code,
         )
     )
     return results

@@ -14,6 +14,7 @@ from rhd2d.errors import (
     ConfigurationError,
     PcpAuditError,
     RecoveryConvergenceError,
+    RhdError,
 )
 from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
 from rhd2d.recovery import recover_with_iterations
@@ -28,6 +29,13 @@ def read_field(path):
     meta = {key: (int if key.startswith("n_") else float)(text)
             for key, text in zip(keys, header[1:])}
     return meta, data
+
+
+def subclasses(cls):
+    """Every subclass of `cls`, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
 
 
 @pytest.fixture
@@ -109,6 +117,16 @@ class TestWriteField:
         assert cli.main(argv) == 0
         digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
         assert digest == "eaeca942d34c8a77419605742eae2b2406a61103fba7bbe0ad24772044a2d2dc"
+
+    def test_jet_field_bytes_pinned(self, tmp_path):
+        """As above for `rhd2d run --problem jet-hot-i --n 24 --t-end 2`, recorded before
+        the problem states were built as planes: the one pinned run through the
+        reflect and inflow ghost rules, as rp2 uses only outflow."""
+        argv = ["run", "--problem", "jet-hot-i", "--n", "24", "--t-end", "2", "--emit", "field",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
+        assert digest == "e32748a01eef31a2a7724bfe2cf25219d694a00eac35a70a1ed517d4a5880c9a"
 
     def test_bytes_match_per_value_formatting(self, tmp_path, eos53):
         """Row-at-a-time formatting writes what "%.17g" per value writes."""
@@ -528,6 +546,25 @@ class TestCommands:
             "error: time step 0.0 does not advance t = 0.0 (sigma = 5e-324, alpha = 2.0)"]
         assert steps_taken == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-300"],
+        ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-14"],
+        ["run", "--problem", "sine", "--n", "8", "--alpha", "1e300"],
+        ["converge", "--problem", "sine", "--n", "8", "--levels", "1", "--cfl", "1e-14"],
+        ["compare-symmetry", "--n", "8", "--alpha", "1e300"],
+        ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-14", "--snapshots", "1e-20"],
+    ], ids=lambda argv: "_".join(argv[0:1] + argv[-2:]))
+    def test_run_that_cannot_finish_exits_2(self, tmp_path, capsys, steps_taken, argv):
+        """Each step moves the clock, so the stall check passes, but reaching t_end
+        could take more than `MAX_STEPS` of the shortest possible step.  An early
+        snapshot is not written first."""
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: t_end = ")
+        assert "may take over 1e+09 steps as short as" in err[0]
+        assert steps_taken == [] and not out.exists()
+
     def test_snapshot_times_with_one_file_name_exit_2(self, tmp_path, capsys, solves):
         """`%.12g` prints both times as 0.05, so the second field file would overwrite the first."""
         argv = ["run", "--problem", "sine", "--n", "8", "--t-end", "0.1",
@@ -554,17 +591,21 @@ class TestCommands:
         else:
             assert " in 13 steps " in captured.out and (out / "field.dat").exists()
 
-    def test_pcp_exit_code(self, monkeypatch):
+    @pytest.mark.parametrize("error", [*subclasses(RhdError), ValueError, OSError],
+                             ids=lambda error: error.__name__)
+    def test_exit_code_and_label(self, monkeypatch, capsys, error):
+        """Every package error, and a built-in one, ends a command with the exit code and
+        the stderr label of the table in `errors.py`."""
+        code, label = {
+            PcpAuditError: (3, "PCP audit failure: "),
+            AdmissibilityError: (4, "recovery failure: "),
+            RecoveryConvergenceError: (4, "recovery failure: "),
+        }.get(error, (2, "error: "))
+
         def boom(*args, **kwargs):
-            raise PcpAuditError("synthetic audit failure", index=(0, 0))
+            raise error("synthetic failure")
 
         monkeypatch.setattr(cli, "run_solver", boom)
-        assert cli.main(["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"]) == 3
-
-    @pytest.mark.parametrize("error", [RecoveryConvergenceError, AdmissibilityError])
-    def test_recovery_exit_code(self, monkeypatch, error):
-        def boom(*args, **kwargs):
-            raise error("synthetic recovery failure")
-
-        monkeypatch.setattr(cli, "run_solver", boom)
-        assert cli.main(["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"]) == 4
+        assert cli.main(["run", "--problem", "sine", "--n", "8", "--t-end", "0.01"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(label)

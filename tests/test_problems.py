@@ -203,6 +203,20 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             problem_by_name("kelvin-helmholtz")
 
+    @pytest.mark.parametrize("name", problems.problem_names())
+    def test_states_are_planar(self, name):
+        """Initial and exact states are (n_x, n_y, 4) arrays on a non-square grid,
+        each component one C-contiguous plane, as `physics.stack_planes` builds them."""
+        spec = problem_by_name(name)
+        grid = Grid(7, 5, spec.x_min, spec.x_max, spec.y_min, spec.y_max)
+        xs, ys = grid.centers_x()[:, None], grid.centers_y()[None, :]
+        states = [spec.initial(xs, ys)]
+        if spec.exact is not None:
+            states.append(spec.exact(0.3, xs, ys))
+        for state in states:
+            assert state.shape == (7, 5, 4)
+            assert all(state[..., k].flags.c_contiguous for k in range(4))
+
     def test_each_name_is_one_table_value(self):
         """A problem's name is its registry key; no spec carries a second one."""
         names = problems.problem_names()
