@@ -22,12 +22,8 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import output, problems, verification
-from .errors import ConfigurationError, PcpAuditError, RecoveryConvergenceError, RhdError
+from .errors import ConfigurationError, RhdError
 from .mesh_solver import MODES, SolverConfig, run as run_solver
-
-EXIT_OK = 0
-EXIT_PCP = PcpAuditError.exit_code
-EXIT_RECOVERY = RecoveryConvergenceError.exit_code
 
 _EMIT_CHOICES = ("field", "cuts", "report", "schlieren")
 _MODE_ALIASES = {**{mode: mode for mode in MODES}, "split": "dimension_split"}
@@ -225,7 +221,8 @@ def _cmd_run(config: RunConfig) -> int:
             raise ConfigurationError(f"two snapshot times write one field file: {names}")
 
     def on_snapshot(field):
-        out.mkdir(parents=True, exist_ok=True)  # run() has accepted the times; t_end always fires
+        # run() checks all its input before the first snapshot; t_end always fires
+        out.mkdir(parents=True, exist_ok=True)
         if "field" in config.emit:
             output.write_field(field, spec.eos, out / field_name(field.time))
 
@@ -257,7 +254,7 @@ def _cmd_run(config: RunConfig) -> int:
         f"in {result.diagnostics.steps} steps ({elapsed:.2f} s); min rho {result.diagnostics.min_density:.3e}, "
         f"min p {result.diagnostics.min_pressure:.3e}, max gamma {result.diagnostics.max_lorentz:.3f}"
     )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_converge(config: RunConfig) -> int:
@@ -290,7 +287,7 @@ def _cmd_converge(config: RunConfig) -> int:
                 cells.append(f"{orders[key][row - 1]:>11.3f}")
         print(" ".join(cells))
     output.write_report(entries, _ensure_out_dir(config) / "convergence.txt")
-    return EXIT_OK
+    return 0
 
 
 def _optional_report(config: RunConfig, entries: dict, name: str) -> None:
@@ -308,7 +305,7 @@ def _cmd_verify(config: RunConfig) -> int:
     if failed:
         return max(failed)
     print(f"all {len(results)} suites passed")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_compare_symmetry(config: RunConfig) -> int:
@@ -327,7 +324,7 @@ def _cmd_compare_symmetry(config: RunConfig) -> int:
     print(f"deviation ratio (multidimensional / dimension_split) = {ratio:.4f}")
     entries = {f"deviation_{mode}": deviation for mode, deviation in deviations.items()}
     _optional_report(config, {**entries, "deviation_ratio": ratio}, "symmetry.txt")
-    return EXIT_OK
+    return 0
 
 
 # command: (handler, help, defaults that replace RunConfig's)

@@ -187,41 +187,27 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     return results
 
 
-def _two_sided_batch(rng, size, **sample_kwargs):
-    """One batch of corner quadruples, cut to the lanes whose fans are two-sided.
-
-    Returns the kept primitives in (ld, rd, lu, ru) order and their fan
-    speeds (s_left, s_right, s_down, s_up).
-    """
-    centers = rng.uniform(-6.0, 1.0, size)
-    prims = [
-        sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers, **sample_kwargs)
-        for _ in range(4)
-    ]
-    lams = [physics.extreme_speeds(p, EOS) for p in prims]
-    speeds = ()
-    for axis in (0, 1):
-        speeds += riemann.fan_speeds([l[axis][0] for l in lams], [l[axis][1] for l in lams], ALPHA)
-    s_l, s_r, s_d, s_u = speeds
-    keep = (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)
-    return [p[keep] for p in prims], [s[keep] for s in speeds]
-
-
 def _subsonic_corners(rng, n, **sample_kwargs):
     """The first n two-sided corner quadruples of batches drawn until there are n.
 
-    Returns their primitives and fan speeds, as `_two_sided_batch` does.
+    Returns their primitives in (ld, rd, lu, ru) order and their fan speeds
+    (s_left, s_right, s_down, s_up).
     """
-    batches, kept = [], 0
+    batches, kept, size = [], 0, max(n, 4096)
     while kept < n:
-        prims, speeds = _two_sided_batch(rng, max(n, 4096), **sample_kwargs)
-        batches.append((prims, speeds))
-        kept += len(speeds[0])
-
-    def first_n(part, k):
-        return np.concatenate([batch[part][k] for batch in batches])[:n]
-
-    return [first_n(0, k) for k in range(4)], tuple(first_n(1, k) for k in range(4))
+        centers = rng.uniform(-6.0, 1.0, size)
+        prims = [sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
+                                   **sample_kwargs) for _ in range(4)]
+        lams = [physics.extreme_speeds(p, EOS) for p in prims]
+        speeds = ()
+        for axis in (0, 1):
+            speeds += riemann.fan_speeds(*zip(*(lam[axis] for lam in lams)), ALPHA)
+        keep = (speeds[0] < 0.0) & (speeds[1] > 0.0) & (speeds[2] < 0.0) & (speeds[3] > 0.0)
+        batches.append([part[keep] for part in (*prims, *speeds)])
+        kept += np.count_nonzero(keep)
+        del prims, lams, speeds  # a whole batch is never held while the next is drawn
+    parts = [np.concatenate(part)[:n] for part in zip(*batches)]
+    return parts[:4], tuple(parts[4:])
 
 
 def _subsonic_fans(rng, n, **sample_kwargs):

@@ -750,10 +750,14 @@ class TestRun:
 
     @pytest.mark.parametrize("name, n", [("jet-hot-i", 8), ("jet-hot-i", 11), ("jet-cold-i", 8)])
     def test_jet_needs_a_cell_centre_in_its_nozzle(self, name, n):
-        """Below 12 cells across x = [0, 12] no ghost centre lies in |x| <= 0.5."""
+        """Below 12 cells across x = [0, 12] no ghost centre lies in |x| <= 0.5,
+        which is found before the snapshot at t = 0."""
         spec = problems.problem_by_name(name)
+        seen = []
         with pytest.raises(ConfigurationError, match="no boundary cell centre"):
-            run(spec, spec.default_grid(n), SolverConfig(), t_end=2.0)
+            run(spec, spec.default_grid(n), SolverConfig(), t_end=2.0, snapshot_times=(0.0,),
+                on_snapshot=seen.append)
+        assert seen == []
         result = run(spec, spec.default_grid(12), SolverConfig(), t_end=0.5)
         assert result.diagnostics.max_lorentz > 1.0
 
@@ -818,12 +822,16 @@ class TestRun:
 
     @pytest.mark.parametrize("sigma, alpha", [(5e-324, 2.0), (1e-300, 1e308)])
     def test_time_step_that_does_not_advance_the_clock_rejected(self, steps_taken, sigma, alpha):
-        """sigma dx / (alpha max|lam|) underflows to dt = 0, which would loop forever."""
+        """sigma dx / (alpha max|lam|) underflows to dt = 0, which would loop forever.
+        The step cap's floor underflows too, so the run is rejected before the
+        snapshot at t = 0."""
         spec = problems.problem_by_name("sine")
         config = SolverConfig(cfl_sigma=sigma, alpha=alpha)
-        with pytest.raises(ConfigurationError, match=r"time step 0\.0 does not advance t = 0\.0 "):
-            run(spec, spec.default_grid(8), config, t_end=spec.t_end)
-        assert steps_taken == []
+        seen = []
+        with pytest.raises(ConfigurationError, match=r"steps as short as 0\.0 to reach "):
+            run(spec, spec.default_grid(8), config, t_end=spec.t_end, snapshot_times=(0.0,),
+                on_snapshot=seen.append)
+        assert seen == [] and steps_taken == []
 
     @pytest.mark.parametrize("mode", MODES)
     def test_equals_public_call_loop(self, mode):

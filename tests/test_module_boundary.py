@@ -1,6 +1,7 @@
 """`riemann` is the mesh's flux kernel alone: it imports nothing from the
 package, and the point-wise corner API that `verify` uses stays out of the
-package namespace."""
+package namespace.  `run()` checks its input before its step loop, so the
+loop itself raises nothing."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,24 @@ def test_riemann_imports_nothing_from_the_package():
 
 def test_point_wise_corner_api_is_not_exported():
     assert [name for name in POINT_WISE if hasattr(rhd2d, name)] == []
+
+
+def loop_raises(source: str, function: str):
+    """Line of each `raise` statement inside a `while` loop of a top-level function."""
+    tree = ast.parse(source)
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted({node.lineno
+                   for loop in ast.walk(body) if isinstance(loop, ast.While)
+                   for node in ast.walk(loop) if isinstance(node, ast.Raise)})
+
+
+def test_the_scan_finds_loop_raises():
+    source = ("def run(t):\n    if t < 0:\n        raise ValueError\n    while t:\n"
+              "        for _ in ():\n            raise ValueError\n        t -= 1\n")
+    assert loop_raises(source, "run") == [6]
+
+
+def test_run_loop_raises_nothing():
+    """A check of the run's input inside the loop would fire after the snapshot at t = 0."""
+    assert loop_raises((PACKAGE / "mesh_solver.py").read_text(encoding="utf-8"), "run") == []

@@ -373,7 +373,7 @@ class TestCommands:
     @pytest.mark.parametrize("jet", [name for name in problems.problem_names()
                                      if name.startswith("jet-")])
     def test_report_names_the_problem_as_given(self, tmp_path, capsys, jet):
-        argv = ["run", "--problem", jet, "--n", "4", "--t-end", "0", "--emit", "report"]
+        argv = ["run", "--problem", jet, "--n", "12", "--t-end", "0", "--emit", "report"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "report.txt").read_text().splitlines()[0] == f"problem = {jet}"
         assert capsys.readouterr().out.startswith(f"{jet}: ")
@@ -456,14 +456,20 @@ class TestCommands:
             "error: deviation ratio undefined: the dimension-split deviation is 0")
         assert not (tmp_path / "symmetry.txt").exists()
 
-    @pytest.mark.parametrize("name, n", [("jet-hot-i", 8), ("jet-hot-i", 11), ("jet-cold-i", 8)])
-    def test_jet_too_coarse_for_its_nozzle_exits_2(self, tmp_path, capsys, name, n):
-        """With no ghost centre in the nozzle the run would end with no beam and exit 0."""
-        argv = ["run", "--problem", name, "--n", str(n), "--t-end", "2", "--out", str(tmp_path)]
-        assert cli.main(argv) == 2
+    @pytest.mark.parametrize("name, n, times", [
+        ("jet-hot-i", 8, ["--t-end", "2"]), ("jet-hot-i", 11, ["--t-end", "2"]),
+        ("jet-cold-i", 8, ["--t-end", "2"]), ("jet-hot-i", 8, ["--t-end", "2", "--snapshots", "0"]),
+        ("jet-hot-i", 8, ["--t-end", "0"]),
+    ], ids=["jet-hot-i-8", "jet-hot-i-11", "jet-cold-i-8", "jet-hot-i-8-snapshot-0",
+            "jet-hot-i-8-t-end-0"])
+    def test_jet_too_coarse_for_its_nozzle_exits_2(self, tmp_path, capsys, name, n, times):
+        """With no ghost centre in the nozzle the run would end with no beam and exit 0.
+        It is rejected before anything is written, the field at t = 0 included."""
+        out = tmp_path / "out"
+        assert cli.main(["run", "--problem", name, "--n", str(n), *times, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "holds no boundary cell centre" in err[0]
-        assert not (tmp_path / "field.dat").exists()
+        assert not out.exists()
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "--problem", "sine", "--n", "abc"]) == 2
@@ -522,7 +528,7 @@ class TestCommands:
         for failing in results:
             failed = [replace(r, failures=int(r is failing)) for r in results]
             monkeypatch.setattr(verification, "run_all", lambda seed, samples: failed)
-            want = cli.EXIT_RECOVERY if failing.name in recovery else cli.EXIT_PCP
+            want = (RecoveryConvergenceError if failing.name in recovery else PcpAuditError).exit_code
             assert cli.main(["verify", "--samples", "10"]) == want, failing.name
 
     def test_mesh_too_large_to_allocate_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -537,15 +543,6 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
 
-    def test_time_step_that_does_not_advance_the_clock_exits_2(self, tmp_path, capsys,
-                                                               steps_taken):
-        out = tmp_path / "out"
-        argv = ["run", "--problem", "sine", "--n", "8", "--cfl", "5e-324", "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: time step 0.0 does not advance t = 0.0 (sigma = 5e-324, alpha = 2.0)"]
-        assert steps_taken == [] and not out.exists()
-
     @pytest.mark.parametrize("argv", [
         ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-300"],
         ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-14"],
@@ -553,11 +550,13 @@ class TestCommands:
         ["converge", "--problem", "sine", "--n", "8", "--levels", "1", "--cfl", "1e-14"],
         ["compare-symmetry", "--n", "8", "--alpha", "1e300"],
         ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-14", "--snapshots", "1e-20"],
+        ["run", "--problem", "sine", "--n", "8", "--cfl", "1e-14", "--snapshots", "0"],
+        ["run", "--problem", "sine", "--n", "8", "--snapshots", "0", "--cfl", "5e-324"],
     ], ids=lambda argv: "_".join(argv[0:1] + argv[-2:]))
     def test_run_that_cannot_finish_exits_2(self, tmp_path, capsys, steps_taken, argv):
-        """Each step moves the clock, so the stall check passes, but reaching t_end
-        could take more than `MAX_STEPS` of the shortest possible step.  An early
-        snapshot is not written first."""
+        """Reaching t_end could take more than `MAX_STEPS` of the shortest possible
+        step; at `--cfl 5e-324` that step is 0 and would never move the clock.  The
+        run is rejected before anything is written, a snapshot at 0 included."""
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
