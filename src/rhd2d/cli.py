@@ -197,12 +197,6 @@ def _problem_setup(config: RunConfig):
     return spec, t_end, config.solver_config()
 
 
-def _ensure_out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_run(config: RunConfig) -> int:
     spec, t_end, solver_config = _problem_setup(config)
     grid = spec.default_grid(config.n)
@@ -286,14 +280,16 @@ def _cmd_converge(config: RunConfig) -> int:
                 entries[f"{key}_order_n{n}"] = orders[key][row - 1]
                 cells.append(f"{orders[key][row - 1]:>11.3f}")
         print(" ".join(cells))
-    output.write_report(entries, _ensure_out_dir(config) / "convergence.txt")
+    _optional_report(config, entries, "convergence.txt")
     return 0
 
 
 def _optional_report(config: RunConfig, entries: dict, name: str) -> None:
-    """Write a report only when an output directory was asked for."""
+    """Write a report, making its directory, when an output directory is set."""
     if config.out_dir is not None:
-        output.write_report(entries, _ensure_out_dir(config) / name)
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        output.write_report(entries, out / name)
 
 
 def _cmd_verify(config: RunConfig) -> int:

@@ -152,8 +152,10 @@ class SolverConfig:
     """Scheme parameters.
 
     The admissibility guarantee requires cfl_sigma <= 0.5 and alpha = 2;
-    other values are allowed for experiments.  pcp_audit checks each step's
-    dt against compute_dt's bound at sigma = 1 and each updated cell.
+    other values are allowed for experiments.  pcp_audit checks each
+    updated cell, and a caller's own dt passed to assemble_fluxes against
+    compute_dt's bound at sigma = 1; run()'s dt is compute_dt's at
+    cfl_sigma <= 1, which never exceeds that bound.
     """
 
     cfl_sigma: float = 0.45
@@ -338,28 +340,14 @@ def assemble_fluxes(
     full ghosted array, and dt must come from compute_dt (the corner
     contributions are weighted by dt).  `speeds`, when given, must be
     `physics.extreme_speeds(prim, eos)`, as for compute_dt; when omitted it
-    is computed here, with the same result.  Both axes run through the same code
-    on np.swapaxes views whose first index is the face-normal axis, as in
-    fill_ghosts.  The jumps of U and of the axis's flux across every face
-    of the ghosted mesh are taken once per axis and shared by the face
-    fluxes, the corner fans' edge fluxes and their second differences.
-    With config.pcp_audit on, a dt above compute_dt's bound at sigma = 1
-    raises PcpAuditError, in either mode; at or below it every composite
-    weight is >= 0, and compute_dt's dt never exceeds it (a caller's may).
-    Returns (fhat, ghat) with shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
-    The work arrays, the returned fluxes among them, belong to this call
-    alone; run() keeps one set for the whole run (`_FluxBuffers`).
+    is computed here, with the same result.  With config.pcp_audit on, a
+    dt above compute_dt's bound at sigma = 1 raises PcpAuditError, in
+    either mode; at or below it every composite weight is >= 0.  run(),
+    whose dt is compute_dt's at sigma <= 1, skips this check and keeps one
+    set of work arrays (`_FluxBuffers`); here they, the returned fluxes
+    among them, belong to this call alone.  Returns (fhat, ghat) with
+    shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
-    return _assemble_fluxes(_FluxBuffers(field.grid), field, dt, eos, config, prim, speeds)
-
-
-def _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds):
-    """assemble_fluxes, writing every 4-component array into `buffers`."""
-    grid = field.grid
-    cons = field.cells
-    multidimensional = config.mode == "multidimensional"
-    inner = (slice(None), slice(GHOST, -GHOST))  # faces of the interior rows
-    low = (slice(None), slice(0, -1))  # each vertex's low transverse side
     if speeds is None:
         speeds = extreme_speeds(prim, eos)
     if config.pcp_audit:
@@ -369,6 +357,23 @@ def _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds):
                 f"dt = {dt:.6e} exceeds compute_dt's bound {bound:.6e} at sigma = 1 "
                 f"(sigma = {config.cfl_sigma}, alpha = {config.alpha})",
                 cfl_sigma=config.cfl_sigma, alpha=config.alpha)
+    return _assemble_fluxes(_FluxBuffers(field.grid), field, dt, config, prim, speeds)
+
+
+def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
+    """assemble_fluxes without its dt check, writing into `buffers`.
+
+    Both axes run through the same code on np.swapaxes views whose first
+    index is the face-normal axis, as in fill_ghosts.  The jumps of U and
+    of the axis's flux across every face of the ghosted mesh are taken
+    once per axis and shared by the face fluxes, the corner fans' edge
+    fluxes and their second differences.
+    """
+    grid = field.grid
+    cons = field.cells
+    multidimensional = config.mode == "multidimensional"
+    inner = (slice(None), slice(GHOST, -GHOST))  # faces of the interior rows
+    low = (slice(None), slice(0, -1))  # each vertex's low transverse side
     face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
@@ -571,7 +576,7 @@ def run(
             if dt >= remaining:
                 dt = remaining
                 diag.dt_clamped_steps += 1
-            fluxes = _assemble_fluxes(buffers, field, dt, eos, config, prim, speeds)
+            fluxes = _assemble_fluxes(buffers, field, dt, config, prim, speeds)
             del speeds
             step(field, dt, fluxes, config)
             fill_ghosts(field, problem.boundaries, eos)

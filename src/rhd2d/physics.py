@@ -25,8 +25,6 @@ RHO, VX, VY, PRE = 0, 1, 2, 3
 # Conserved component indices: lab-frame mass, momentum, total energy.
 DEN, MOMX, MOMY, ENE = 0, 1, 2, 3
 
-AXIS_X, AXIS_Y = 0, 1
-
 
 @dataclass(frozen=True)
 class EosParams:
@@ -46,11 +44,9 @@ class EosParams:
 
 
 class EigenSpeeds(NamedTuple):
-    """Characteristic speeds along one axis, ordered lam1 <= lam2 = lam3 <= lam4."""
+    """The extreme characteristic speeds along one axis, lam1 <= lam4."""
 
     lam1: np.ndarray
-    lam2: np.ndarray
-    lam3: np.ndarray
     lam4: np.ndarray
 
 
@@ -131,7 +127,7 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np
     """
     prim = np.asarray(prim, dtype=float)
     cons = np.asarray(cons, dtype=float)
-    if axis not in (AXIS_X, AXIS_Y):
+    if axis not in (0, 1):
         raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
     u_n = prim[..., VX + axis]
     p = prim[..., PRE]
@@ -142,13 +138,10 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np
 
 
 def eigenvalues(prim: np.ndarray, eos: EosParams, axis: int) -> EigenSpeeds:
-    """The characteristic speeds along one axis: `extreme_speeds`' pair, u_n in the middle."""
-    prim = np.asarray(prim, dtype=float)
-    if axis not in (AXIS_X, AXIS_Y):
+    """(lam1, lam4) along one axis: that axis's pair of `extreme_speeds`."""
+    if axis not in (0, 1):
         raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
-    u_n = prim[..., VX + axis]
-    lam1, lam4 = extreme_speeds(prim, eos)[axis]
-    return EigenSpeeds(lam1, u_n, u_n, lam4)
+    return EigenSpeeds(*extreme_speeds(prim, eos)[axis])
 
 
 def extreme_speeds(prim: np.ndarray, eos: EosParams):

@@ -17,7 +17,7 @@ combination of its edge flux and the fan's jumps and second differences
 faces and corners.  These reductions stay exact in floating point, which
 the mesh update relies on:
   - equal states, sl = 0 (supersonic rightward) and empty fans give f_l;
-  - sr = 0 (supersonic leftward) gives f_r, set by index;
+  - sr = 0 (supersonic leftward) gives f_r, by a masked copy;
   - corner data invariant along y (x) give the x (y) edge's 1D flux, per
     lane and in every regime, and equal corners their physical fluxes.
 The kernel checks neither its states nor the signs of its speeds.  The
@@ -25,8 +25,9 @@ corner fan's intermediate state and its quadrant composites, which the
 paper's PCP lemma is about and the mesh never forms, are what `rhd2d
 verify` checks; they live in `verification`.  All functions broadcast over
 leading axes and are pure, except that `corner_fluxes` writes its result
-into the edge fluxes it is given, and that the `out` and `workspace` arrays
-a caller passes are written.
+into the edge fluxes it is given and into its `workspace`, and that
+`hll_flux_from_jumps` writes the `out` and `workspace` arrays a caller
+passes.
 """
 
 from __future__ import annotations
@@ -84,19 +85,18 @@ def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out=None, workspace=None
 
     Exact in floating point: equal states (du = df = 0) and sl = 0 (k = 0,
     so supersonic rightward fans and empty fans) give f_l, and the `right`
-    lanes are set to f_r by index.  `out` receives the flux and `workspace`
+    lanes get f_r by a masked copy.  `out` receives the flux and `workspace`
     the product k df, each an array of the flux's shape; either is
     allocated when not given.
     """
     flux = np.multiply(coefficients.kr[..., None], du, out=out)
     flux += f_l
     flux -= np.multiply(coefficients.k[..., None], df, out=workspace)
-    right = np.broadcast_to(coefficients.right, flux.shape[:-1])
-    flux[right] = np.broadcast_to(f_r, flux.shape)[right]
+    np.copyto(flux, f_r, where=coefficients.right[..., None])
     return flux
 
 
-def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace=None):
+def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace):
     """(flux_x, flux_y) of corner fans from their shared jumps, without checks.
 
     For the fan of (U, F, G) triples ld, rd, lu, ru with speeds
@@ -128,10 +128,8 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace=None):
     number.  The paper's own corner-flux
     equation is not at hand to check this coefficient against.
     `workspace`, an array of an edge flux's shape, holds each term before
-    it is added; it is allocated when not given.
+    it is added.
     """
-    if workspace is None:
-        workspace = np.empty_like(edges[0])
     for flux, cross, d2f, d2f_across, along, across in zip(
         edges, crosses, d2fs, d2fs[::-1], coefficients, coefficients[::-1]
     ):

@@ -619,7 +619,8 @@ class TestStep:
     @pytest.mark.parametrize("mode", MODES)
     def test_audit_bound_is_compute_dt_at_sigma_one(self, eos53, mode):
         """dt equal to compute_dt's bound at sigma = 1 passes the audit and one
-        ulp above it raises, in either mode; with the audit off neither does."""
+        ulp above it raises, in either mode and with `speeds` given or
+        omitted; with the audit off neither does."""
         spec = problems.problem_by_name("rp1")
         grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, eos53)
@@ -628,12 +629,13 @@ class TestStep:
         bound = compute_dt(field, eos53, 1.0, 2.0, prim)
         above = float(np.nextafter(bound, np.inf))
         audited = SolverConfig(cfl_sigma=1.0, mode=mode)
-        assemble_fluxes(field, bound, eos53, audited, prim)
-        with pytest.raises(PcpAuditError) as err:
-            assemble_fluxes(field, above, eos53, audited, prim)
-        assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
-        for dt in (bound, above):
-            assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim)
+        for speeds in ((), (physics.extreme_speeds(prim, eos53),)):
+            assemble_fluxes(field, bound, eos53, audited, prim, *speeds)
+            with pytest.raises(PcpAuditError) as err:
+                assemble_fluxes(field, above, eos53, audited, prim, *speeds)
+            assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
+            for dt in (bound, above):
+                assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim, *speeds)
 
     def test_run_at_sigma_one_on_gas_at_rest(self):
         """Each step takes compute_dt's bound itself as dt; on this mesh some
@@ -723,6 +725,28 @@ class TestModes:
 
 
 class TestRun:
+    def test_one_compute_dt_and_one_speed_survey_per_step(self, monkeypatch):
+        """run() takes each step's dt and signal speeds once, and checks no
+        dt it took from compute_dt against compute_dt again."""
+        calls = {"compute_dt": 0, "extreme_speeds": 0}
+
+        def counted(name):
+            original = getattr(mesh_solver, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mesh_solver, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        spec = problems.problem_by_name("rp2")
+        result = run(spec, spec.default_grid(16), SolverConfig(), t_end=0.1)
+        steps = result.diagnostics.steps
+        assert steps > 0
+        assert calls == {"compute_dt": steps, "extreme_speeds": steps}
+
     def test_zero_time_returns_initial_field(self, eos53):
         spec = problems.problem_by_name("rp1")
         grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)

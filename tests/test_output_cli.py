@@ -118,6 +118,18 @@ class TestWriteField:
         digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
         assert digest == "eaeca942d34c8a77419605742eae2b2406a61103fba7bbe0ad24772044a2d2dc"
 
+    def test_rp2_report_bytes_pinned(self, tmp_path):
+        """As above for the report.txt of `rhd2d run --problem rp2 --n 32
+        --emit report` without its wall_seconds line, recorded before the
+        per-step dt check left run()'s loop: it pins the diag_* extremes and
+        counters of that loop, which field.dat does not show."""
+        argv = ["run", "--problem", "rp2", "--n", "32", "--emit", "report", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "report.txt").read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if not line.startswith(b"wall_seconds = "))
+        digest = hashlib.sha256(kept).hexdigest()
+        assert digest == "6815864005eb9483344011350a432242af1d1e7775d2666726c565aa86be5bd5"
+
     def test_jet_field_bytes_pinned(self, tmp_path):
         """As above for `rhd2d run --problem jet-hot-i --n 24 --t-end 2`, recorded before
         the problem states were built as planes: the one pinned run through the

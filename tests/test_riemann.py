@@ -56,7 +56,8 @@ def fan_fluxes(corners, speeds):
     )
     d2u = (u_ru - u_lu) - du_down
     d2fs = ((f_ru - f_lu) - df_down, (g_ru - g_rd) - dg_left)
-    return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients)
+    return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients,
+                                 np.empty_like(edges[0]))
 
 
 class TestWaveSpeeds1D:
