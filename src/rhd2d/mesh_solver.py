@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -194,31 +195,26 @@ class Field:
     ) -> "Field":
         """Initialise the interior cells from a primitive-valued function.
 
-        `initial(xs, ys)` returns any state that broadcasts to (n_x, n_y, 4),
-        sampled at cell centers with average=False; with average=True its
-        conserved image is integrated over each cell with a 3x3 Gauss rule
-        (the right choice for smooth accuracy studies, and admissible by
-        convexity of the admissible set).  The data must be admissible at
-        every sample point.
+        `initial(xs, ys)` returns any state that broadcasts to (n_x, n_y, 4).
+        Its conserved image is integrated over each cell with a product
+        rule: the one-point rule at the cell centre with average=False (a
+        weight of exactly 1, so the cell holds the sampled state), the 3x3
+        Gauss rule with average=True (the right choice for smooth accuracy
+        studies, and admissible by convexity of the admissible set).  The
+        data must be admissible at every sample point.
         """
 
         def conserved_at(xs, ys):
             prim = np.broadcast_to(initial(xs, ys), (grid.n_x, grid.n_y, 4))
             return physics.prim_to_cons(physics.primitive(*np.moveaxis(prim, -1, 0)), eos)
 
+        r = math.sqrt(0.6)
+        nodes, weights = ((-r, 0.0, r), (5 / 18, 8 / 18, 5 / 18)) if average else ((0.0,), (1.0,))
         centers_x = grid.centers_x()[:, None]
         centers_y = grid.centers_y()[None, :]
-        if average:
-            nodes = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-            weights = np.array([5.0, 8.0, 5.0]) / 18.0
-            cons = physics.stack_planes(np.zeros((4, grid.n_x, grid.n_y)))
-            for a, wa in zip(nodes, weights):
-                for b, wb in zip(nodes, weights):
-                    cons += (wa * wb) * conserved_at(
-                        centers_x + 0.5 * a * grid.dx, centers_y + 0.5 * b * grid.dy
-                    )
-        else:
-            cons = conserved_at(centers_x, centers_y)
+        cons = reduce(np.add, ((wa * wb) * conserved_at(centers_x + 0.5 * a * grid.dx,
+                                                        centers_y + 0.5 * b * grid.dy)
+                               for a, wa in zip(nodes, weights) for b, wb in zip(nodes, weights)))
         ok = is_admissible(cons)
         if not np.all(ok):
             i, j = np.argwhere(~ok)[0]
@@ -235,9 +231,11 @@ def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
 
     The x-sides are filled from interior rows first, then the y-sides sweep
     every column including the freshly filled ghost columns, which defines
-    the corner ghosts.  Reflection mirrors the adjacent interior cell and
-    negates the wall-normal momentum; inflow writes the conserved image of
-    the fixed beam state on its interval and copies outward elsewhere.  An
+    the corner ghosts.  Periodic, outflow and reflect sides are one copy
+    that differs only in its source row: the opposite interior row for
+    periodic, the adjacent one otherwise; reflection then negates the
+    copied wall-normal momentum.  Inflow writes the conserved image of the
+    fixed beam state on its interval and copies outward elsewhere.  An
     inflow interval that holds no ghost-cell centre is a ConfigurationError.
     """
     cells = field.cells
@@ -248,13 +246,10 @@ def fill_ghosts(field: Field, bcs: BoundarySpec, eos: EosParams) -> Field:
     for axis, low, high, span, centers in sides:
         view = np.swapaxes(cells, 0, axis)  # ghost rows of this axis come first
         for rule, ghost, adjacent, wrap in ((low, 0, 1, -2), (high, -1, -2, 1)):
-            if rule == "periodic":
-                view[ghost, span] = view[wrap, span]
-            elif rule == "outflow":
-                view[ghost, span] = view[adjacent, span]
-            elif rule == "reflect":
-                view[ghost, span] = view[adjacent, span]
-                view[ghost, span, physics.MOMX + axis] = -view[adjacent, span, physics.MOMX + axis]
+            if isinstance(rule, str):
+                view[ghost, span] = view[wrap if rule == "periodic" else adjacent, span]
+                if rule == "reflect":
+                    view[ghost, span, physics.MOMX + axis] *= -1.0
             else:
                 beam = physics.prim_to_cons(physics.primitive(*rule.state), eos)
                 on = (centers >= rule.span[0]) & (centers <= rule.span[1])

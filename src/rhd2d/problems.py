@@ -7,6 +7,8 @@ once, as the value of its name in one table: `problem_names()` lists the
 names and `problem_by_name` returns the shared, frozen value.  The
 initial and exact states are built by `physics.stack_planes`, one
 contiguous plane per component, like every state the package makes.
+The state functions take the caller's x and y, arrays or floats, as
+they are: their arithmetic broadcasts one against the other.
 Discontinuous data are sampled at cell centers with strict region
 membership; boundary points take the outer state.
 """
@@ -61,7 +63,6 @@ _SINE_SPEED = 0.99 / math.sqrt(2.0)
 
 def sine_wave(t, x, y):
     """Diagonally advected density wave; the velocity and pressure are uniform."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     rho = 1.0 + SINE_DELTA * np.sin(2.0 * np.pi * (x + y - 0.99 * math.sqrt(2.0) * t))
     return physics.stack_planes(np.broadcast_arrays(rho, _SINE_SPEED, _SINE_SPEED, 0.01))
 
@@ -78,7 +79,6 @@ VORTEX_ALPHA = (VORTEX_GAMMA - 1.0) * VORTEX_EPSILON**2 / (8.0 * VORTEX_GAMMA * 
 
 def vortex(t, x, y):
     """Isentropic vortex drifting at speed w along (-1, -1); p = rho^Gamma."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     g = VORTEX_GAMMA
     w = VORTEX_DRIFT
     gam_w = 1.0 / math.sqrt(1.0 - w * w)
@@ -114,7 +114,6 @@ def vortex(t, x, y):
 
 def explosion_init(x, y):
     """Rest gas with a high-pressure disc of radius 0.1 (strict interior)."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     r = np.sqrt(x * x + y * y)
     return physics.stack_planes(np.broadcast_arrays(1.0, 0.0, 0.0, np.where(r < 0.1, 20.0, 0.1)))
 
@@ -145,7 +144,6 @@ def riemann_quadrant_init(variant: str, x, y):
     """Four constant states split by the coordinate axes."""
     if variant not in _RP_STATES:
         raise ConfigurationError(f"unknown Riemann problem variant {variant!r}")
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     east, north = x > 0.0, y > 0.0
     quadrant = np.where(north, np.where(east, 0, 1), np.where(east, 3, 2))  # _RP_STATES' order
     return physics.stack_planes([component[quadrant]

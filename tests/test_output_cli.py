@@ -16,7 +16,7 @@ from rhd2d.errors import (
     RecoveryConvergenceError,
     RhdError,
 )
-from rhd2d.mesh_solver import Field, Grid, SolverConfig, run
+from rhd2d.mesh_solver import Field, Grid, SolverConfig, periodic_boundaries, run
 from rhd2d.recovery import recover_with_iterations
 
 
@@ -139,6 +139,22 @@ class TestWriteField:
         assert cli.main(argv) == 0
         digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
         assert digest == "e32748a01eef31a2a7724bfe2cf25219d694a00eac35a70a1ed517d4a5880c9a"
+
+    def test_periodic_field_bytes_pinned(self, tmp_path):
+        """As above for rp2 at 32x32 to t = 0.4 (29 steps) with every side
+        periodic, in both modes: the one pinned run through the periodic
+        ghost rule, as rp2 uses only outflow and the jet reflect, inflow
+        and outflow."""
+        spec = replace(problems.problem_by_name("rp2"), boundaries=periodic_boundaries())
+        digests = {
+            "multidimensional": "d428eed72a30e79827c466ae4123772b84198ff691b43ad34d6c53a4d084d1eb",
+            "dimension_split": "6b12a38f2c3757601b56d426c7353046c62ecee6eec0f4193d583e1f828c1747",
+        }
+        for mode, expected in digests.items():
+            result = run(spec, spec.default_grid(32), SolverConfig(mode=mode), t_end=0.4)
+            path = tmp_path / f"field_{mode}.dat"
+            output.write_field(result.field, spec.eos, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, mode
 
     def test_bytes_match_per_value_formatting(self, tmp_path, eos53):
         """Row-at-a-time formatting writes what "%.17g" per value writes."""

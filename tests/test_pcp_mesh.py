@@ -2,10 +2,13 @@
 
 The point-wise suites in `rhd2d.verification` check the Riemann fans one
 at a time; this one checks the assembled update, in both modes at the
-guaranteed setting alpha = 2, sigma = 0.45, on periodic meshes of random
+guaranteed setting alpha = 2, sigma = 0.45, on meshes of random
 admissible states.  Two checks:
 
-  - admissibility: after one step every cell is admissible;
+  - admissibility: after one step every cell is admissible, on square
+    periodic meshes, on periodic meshes with dx/dy = 4 and 1/4, and on
+    the two jets' meshes, whose ghost rules (reflect, outflow and the
+    inflow beam) join the step;
   - a certificate that needs only the speeds.  For fixed speeds and dt one
     step is linear in the 3x3 stencil,
         U_new = sum_k a_k U_k + b_k F_k + c_k G_k,
@@ -39,6 +42,7 @@ from rhd2d.mesh_solver import (
     step,
 )
 from rhd2d.physics import EosParams, extreme_speeds, is_admissible
+from rhd2d.problems import problem_by_name
 from rhd2d.recovery import recover_with_iterations
 from rhd2d.riemann import hll_coefficients
 
@@ -66,13 +70,16 @@ def drifting_states(rng, n):
 FAMILIES = {"reproduction": reproduction_states, "drifting": drifting_states}
 
 
-def periodic_mesh(states, n):
+def ghosted_mesh(states, grid, boundaries):
     """Ghost-filled field, its recovered primitives and their extreme speeds."""
-    grid = Grid(n, n, 0.0, 1.0, 0.0, 1.0)
-    field = Field.from_primitives(grid, lambda x, y: states.reshape(n, n, 4), EOS)
-    fill_ghosts(field, periodic_boundaries(), EOS)
+    field = Field.from_primitives(grid, lambda x, y: states.reshape(grid.n_x, grid.n_y, 4), EOS)
+    fill_ghosts(field, boundaries, EOS)
     prim, _ = recover_with_iterations(field.cells, EOS)
     return field, prim, extreme_speeds(prim, EOS)
+
+
+def periodic_mesh(states, n):
+    return ghosted_mesh(states, Grid(n, n, 0.0, 1.0, 0.0, 1.0), periodic_boundaries())
 
 
 def step_once(field, prim, speeds, dt, mode):
@@ -133,22 +140,52 @@ def certificate_slack(weights, speeds):
     return slack.min(axis=(0, 1))
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize(
-    "family, meshes, n",
-    [("reproduction", 400, 16), ("drifting", 100, 18)],
-    ids=["reproduction", "drifting"],
-)
-def test_one_step_keeps_every_cell_admissible(mode, family, meshes, n):
+def failing_meshes(mode, family, meshes, grid, boundaries, sigma):
+    """(trial, inadmissible cells) of each of `meshes` random meshes that
+    one step at `sigma` leaves with an inadmissible cell."""
     rng = np.random.default_rng(7)  # one stream shared by all meshes
     failing = []
     for trial in range(meshes):
-        field, prim, speeds = periodic_mesh(FAMILIES[family](rng, n * n), n)
-        dt = compute_dt(field, EOS, SIGMA, 2.0, prim, speeds)
+        field, prim, speeds = ghosted_mesh(FAMILIES[family](rng, grid.n_x * grid.n_y), grid,
+                                           boundaries)
+        dt = compute_dt(field, EOS, sigma, 2.0, prim, speeds)
         bad = int(np.sum(step_once(field, prim, speeds, dt, mode)))
         if bad:
             failing.append((trial, bad))
+    return failing
+
+
+JETS = ("jet-hot-i", "jet-cold-iii")  # 12x30 and 12x25: reflect, outflow and the inflow beam
+MESHES = [
+    pytest.param("reproduction", 400, Grid(16, 16, 0.0, 1.0, 0.0, 1.0), periodic_boundaries(),
+                 id="reproduction"),
+    pytest.param("drifting", 100, Grid(18, 18, 0.0, 1.0, 0.0, 1.0), periodic_boundaries(),
+                 id="drifting"),
+    *[pytest.param(family, 60, Grid(16, 16, 0.0, 1.0, 0.0, 1.0 / ratio), periodic_boundaries(),
+                   id=f"{family}-{cells}")
+      for ratio, cells in ((4.0, "dx=4dy"), (0.25, "dy=4dx")) for family in FAMILIES],
+    *[pytest.param(family, 60, problem_by_name(jet).default_grid(12),
+                   problem_by_name(jet).boundaries, id=f"{family}-{jet}")
+      for jet in JETS for family in FAMILIES],
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family, meshes, grid, boundaries", MESHES)
+def test_one_step_keeps_every_cell_admissible(mode, family, meshes, grid, boundaries):
+    failing = failing_meshes(mode, family, meshes, grid, boundaries, SIGMA)
     assert not failing, f"{len(failing)} of {meshes} meshes left cells inadmissible: {failing[:5]}"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("jet", JETS)
+def test_jet_meshes_break_the_split_step_past_the_bound(jet, family):
+    """The jet cases above are not vacuous: at sigma 0.75 the split step
+    leaves inadmissible cells on 54 to 60 of the 60 meshes of each."""
+    spec = problem_by_name(jet)
+    failing = failing_meshes("dimension_split", family, 60, spec.default_grid(12),
+                             spec.boundaries, 0.75)
+    assert len(failing) >= 30, f"only {len(failing)} of 60 meshes failed"
 
 
 @pytest.mark.parametrize("mode", MODES)
