@@ -242,7 +242,7 @@ def _cmd_run(config: RunConfig) -> int:
             norms = problems.error_norms(result.field, spec.eos, spec.exact)
             entries.update(l1_error=norms.l1, l2_error=norms.l2, linf_error=norms.linf)
         entries.update({f"diag_{key}": value for key, value in asdict(result.diagnostics).items()})
-        output.write_report(entries, out / "report.txt")
+        _optional_report(config, entries, "report.txt")
     print(
         f"{config.problem}: {grid.n_x}x{grid.n_y} to t = {t_end:g} "
         f"in {result.diagnostics.steps} steps ({elapsed:.2f} s); min rho {result.diagnostics.min_density:.3e}, "

@@ -21,8 +21,8 @@ on random admissible meshes and fails at 0.75, tests/test_pcp_mesh.py).
 Each step computes the per-cell quantities once: run() recovers the
 primitives of the ghosted array (seeded by the previous level's pressure),
 evaluates the extreme signal speeds of both axes in one pass
-(`physics.extreme_speeds`), and hands them to compute_dt and
-assemble_fluxes.  It also keeps one set of flux buffers for the whole run:
+(`physics.extreme_speeds`), and takes both the time step and the fluxes
+from them.  It also keeps one set of flux buffers for the whole run:
 every 4-component array of flux assembly (the physical fluxes, the jumps,
 the face and edge fluxes, the second differences and crosses, the corner
 workspace and the composites) is written into memory that the previous
@@ -101,9 +101,8 @@ class Grid:
         i = np.arange(-GHOST, self.n_x + GHOST) if with_ghosts else np.arange(self.n_x)
         return self.x_min + (i + 0.5) * self.dx
 
-    def centers_y(self, with_ghosts: bool = False) -> np.ndarray:
-        j = np.arange(-GHOST, self.n_y + GHOST) if with_ghosts else np.arange(self.n_y)
-        return self.y_min + (j + 0.5) * self.dy
+    def centers_y(self) -> np.ndarray:
+        return self.y_min + (np.arange(self.n_y) + 0.5) * self.dy
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,6 @@ def compute_dt(
     cfl_sigma: float,
     alpha: float,
     prim: np.ndarray,
-    speeds=None,
 ) -> float:
     """CFL time step against the scheme's signal speeds.
 
@@ -277,20 +275,21 @@ def compute_dt(
     recovered primitives of the full ghosted array, so the ghost layer
     joins the speed survey and boundary fans (an inflow jet, say) respect
     the bound too; recovery has already certified every cell admissible.
-    `speeds`, when given, must be `physics.extreme_speeds(prim, eos)`, which
-    run() computes once per step for this and assemble_fluxes; when omitted
-    it is computed here.  Landing on requested output times is left to run().
+    Landing on requested output times is left to run().
     """
-    if speeds is None:
-        speeds = extreme_speeds(prim, eos)
+    return cfl_sigma * _step_bound(field.grid, alpha, extreme_speeds(prim, eos))
+
+
+def _step_bound(grid: Grid, alpha: float, speeds) -> float:
+    """compute_dt's step at sigma = 1 from `physics.extreme_speeds` of its cells."""
     limit = math.inf
-    for (lam1, lam4), width in zip(speeds, (field.grid.dx, field.grid.dy)):
+    for (lam1, lam4), width in zip(speeds, (grid.dx, grid.dy)):
         # Rounding is monotone, so the cell minimum of width / (alpha * speed)
         # is that quotient at the fastest cell, bit for bit; as lam1 <= lam4,
         # the fastest |speed| is max(lam4) or -min(lam1).
         fastest = alpha * np.maximum(np.max(lam4), -np.min(lam1))
         limit = min(limit, float(width / fastest))
-    return cfl_sigma * limit
+    return limit
 
 
 class _FluxBuffers:
@@ -327,26 +326,23 @@ def assemble_fluxes(
     eos: EosParams,
     config: SolverConfig,
     prim: np.ndarray,
-    speeds=None,
 ):
     """Composite interface fluxes (x-faces, y-faces) for one Euler step.
 
     Ghosts must be filled, `prim` must hold the recovered primitives of the
     full ghosted array, and dt must come from compute_dt (the corner
-    contributions are weighted by dt).  `speeds`, when given, must be
-    `physics.extreme_speeds(prim, eos)`, as for compute_dt; when omitted it
-    is computed here, with the same result.  With config.pcp_audit on, a
-    dt above compute_dt's bound at sigma = 1 raises PcpAuditError, in
-    either mode; at or below it every composite weight is >= 0.  run(),
-    whose dt is compute_dt's at sigma <= 1, skips this check and keeps one
-    set of work arrays (`_FluxBuffers`); here they, the returned fluxes
-    among them, belong to this call alone.  Returns (fhat, ghat) with
-    shapes (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
+    contributions are weighted by dt).  With config.pcp_audit on, a dt
+    above compute_dt's bound at sigma = 1 raises PcpAuditError, in either
+    mode; at or below it every composite weight is >= 0.  run(), whose dt
+    is compute_dt's at sigma <= 1, skips this check, surveys the speeds
+    once per step for its dt and its fluxes, and keeps one set of work
+    arrays (`_FluxBuffers`); here they, the returned fluxes among them,
+    belong to this call alone.  Returns (fhat, ghat) with shapes
+    (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
-    if speeds is None:
-        speeds = extreme_speeds(prim, eos)
+    speeds = extreme_speeds(prim, eos)
     if config.pcp_audit:
-        bound = compute_dt(field, eos, 1.0, config.alpha, prim, speeds)
+        bound = _step_bound(field.grid, config.alpha, speeds)
         if dt > bound:
             raise PcpAuditError(
                 f"dt = {dt:.6e} exceeds compute_dt's bound {bound:.6e} at sigma = 1 "
@@ -566,7 +562,7 @@ def run(
             diag.observe(prim[GHOST:-GHOST, GHOST:-GHOST])
 
             speeds = extreme_speeds(prim, eos)
-            dt = compute_dt(field, eos, config.cfl_sigma, config.alpha, prim, speeds)
+            dt = config.cfl_sigma * _step_bound(grid, config.alpha, speeds)
             remaining = target - field.time
             if dt >= remaining:
                 dt = remaining

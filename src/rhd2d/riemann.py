@@ -26,8 +26,7 @@ paper's PCP lemma is about and the mesh never forms, are what `rhd2d
 verify` checks; they live in `verification`.  All functions broadcast over
 leading axes and are pure, except that `corner_fluxes` writes its result
 into the edge fluxes it is given and into its `workspace`, and that
-`hll_flux_from_jumps` writes the `out` and `workspace` arrays a caller
-passes.
+`hll_flux_from_jumps` writes into its `out` and `workspace`.
 """
 
 from __future__ import annotations
@@ -79,15 +78,14 @@ def hll_coefficients(s_minus, s_plus) -> FanCoefficients:
     return FanCoefficients(sl, kr, sr, w, right)
 
 
-def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out=None, workspace=None):
+def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out, workspace):
     """Clipped HLL flux f_l + kr du - k df from the jumps du = u_r - u_l,
     df = f_r - f_l and the fan's `hll_coefficients`.
 
     Exact in floating point: equal states (du = df = 0) and sl = 0 (k = 0,
     so supersonic rightward fans and empty fans) give f_l, and the `right`
     lanes get f_r by a masked copy.  `out` receives the flux and `workspace`
-    the product k df, each an array of the flux's shape; either is
-    allocated when not given.
+    the product k df, each an array of the flux's shape.
     """
     flux = np.multiply(coefficients.kr[..., None], du, out=out)
     flux += f_l

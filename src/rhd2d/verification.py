@@ -273,7 +273,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
 
 def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
-    prim = sample_primitives(rng, n, gamma_cap=100.0, p_max_decade=3.0, guard=RECOVERY_GUARD)
+    prim = sample_primitives(rng, n, gamma_cap=100.0, guard=RECOVERY_GUARD)
     cons = physics.prim_to_cons(prim, EOS)
     back, _ = recovery.recover_with_iterations(cons, EOS)
 

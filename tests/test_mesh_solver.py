@@ -370,31 +370,13 @@ class TestAssembleFluxes:
         if source == "random":
             assert fans == {True, False} and supersonic_faces > 0
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_passed_speeds_change_nothing(self, mode):
-        """compute_dt and assemble_fluxes give the same bits with and without
-        the speeds run() hands them."""
-        spec = problems.problem_by_name("rp2")
-        field = run(spec, Grid(24, 24, -1.0, 1.0, -1.0, 1.0), SolverConfig(), t_end=0.1).field
-        fill_ghosts(field, spec.boundaries, spec.eos)
-        prim, _ = recover_with_iterations(field.cells, spec.eos)
-        config = SolverConfig(mode=mode)
-        speeds = physics.extreme_speeds(prim, spec.eos)
-        dt = compute_dt(field, spec.eos, 0.45, 2.0, prim)
-        assert compute_dt(field, spec.eos, 0.45, 2.0, prim, speeds) == dt
-        computed = assemble_fluxes(field, dt, spec.eos, config, prim)
-        passed = assemble_fluxes(field, dt, spec.eos, config, prim, speeds)
-        for a, b in zip(computed, passed):
-            assert np.array_equal(a, b)
-
     def test_peak_memory_budget(self):
         """One call's peak traced allocation on rp2 64x64, in units of one
         ghosted (n+2)^2 x 4 array, stays within the 18.062 measured here for
         the assembly that preceded the coefficient form.  It now measures
         17.75 for this call, which computes the speeds itself and allocates
-        the flux buffers for itself alone, and 16.75 when the speeds are
-        passed in.  A call of run()'s, on its kept buffers and with the
-        speeds passed in, allocates 4.73."""
+        the flux buffers for itself alone.  A call of run()'s, on its kept
+        buffers and with the speeds passed in, allocates 4.73."""
         spec = problems.problem_by_name("rp2")
         grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
@@ -619,8 +601,7 @@ class TestStep:
     @pytest.mark.parametrize("mode", MODES)
     def test_audit_bound_is_compute_dt_at_sigma_one(self, eos53, mode):
         """dt equal to compute_dt's bound at sigma = 1 passes the audit and one
-        ulp above it raises, in either mode and with `speeds` given or
-        omitted; with the audit off neither does."""
+        ulp above it raises, in either mode; with the audit off neither does."""
         spec = problems.problem_by_name("rp1")
         grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, eos53)
@@ -629,13 +610,12 @@ class TestStep:
         bound = compute_dt(field, eos53, 1.0, 2.0, prim)
         above = float(np.nextafter(bound, np.inf))
         audited = SolverConfig(cfl_sigma=1.0, mode=mode)
-        for speeds in ((), (physics.extreme_speeds(prim, eos53),)):
-            assemble_fluxes(field, bound, eos53, audited, prim, *speeds)
-            with pytest.raises(PcpAuditError) as err:
-                assemble_fluxes(field, above, eos53, audited, prim, *speeds)
-            assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
-            for dt in (bound, above):
-                assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim, *speeds)
+        assemble_fluxes(field, bound, eos53, audited, prim)
+        with pytest.raises(PcpAuditError) as err:
+            assemble_fluxes(field, above, eos53, audited, prim)
+        assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
+        for dt in (bound, above):
+            assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim)
 
     def test_run_at_sigma_one_on_gas_at_rest(self):
         """Each step takes compute_dt's bound itself as dt; on this mesh some
@@ -726,9 +706,10 @@ class TestModes:
 
 class TestRun:
     def test_one_compute_dt_and_one_speed_survey_per_step(self, monkeypatch):
-        """run() takes each step's dt and signal speeds once, and checks no
-        dt it took from compute_dt against compute_dt again."""
-        calls = {"compute_dt": 0, "extreme_speeds": 0}
+        """run() surveys each step's signal speeds once and takes its dt from
+        that survey: one `_step_bound` per step and no compute_dt, which
+        would survey the speeds a second time."""
+        calls = {"compute_dt": 0, "_step_bound": 0, "extreme_speeds": 0}
 
         def counted(name):
             original = getattr(mesh_solver, name)
@@ -745,7 +726,7 @@ class TestRun:
         result = run(spec, spec.default_grid(16), SolverConfig(), t_end=0.1)
         steps = result.diagnostics.steps
         assert steps > 0
-        assert calls == {"compute_dt": steps, "extreme_speeds": steps}
+        assert calls == {"compute_dt": 0, "_step_bound": steps, "extreme_speeds": steps}
 
     def test_zero_time_returns_initial_field(self, eos53):
         spec = problems.problem_by_name("rp1")

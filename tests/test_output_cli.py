@@ -140,6 +140,21 @@ class TestWriteField:
         digest = hashlib.sha256((tmp_path / "field.dat").read_bytes()).hexdigest()
         assert digest == "e32748a01eef31a2a7724bfe2cf25219d694a00eac35a70a1ed517d4a5880c9a"
 
+    def test_rp2_cuts_bytes_pinned(self, tmp_path):
+        """As above for the cuts.dat of `rhd2d run --problem rp2 --n 32 --emit
+        cuts`: its profiles need only arithmetic, square roots and np.interp."""
+        argv = ["run", "--problem", "rp2", "--n", "32", "--emit", "cuts", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "cuts.dat").read_bytes()).hexdigest()
+        assert digest == "7dec3f8b5f6b236e23ba47d77f68d6fbbcfa30c4f972edf8827914cd5406bdf5"
+
+    def test_symmetry_bytes_pinned(self, tmp_path):
+        """As above for the symmetry.txt of `rhd2d compare-symmetry --n 24`: the
+        explosion in both modes and the deviations of their profiles."""
+        assert cli.main(["compare-symmetry", "--n", "24", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "symmetry.txt").read_bytes()).hexdigest()
+        assert digest == "c5eff4e9c388f2e1bd5265d6804597b70b8c329ead2396ddf7960f31897d2d27"
+
     def test_periodic_field_bytes_pinned(self, tmp_path):
         """As above for rp2 at 32x32 to t = 0.4 (29 steps) with every side
         periodic, in both modes: the one pinned run through the periodic

@@ -22,8 +22,8 @@ admissible states.  Two checks:
 The weights come from 27 linear runs of `assemble_fluxes` + `step` on an
 18x18 periodic mesh: each puts an indicator on one of the 9 colour classes
 (i mod 3, j mod 3) as U, F or G, with `physical_flux` replaced by the
-indicator arrays and the real state's speeds passed in, so every cell sees
-exactly one coloured cell per stencil offset.
+indicator arrays and the real state's primitives passed in (they give the
+speeds), so every cell sees exactly one coloured cell per stencil offset.
 """
 
 import numpy as np
@@ -82,14 +82,14 @@ def periodic_mesh(states, n):
     return ghosted_mesh(states, Grid(n, n, 0.0, 1.0, 0.0, 1.0), periodic_boundaries())
 
 
-def step_once(field, prim, speeds, dt, mode):
+def step_once(field, prim, dt, mode):
     """One step in place, audit off so every inadmissible cell is counted."""
     config = SolverConfig(mode=mode, pcp_audit=False)
-    step(field, dt, assemble_fluxes(field, dt, EOS, config, prim, speeds), config)
+    step(field, dt, assemble_fluxes(field, dt, EOS, config, prim), config)
     return ~is_admissible(field.interior)
 
 
-def stencil_weights(field, prim, speeds, dt, mode, monkeypatch):
+def stencil_weights(field, prim, dt, mode, monkeypatch):
     """(a, b, c) of shape (3, 3, n, n): the weight of stencil offset
     (di, dj) in (-1, 0, 1)^2, at index (di + 1, dj + 1), in each cell's update."""
     n = field.grid.n_x
@@ -111,7 +111,7 @@ def stencil_weights(field, prim, speeds, dt, mode, monkeypatch):
                     mesh_solver, "physical_flux", lambda p, u, axis, out: fluxes[axis].copy()
                 )
                 probe = Field(field.grid, (indicator if role == 0 else zero).copy())
-                step_once(probe, prim, speeds, dt, mode)
+                step_once(probe, prim, dt, mode)
                 weights[role, di[:, None], dj[None, :], cells[:, None], cells[None, :]] = (
                     probe.interior[..., 0]
                 )
@@ -146,10 +146,10 @@ def failing_meshes(mode, family, meshes, grid, boundaries, sigma):
     rng = np.random.default_rng(7)  # one stream shared by all meshes
     failing = []
     for trial in range(meshes):
-        field, prim, speeds = ghosted_mesh(FAMILIES[family](rng, grid.n_x * grid.n_y), grid,
-                                           boundaries)
-        dt = compute_dt(field, EOS, sigma, 2.0, prim, speeds)
-        bad = int(np.sum(step_once(field, prim, speeds, dt, mode)))
+        field, prim, _ = ghosted_mesh(FAMILIES[family](rng, grid.n_x * grid.n_y), grid,
+                                      boundaries)
+        dt = compute_dt(field, EOS, sigma, 2.0, prim)
+        bad = int(np.sum(step_once(field, prim, dt, mode)))
         if bad:
             failing.append((trial, bad))
     return failing
@@ -197,14 +197,14 @@ def test_certificate(mode, monkeypatch):
             failures[family, sigma] = 0
             for _ in range(20):
                 field, prim, speeds = periodic_mesh(draw(rng, 18 * 18), 18)
-                dt = compute_dt(field, EOS, sigma, 2.0, prim, speeds)
-                weights = stencil_weights(field, prim, speeds, dt, mode, monkeypatch)
+                dt = compute_dt(field, EOS, sigma, 2.0, prim)
+                weights = stencil_weights(field, prim, dt, mode, monkeypatch)
                 a, b, c = weights.sum(axis=(1, 2))
                 assert np.max(np.abs(a - 1.0)) <= ROUND_OFF
                 assert np.max(np.abs(b)) <= ROUND_OFF and np.max(np.abs(c)) <= ROUND_OFF
 
                 certified = certificate_slack(weights, speeds) >= -ROUND_OFF
-                inadmissible = step_once(field, prim, speeds, dt, mode)
+                inadmissible = step_once(field, prim, dt, mode)
                 assert not np.any(inadmissible & certified), "an inadmissible cell was certified"
                 failures[family, sigma] += int(np.sum(~certified))
     assert failures["reproduction", SIGMA] == 0 and failures["drifting", SIGMA] == 0, failures
@@ -229,9 +229,9 @@ def test_fan_speeds_within_the_time_step_bound(mode, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(20):
             field, prim, speeds = periodic_mesh(draw(rng, 18 * 18), 18)
-            dt = compute_dt(field, EOS, 1.0, 2.0, prim, speeds)
+            dt = compute_dt(field, EOS, 1.0, 2.0, prim)
             fans.clear()
-            assemble_fluxes(field, dt, EOS, SolverConfig(mode=mode), prim, speeds)
+            assemble_fluxes(field, dt, EOS, SolverConfig(mode=mode), prim)
             per_axis = len(fans) // 2  # the face fan, then in multidimensional mode the corners
             assert len(fans) == (4 if mode == "multidimensional" else 2)
             for axis, (lam1, lam4) in enumerate(speeds):

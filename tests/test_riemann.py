@@ -35,7 +35,8 @@ def two_sided(speeds):
 def flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
     """The mesh's 1D HLL flux of two states: `hll_flux_from_jumps` on their jumps."""
     coefficients = riemann.hll_coefficients(s_minus, s_plus)
-    return riemann.hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients)
+    return riemann.hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients,
+                                       np.empty_like(f_l), np.empty_like(f_l))
 
 
 def subsonic_prims(rng, n, **sample_kwargs):
@@ -51,8 +52,10 @@ def fan_fluxes(corners, speeds):
     du_down, df_down = u_rd - u_ld, f_rd - f_ld
     du_left, dg_left = u_lu - u_ld, g_lu - g_ld
     edges = (
-        riemann.hll_flux_from_jumps(f_ld, f_rd, du_down, df_down, coefficients[0]),
-        riemann.hll_flux_from_jumps(g_ld, g_lu, du_left, dg_left, coefficients[1]),
+        riemann.hll_flux_from_jumps(f_ld, f_rd, du_down, df_down, coefficients[0],
+                                    np.empty_like(f_ld), np.empty_like(f_ld)),
+        riemann.hll_flux_from_jumps(g_ld, g_lu, du_left, dg_left, coefficients[1],
+                                    np.empty_like(g_ld), np.empty_like(g_ld)),
     )
     d2u = (u_ru - u_lu) - du_down
     d2fs = ((f_ru - f_lu) - df_down, (g_ru - g_rd) - dg_left)
