@@ -22,28 +22,33 @@ Each step computes the per-cell quantities once: run() recovers the
 primitives of the ghosted array (seeded by the previous level's pressure),
 evaluates the extreme signal speeds of both axes in one pass
 (`physics.extreme_speeds`), and takes both the time step and the fluxes
-from them.  It also keeps one set of flux buffers for the whole run:
-every 4-component array of flux assembly (the physical fluxes, the jumps,
-the face and edge fluxes, the second differences and crosses, the corner
-workspace and the composites) is written into memory that the previous
-step already touched, so a steady step allocates only per-lane scalars and
-the allocator never trims and re-faults the flux arrays' pages.  Like the
-fields, these arrays keep the (..., 4) shape and store each component as
-one contiguous plane.
+from them.  These, the update and its audit span the whole mesh.  Flux
+assembly, whose every face depends only on the 3x3 cells around it,
+runs in strips of cell rows, each from the ghosted slab of its rows and
+their two neighbour rows (`STRIP_CELLS` bounds a slab).  run() keeps one
+set of flux buffers for the whole run: the mesh's two composite flux
+arrays, into which each strip writes its rows, and one slab's worth of
+every other 4-component array of flux assembly (the physical fluxes, the
+jumps, the edge fluxes, the second differences and crosses, the corner
+workspace).  So the flux work arrays are sized by a strip, not by the
+mesh, and a steady step allocates only per-lane scalars of one strip.
+Like the fields, these arrays keep the (..., 4) shape and store each
+component as one contiguous plane.
 
 Fluxes are written into arrays before any cell is touched, so results do
-not depend on traversal order.  The jumps of U and of each axis's flux
-across every face of the ghosted mesh are taken once per step and shared:
-the 1D face fluxes, each corner fan's edge flux and its second differences
-all read them (coefficient form, see `riemann`).  The composite is
-evaluated in difference form (F1D plus corner corrections), which makes
-the multidimensional and dimension-split modes agree bitwise on
-one-dimensional fields.
+not depend on traversal order or on the strip height.  The jumps of U and
+of each axis's flux across every face of a strip's slab are taken once
+and shared: the 1D face fluxes, each corner fan's edge flux and its
+second differences all read them (coefficient form, see `riemann`).  The
+composite is evaluated in difference form (F1D plus corner corrections),
+which makes the multidimensional and dimension-split modes agree bitwise
+on one-dimensional fields.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
@@ -69,6 +74,11 @@ MODES = ("multidimensional", "dimension_split")
 # run() rejects a run that could need more steps to reach its t_end
 MAX_STEPS = 10**9  # rp2 at 200x200 takes 356
 
+# Flux assembly runs over strips of cell rows whose ghosted slabs hold at
+# most this many cells (a strip is one row at least), so its work arrays
+# are sized by a strip, not by the mesh: 38 rows at 200x200.
+STRIP_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -82,12 +92,21 @@ class Grid:
     y_max: float
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_y < 1:
+        try:
+            counts = tuple(map(operator.index, (self.n_x, self.n_y)))
+        except TypeError:
+            raise ConfigurationError(f"cell counts must be integers, got {self.n_x!r}, "
+                                     f"{self.n_y!r}") from None
+        if min(counts) < 1:
             raise ConfigurationError("cell counts must be positive")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
             raise ConfigurationError("domain bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigurationError("domain bounds must satisfy max > min")
+        # Finite bounds can still be too far apart, or too close, for a float.
+        if not (0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf):
+            raise ConfigurationError(f"cell widths must be positive and finite, got "
+                                     f"dx = {self.dx!r}, dy = {self.dy!r}")
 
     @property
     def dx(self) -> float:
@@ -293,26 +312,31 @@ def _step_bound(grid: Grid, alpha: float, speeds) -> float:
 
 
 class _FluxBuffers:
-    """The 4-component work arrays of flux assembly, kept between calls.
+    """The work arrays of flux assembly, kept between calls.
 
-    Each name owns one pool the size of a ghosted field; `planes` views the
-    pool's head as a (..., 4) array whose components are planes in (x, y)
-    order, as `Field.cells` stores them, seen along `axis` as np.swapaxes
-    sees it.  Writing each step into pages already touched spares the
-    allocator the trimming and re-faulting of some 11 MB per call at
-    200x200.  The pools are rows of one block, which the allocator maps and
-    unmaps whole instead of scattering a dozen chunks over a heap that the
-    next run has to grow around.  The fluxes of one call are only valid
-    until the next call on the same buffers.
+    `fluxes` holds the mesh's composite fluxes (fhat, ghat), into which
+    each strip of at most `rows` cell rows writes its rows.  Every other
+    array lives in a named pool the size of one strip's ghosted slab, not
+    of the mesh; `planes` views the pool's head as a (..., 4) array whose
+    components are planes in (x, y) order, as `Field.cells` stores them,
+    seen along `axis` as np.swapaxes sees it.  Writing each step into pages
+    already touched spares the allocator their trimming and re-faulting.
+    The pools are rows of one block, which the allocator maps and unmaps
+    whole instead of scattering a dozen chunks over a heap that the next
+    run has to grow around.  The fluxes of one call are only valid until
+    the next call on the same buffers.
     """
 
-    # Split mode uses the first seven pools.
-    NAMES = ("flux", "du", "df", "face0", "face1", "cross0", "cross1",
-             "edge0", "edge1", "d2u", "d2f0", "d2f1")
+    # Split mode uses the first five pools.
+    NAMES = ("flux", "du", "df", "cross0", "cross1", "edge0", "edge1", "d2u", "d2f0", "d2f1")
 
     def __init__(self, grid: Grid):
-        size = 4 * (grid.n_x + 2 * GHOST) * (grid.n_y + 2 * GHOST)
+        columns = grid.n_y + 2 * GHOST
+        self.rows = max(1, STRIP_CELLS // columns - 2 * GHOST)
+        size = 4 * (min(self.rows, grid.n_x) + 2 * GHOST) * columns
         self._pools = dict(zip(self.NAMES, np.empty((len(self.NAMES), size))))
+        self.fluxes = tuple(physics.stack_planes(np.empty((4, *shape)))
+                            for shape in ((grid.n_x + 1, grid.n_y), (grid.n_x, grid.n_y + 1)))
 
     def planes(self, name: str, shape, axis: int = 0) -> np.ndarray:
         natural = tuple(shape[::-1]) if axis else tuple(shape)
@@ -354,18 +378,37 @@ def assemble_fluxes(
 def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
     """assemble_fluxes without its dt check, writing into `buffers`.
 
+    Strip [a, b) of cell rows is assembled from the ghosted rows a .. b+1
+    of the cells, the primitives and the speeds, and writes the x-faces
+    a .. b and the y-faces of rows a .. b-1.  Every face and corner is
+    formed from the same cells by the same elementwise operations as on the
+    whole mesh, so the fluxes do not depend on the strip height; the x-face
+    row b that two strips share is computed by both with the same bits.
+    """
+    fhat, ghat = buffers.fluxes
+    n_x = field.grid.n_x
+    for a in range(0, n_x, buffers.rows):
+        b = min(a + buffers.rows, n_x)
+        slab = slice(a, b + 2 * GHOST)
+        _assemble_strip(buffers, field.grid, dt, config, field.cells[slab], prim[slab],
+                        [[s[slab] for s in axis] for axis in speeds], (fhat[a:b + 1], ghat[a:b]))
+    return fhat, ghat
+
+
+def _assemble_strip(buffers, grid, dt, config, cons, prim, speeds, out):
+    """The composite fluxes of the ghosted slab `cons`, written into `out`.
+
     Both axes run through the same code on np.swapaxes views whose first
     index is the face-normal axis, as in fill_ghosts.  The jumps of U and
-    of the axis's flux across every face of the ghosted mesh are taken
-    once per axis and shared by the face fluxes, the corner fans' edge
-    fluxes and their second differences.
+    of the axis's flux across every face of the slab are taken once per
+    axis and shared by the face fluxes, the corner fans' edge fluxes and
+    their second differences.  `out` holds the slab's interior x-faces and
+    y-faces.
     """
-    grid = field.grid
-    cons = field.cells
     multidimensional = config.mode == "multidimensional"
     inner = (slice(None), slice(GHOST, -GHOST))  # faces of the interior rows
     low = (slice(None), slice(0, -1))  # each vertex's low transverse side
-    face, corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], [], []
+    corner_speeds, coefficients, edges, crosses, d2fs = [], [], [], [], []
     for axis in (0, 1):
         # Fan speeds and jumps across every face of this axis, ghost rows too.
         lam1, lam4 = (np.swapaxes(a, 0, axis) for a in speeds[axis])
@@ -385,17 +428,16 @@ def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
         faces = (u.shape[0] - 1, u.shape[1])
         du = np.subtract(u[1:], u[:-1], out=buffers.planes("du", faces, axis))
         df = np.subtract(f[1:], f[:-1], out=buffers.planes("df", faces, axis))
-        # Only the interior rows' face fluxes are used.  The crosses' pool
-        # is free until they are taken, so it holds the products k df.
-        interior_faces = (faces[0], faces[1] - 2 * GHOST)
-        f1 = hll_flux_from_jumps(
+        # Only the interior rows' face fluxes are used, and they go straight
+        # into `out`.  The crosses' pool is free until they are taken, so it
+        # holds the products k df.
+        hll_flux_from_jumps(
             f[:-1][inner], f[1:][inner], du[inner], df[inner],
             hll_coefficients(s_minus[inner], s_plus[inner]),
-            out=buffers.planes(f"face{axis}", interior_faces, axis),
-            workspace=buffers.planes(f"cross{axis}", interior_faces, axis),
+            out=np.swapaxes(out[axis], 0, axis),
+            workspace=buffers.planes(f"cross{axis}", (faces[0], faces[1] - 2 * GHOST), axis),
         )
         del s_minus, s_plus
-        face.append(np.swapaxes(f1, 0, axis))
         if not multidimensional:
             continue
 
@@ -418,7 +460,7 @@ def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
         edges.append(np.swapaxes(edge, 0, axis))
 
     if not multidimensional:
-        return tuple(face)
+        return
     # The physical fluxes are spent, so their pool is the corner workspace.
     corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients,
                                 workspace=buffers.planes("flux", d2u.shape[:-1]))
@@ -427,23 +469,21 @@ def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
     # two fan triangles that sweep across it during dt, one-signed fans
     # included.  In each axis's view the second index runs across the face,
     # so [:, :-1] is the corner on its low side and [:, 1:] the high side.
-    # The jumps are spent, so their pools take the composites.
-    composite = []
+    # `out` holds the 1D fluxes until both terms are formed; the jumps are
+    # spent, so their pools take the low-side terms.
     for axis, across, pool in ((0, grid.dy, "du"), (1, grid.dx, "df")):
-        f1, f2d = (np.swapaxes(a, 0, axis) for a in (face[axis], corner_flux[axis]))
+        f1, f2d = (np.swapaxes(a, 0, axis) for a in (out[axis], corner_flux[axis]))
         t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
-        blend = np.subtract(f2d[:, :-1], f1, out=buffers.planes(pool, f1.shape[:-1], axis))
-        blend *= (weight_scale * plus_low)[..., None]
-        blend += f1
-        high = f2d[:, 1:]  # the corner fluxes are spent after this term
-        high -= f1
-        high *= (weight_scale * minus_high)[..., None]
-        blend -= high
-        composite.append(np.swapaxes(blend, 0, axis))
-    return tuple(composite)
+        low_term = np.subtract(f2d[:, :-1], f1, out=buffers.planes(pool, f1.shape[:-1], axis))
+        low_term *= (weight_scale * plus_low)[..., None]
+        high_term = f2d[:, 1:]  # the corner fluxes are spent after this term
+        high_term -= f1
+        high_term *= (weight_scale * minus_high)[..., None]
+        f1 += low_term
+        f1 -= high_term
 
 
 def step(field: Field, dt: float, fluxes, config: SolverConfig) -> Field:

@@ -83,6 +83,19 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(*args)
 
+    @pytest.mark.parametrize("counts", [(2.5, 4), (4, 4.0), ("4", 4), (4, None)])
+    def test_cell_counts_must_be_integers(self, counts):
+        with pytest.raises(ConfigurationError, match="cell counts must be integers"):
+            Grid(*counts, 0.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, -0.5, 0.5), (-0.5, 0.5, -1e308, 1e308),
+                                        (0.0, 5e-324, 0.0, 1.0)])
+    def test_cell_widths_must_be_positive_and_finite(self, bounds):
+        """Finite bounds whose difference overflows would put every centre
+        of that axis at infinity; a width that underflows, all at one point."""
+        with pytest.raises(ConfigurationError, match="cell widths must be positive and finite"):
+            Grid(4, 4, *bounds)
+
 
 class TestBoundarySpec:
     def test_periodic_pairing(self):
@@ -372,11 +385,10 @@ class TestAssembleFluxes:
 
     def test_peak_memory_budget(self):
         """One call's peak traced allocation on rp2 64x64, in units of one
-        ghosted (n+2)^2 x 4 array, stays within the 18.062 measured here for
-        the assembly that preceded the coefficient form.  It now measures
-        17.75 for this call, which computes the speeds itself and allocates
-        the flux buffers for itself alone.  A call of run()'s, on its kept
-        buffers and with the speeds passed in, allocates 4.73."""
+        ghosted (n+2)^2 x 4 array.  It measures 17.68 for this call, which
+        computes the speeds itself and allocates the flux buffers for itself
+        alone (one strip covers 64 rows).  A call of run()'s, on its kept
+        buffers and with the speeds passed in, allocates 4.75."""
         spec = problems.problem_by_name("rp2")
         grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
@@ -390,19 +402,21 @@ class TestAssembleFluxes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / field.cells.nbytes <= 18.07
+        assert peak / field.cells.nbytes <= 17.7
 
     def test_run_keeps_its_flux_buffers(self, monkeypatch):
         """run() makes one set of flux buffers and writes every 4-component
-        array of flux assembly into it: on rp2 64x64 each call's peak traced
-        allocation, in units of one ghosted (n+2)^2 x 4 array, measures 4.73
-        (per-lane scalars), where one more 4-component temporary adds 1."""
+        array of flux assembly into it: on rp2 64x64, one strip, each call's
+        peak traced allocation, in units of one ghosted (n+2)^2 x 4 array,
+        measures 4.75 (per-lane scalars), where one more 4-component
+        temporary adds 1.  At 200x200 the pools hold one strip's slab, not
+        the mesh, and a call's peak measures 0.94."""
         made, peaks = [], []
         buffers, assemble = mesh_solver._FluxBuffers, mesh_solver._assemble_fluxes
 
         def counted(grid):
-            made.append(grid)
-            return buffers(grid)
+            made.append(buffers(grid))
+            return made[-1]
 
         def measured(*args):
             held = tracemalloc.get_traced_memory()[0]
@@ -422,6 +436,112 @@ class TestAssembleFluxes:
             tracemalloc.stop()
         assert len(made) == 1 and len(peaks) >= 4
         assert max(peaks) / field.cells.nbytes <= 5.2, peaks
+
+        made.clear()
+        peaks.clear()
+        grid = spec.default_grid(200)
+        tracemalloc.start()
+        try:
+            field = run(spec, grid, SolverConfig(), t_end=0.01).field
+        finally:
+            tracemalloc.stop()
+        (kept,) = made
+        slab = (kept.rows + 2 * GHOST) * (grid.n_y + 2 * GHOST)
+        assert slab <= mesh_solver.STRIP_CELLS and kept.rows < grid.n_x // 4
+        assert sum(pool.nbytes for pool in kept._pools.values()) == len(kept.NAMES) * 4 * slab * 8
+        assert len(peaks) >= 4 and max(peaks) / field.cells.nbytes <= 1.0, peaks
+
+    def test_run_peak_memory_budget(self):
+        """run()'s peak traced allocation over 5 steps of rp2 at 200x200, in
+        units of one ghosted (n+2)^2 x 4 array, measures 13.50, set by
+        recovery; flux buffers that spanned the mesh would add about 8."""
+        spec = problems.problem_by_name("rp2")
+        tracemalloc.start()
+        try:
+            result = run(spec, spec.default_grid(200), SolverConfig(), t_end=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics.steps == 5
+        assert peak / result.field.cells.nbytes <= 13.6
+
+
+def strip_cells(rows, n_y):
+    """The STRIP_CELLS at which flux assembly takes strips of `rows` rows."""
+    return (rows + 2 * GHOST) * (n_y + 2 * GHOST)
+
+
+class TestStrips:
+    """run() and assemble_fluxes assemble a step in strips of cell rows
+    (mesh_solver.STRIP_CELLS); every flux and every cell equals those of
+    one strip over the whole mesh, bit for bit, across each seam."""
+
+    ROWS, N_Y = 4, 5
+    SIDES = {
+        "periodic": periodic_boundaries(),
+        "outflow": BoundarySpec(),
+        "reflect": BoundarySpec("reflect", "reflect", "reflect", "reflect"),
+        "inflow": BoundarySpec(left=Inflow((1.0, 0.6, 0.0, 0.5), (0.0, 0.25)),
+                               bottom=Inflow((0.5, 0.0, 0.7, 1.0), (-1.0, 0.35))),
+    }
+
+    def random_problem(self, n_x, boundaries):
+        """Random admissible states (gamma up to 10) on 0.1-wide cells."""
+        states = verification.sample_primitives(np.random.default_rng(n_x), n_x * self.N_Y,
+                                                gamma_cap=10.0)
+        return problems.ProblemSpec(0.0, 0.1 * n_x, 0.0, 0.1 * self.N_Y, physics.EosParams(),
+                                    boundaries, 0.1,
+                                    lambda x, y: states.reshape(n_x, self.N_Y, 4))
+
+    def run_in_strips(self, monkeypatch, rows, spec, grid, mode):
+        """run()'s final cells and each step's fluxes, in strips of `rows` rows."""
+        monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip_cells(rows, grid.n_y))
+        assert mesh_solver._FluxBuffers(grid).rows == rows
+        fluxes = []
+
+        def recorded(field, dt, step_fluxes, config):
+            fluxes.append([flux.copy() for flux in step_fluxes])
+            return step(field, dt, step_fluxes, config)
+
+        monkeypatch.setattr(mesh_solver, "step", recorded)
+        return run(spec, grid, SolverConfig(mode=mode), spec.t_end).field.cells, fluxes
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sides", SIDES)
+    @pytest.mark.parametrize("n_x", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 5])
+    def test_seams_bit_for_bit(self, monkeypatch, n_x, sides, mode):
+        spec = self.random_problem(n_x, self.SIDES[sides])
+        grid = Grid(n_x, self.N_Y, spec.x_min, spec.x_max, spec.y_min, spec.y_max)
+        cells, fluxes = self.run_in_strips(monkeypatch, self.ROWS, spec, grid, mode)
+        whole_cells, whole_fluxes = self.run_in_strips(monkeypatch, n_x, spec, grid, mode)
+        assert len(fluxes) == len(whole_fluxes) >= 2
+        assert np.array_equal(cells, whole_cells)
+        for step_fluxes, whole in zip(fluxes, whole_fluxes):
+            for flux, whole_flux in zip(step_fluxes, whole):
+                assert np.array_equal(flux, whole_flux)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_public_call_gives_the_fluxes_of_run(self, monkeypatch, mode):
+        """assemble_fluxes on a step's field, dt and primitives returns the
+        fluxes that run() took for that step, in strips of 4 rows."""
+        grid = Grid(2 * self.ROWS + 5, self.N_Y, -1.0, 1.0, -1.0, 1.0)
+        monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip_cells(self.ROWS, grid.n_y))
+        assemble, calls = mesh_solver._assemble_fluxes, []
+
+        def recorded(buffers, field, dt, config, prim, speeds):
+            fluxes = assemble(buffers, field, dt, config, prim, speeds)
+            calls.append((field.cells.copy(), dt, prim.copy(), [f.copy() for f in fluxes]))
+            return fluxes
+
+        monkeypatch.setattr(mesh_solver, "_assemble_fluxes", recorded)
+        spec, config = problems.problem_by_name("rp2"), SolverConfig(mode=mode)
+        run(spec, grid, config, t_end=0.2)
+        monkeypatch.setattr(mesh_solver, "_assemble_fluxes", assemble)
+        assert len(calls) >= 2
+        for cells, dt, prim, fluxes in calls:
+            public = assemble_fluxes(Field(grid, cells), dt, spec.eos, config, prim)
+            for flux, public_flux in zip(fluxes, public):
+                assert np.array_equal(flux, public_flux)
 
 
 class TestPlanarLayout:
