@@ -13,21 +13,32 @@ rho * gamma^2 * eps so that the margins being asserted stay above float64
 round-off of the states themselves; beyond that coupling the conserved
 representation no longer determines the answer.  All draws are seeded and
 deterministic.
+
+Each suite runs in two phases.  It first draws all its samples whole, with
+every generator call in a fixed order and at a fixed size, because one
+generator feeds every suite in turn: drawing in chunks would change the
+random stream and so every sample after the first chunk.  It then checks
+the samples in chunks of at most CHUNK lanes (`_in_chunks`), so that no
+state derived from a whole draw (conserved states, speeds, fluxes,
+recovered primitives) is ever held at once.  Every check acts on each
+lane alone, so the results do not depend on CHUNK.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import physics, recovery, riemann
-from .errors import PcpAuditError, RecoveryConvergenceError
+from .errors import ConfigurationError, PcpAuditError, RecoveryConvergenceError
 from .physics import EosParams
 
 _EPS = float(np.finfo(float).eps)
 EOS = EosParams()  # the suites' equation of state
 ALPHA = 2.0  # the corner fans' wave-speed amplifier, which the PCP claim needs
+CHUNK = 8192  # lanes per check chunk; draws stay whole (see the module docstring)
 
 # p >= rho * gamma^2 * eps * GUARD keeps admissibility margins at least
 # ~1/GUARD above construction round-off; the recovery guard is stricter
@@ -103,6 +114,30 @@ def _count(name, ok, detail="", **kwargs) -> SuiteResult:
     return SuiteResult(name, ok.size, int(np.sum(~ok)), detail, **kwargs)
 
 
+def _sample_count(samples) -> int:
+    """`samples` as an int of at least 1; raises ConfigurationError otherwise."""
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = None
+    if count is None or isinstance(samples, bool):
+        raise ConfigurationError(f"sample count must be an integer, got {samples!r}")
+    if count < 1:
+        raise ConfigurationError(f"sample count must be at least 1, got {count}")
+    return count
+
+
+def _in_chunks(check, n: int) -> dict:
+    """`check(lanes)` on consecutive slices of at most CHUNK of n lanes, its pieces joined.
+
+    `check` returns a dict of 1D arrays, each holding one entry per lane of
+    the slice or one per slice (a maximum taken with keepdims); the result
+    holds each key's pieces concatenated in lane order.
+    """
+    pieces = [check(slice(start, start + CHUNK)) for start in range(0, n, CHUNK)]
+    return {key: np.concatenate([piece[key] for piece in pieces]) for key in pieces[0]}
+
+
 def admissible_set_suite(rng: np.random.Generator, n: int):
     """Convexity and closure properties of the admissible set.
 
@@ -110,96 +145,93 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     boundary-guarded draw at its extreme eigenvalues, then on the main
     draw at those speeds widened by delta = 1e-3, 1 and 10.
     """
-    results = []
-
+    n = _sample_count(n)
     prim = sample_primitives(rng, n)
-    cons = physics.prim_to_cons(prim, EOS)
-    results.append(_count("forward map lands in the admissible set", physics.is_admissible(cons)))
-
-    _, _, cs = physics.thermo(prim, EOS)
-    results.append(_count("sound speed bound c_s^2 < Gamma - 1", cs * cs < EOS.gamma_adiabatic - 1.0))
-
     kappa = 10.0 ** rng.uniform(-6.0, 6.0, n)
-    results.append(
-        _count("positive scaling stays admissible", physics.is_admissible(kappa[:, None] * cons))
-    )
-
     # Pair draws share a log scale so the combined margins stay resolvable.
     centers = rng.uniform(-6.0, 1.0, n)
-    pair = [
-        physics.prim_to_cons(
-            sample_primitives(rng, n, rho_decades=(-1.5, 1.5), rho_center=centers),
-            EOS,
-        )
-        for _ in range(2)
-    ]
-    theta = rng.uniform(0.0, 1.0, n)[:, None]
-    results.append(
-        _count(
-            "convex combinations stay admissible",
-            physics.is_admissible(theta * pair[0] + (1.0 - theta) * pair[1]),
-        )
-    )
-    coeff = [10.0 ** rng.uniform(-3.0, 3.0, n)[:, None] for _ in range(2)]
-    results.append(
-        _count(
-            "positive combinations stay admissible",
-            physics.is_admissible(coeff[0] * pair[0] + coeff[1] * pair[1]),
-        )
-    )
-
+    pair = [sample_primitives(rng, n, rho_decades=(-1.5, 1.5), rho_center=centers)
+            for _ in range(2)]
+    del centers
+    theta = rng.uniform(0.0, 1.0, n)
+    coeff = [10.0 ** rng.uniform(-3.0, 3.0, n) for _ in range(2)]
     # Probes exactly on the fan boundary draw from the boundary-guarded
     # sampler; their margins vanish quadratically there.
     prim_b = sample_primitives(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
-    cons_b = physics.prim_to_cons(prim_b, EOS)
-    speeds, speeds_b = physics.extreme_speeds(prim, EOS), physics.extreme_speeds(prim_b, EOS)
-    for axis, axis_name in ((0, "x"), (1, "y")):
-        flux = physics.physical_flux(prim, cons, axis)
-        flux_b = physics.physical_flux(prim_b, cons_b, axis)
-        cases = [("the extreme eigenvalue", cons_b, flux_b, speeds_b[axis], 0.0)]
-        cases += [(f"extreme + {d:g}", cons, flux, speeds[axis], d) for d in (1e-3, 1.0, 10.0)]
-        for at, u, f, (lam1, lam4), delta in cases:
-            alpha, beta = (lam4 + delta)[:, None], (lam1 - delta)[:, None]
-            results.append(_count(f"alpha U - F_{axis_name} admissible at {at}",
-                                  physics.is_admissible(alpha * u - f)))
-            results.append(_count(f"F_{axis_name} - beta U admissible at {at}",
-                                  physics.is_admissible(f - beta * u)))
-    return results
+
+    def check(lanes):
+        p, p_b = prim[lanes], prim_b[lanes]
+        cons, cons_b = physics.prim_to_cons(p, EOS), physics.prim_to_cons(p_b, EOS)
+        _, _, cs = physics.thermo(p, EOS)
+        u_0, u_1 = (physics.prim_to_cons(q[lanes], EOS) for q in pair)
+        t = theta[lanes, None]
+        ok = {
+            "forward map lands in the admissible set": physics.is_admissible(cons),
+            "sound speed bound c_s^2 < Gamma - 1": cs * cs < EOS.gamma_adiabatic - 1.0,
+            "positive scaling stays admissible": physics.is_admissible(kappa[lanes, None] * cons),
+            "convex combinations stay admissible":
+                physics.is_admissible(t * u_0 + (1.0 - t) * u_1),
+            "positive combinations stay admissible":
+                physics.is_admissible(coeff[0][lanes, None] * u_0 + coeff[1][lanes, None] * u_1),
+        }
+        speeds, speeds_b = physics.extreme_speeds(p, EOS), physics.extreme_speeds(p_b, EOS)
+        for axis, axis_name in ((0, "x"), (1, "y")):
+            flux = physics.physical_flux(p, cons, axis)
+            flux_b = physics.physical_flux(p_b, cons_b, axis)
+            cases = [("the extreme eigenvalue", cons_b, flux_b, speeds_b[axis], 0.0)]
+            cases += [(f"extreme + {d:g}", cons, flux, speeds[axis], d) for d in (1e-3, 1.0, 10.0)]
+            for at, u, f, (lam1, lam4), delta in cases:
+                alpha, beta = (lam4 + delta)[:, None], (lam1 - delta)[:, None]
+                ok[f"alpha U - F_{axis_name} admissible at {at}"] = (
+                    physics.is_admissible(alpha * u - f))
+                ok[f"F_{axis_name} - beta U admissible at {at}"] = (
+                    physics.is_admissible(f - beta * u))
+        return ok
+
+    return [_count(name, ok) for name, ok in _in_chunks(check, n).items()]
+
+
+def _corner_speeds(prims):
+    """Fan speeds (s_left, s_right, s_down, s_up) of corner primitives (ld, rd, lu, ru)."""
+    lams = [physics.extreme_speeds(p, EOS) for p in prims]
+    speeds = ()
+    for axis in (0, 1):
+        speeds += riemann.fan_speeds(*zip(*(lam[axis] for lam in lams)), ALPHA)
+    return speeds
 
 
 def _subsonic_corners(rng, n, **sample_kwargs):
-    """The first n two-sided corner quadruples of batches drawn until there are n.
-
-    Returns their primitives in (ld, rd, lu, ru) order and their fan speeds
-    (s_left, s_right, s_down, s_up).
-    """
-    batches, kept, size = [], 0, max(n, 4096)
+    """The primitives, in (ld, rd, lu, ru) order, of the first n two-sided
+    corner quadruples of batches drawn until there are n."""
+    prims, kept, size = [np.empty((n, 4)) for _ in range(4)], 0, max(n, 4096)
     while kept < n:
         centers = rng.uniform(-6.0, 1.0, size)
-        prims = [sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
+        batch = [sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
                                    **sample_kwargs) for _ in range(4)]
-        lams = [physics.extreme_speeds(p, EOS) for p in prims]
-        speeds = ()
-        for axis in (0, 1):
-            speeds += riemann.fan_speeds(*zip(*(lam[axis] for lam in lams)), ALPHA)
-        keep = (speeds[0] < 0.0) & (speeds[1] > 0.0) & (speeds[2] < 0.0) & (speeds[3] > 0.0)
-        batches.append([part[keep] for part in (*prims, *speeds)])
-        kept += np.count_nonzero(keep)
-        del prims, lams, speeds  # a whole batch is never held while the next is drawn
-    parts = [np.concatenate(part)[:n] for part in zip(*batches)]
-    return parts[:4], tuple(parts[4:])
+        del centers
+
+        def two_sided(lanes):
+            s_l, s_r, s_d, s_u = _corner_speeds([prim[lanes] for prim in batch])
+            return {"keep": (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)}
+
+        take = np.flatnonzero(_in_chunks(two_sided, size)["keep"])[:n - kept]
+        for out, prim in zip(prims, batch):
+            out[kept:kept + take.size] = prim[take]
+        kept += take.size
+        del batch  # a whole batch is never held while the next is drawn
+    return prims
 
 
-def _subsonic_fans(rng, n, **sample_kwargs):
-    """Corner-solver input of n two-sided fans: four (U, F, G) triples and the speeds."""
-    prims, speeds = _subsonic_corners(rng, n, **sample_kwargs)
+def _subsonic_fans(prims):
+    """Corner-solver input of two-sided corner primitives: four (U, F, G)
+    triples and the fan speeds."""
     corners = []
     for prim in prims:
         cons = physics.prim_to_cons(prim, EOS)
         corners.append(
             (cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1))
         )
-    return corners, speeds
+    return corners, _corner_speeds(prims)
 
 
 def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
@@ -252,61 +284,64 @@ def quadrant_fan_states(corners, speeds):
 
 def corner_solver_suite(rng: np.random.Generator, n: int):
     """Admissibility of the corner intermediate state and its quadrant parts."""
-    results = [
-        _count(
-            f"corner intermediate state admissible (alpha = {ALPHA:g})",
-            physics.is_admissible(hll_state_2d(*_subsonic_fans(rng, n))),
-        )
-    ]
+    n = _sample_count(n)
+    prims = _subsonic_corners(rng, n)
+
+    def corner_state(lanes):
+        fans = _subsonic_fans([prim[lanes] for prim in prims])
+        return {f"corner intermediate state admissible (alpha = {ALPHA:g})":
+                physics.is_admissible(hll_state_2d(*fans))}
+
+    results = [_count(name, ok) for name, ok in _in_chunks(corner_state, n).items()]
+    del prims
 
     # The quadrant composites touch the fan boundary (the slowest corner sits
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
-    quadrants = quadrant_fan_states(
-        *_subsonic_fans(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
-    )
-    names = ("left-down", "right-down", "left-up", "right-up")
-    for name, h in zip(names, quadrants):
-        results.append(_count(f"{name} quadrant composite admissible", physics.is_admissible(h)))
-    return results
+    prims_b = _subsonic_corners(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+
+    def quadrants(lanes):
+        parts = quadrant_fan_states(*_subsonic_fans([prim[lanes] for prim in prims_b]))
+        names = ("left-down", "right-down", "left-up", "right-up")
+        return {f"{name} quadrant composite admissible": physics.is_admissible(h)
+                for name, h in zip(names, parts)}
+
+    return results + [_count(name, ok) for name, ok in _in_chunks(quadrants, n).items()]
 
 
 def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
+    n = _sample_count(n)
     prim = sample_primitives(rng, n, gamma_cap=100.0, guard=RECOVERY_GUARD)
-    cons = physics.prim_to_cons(prim, EOS)
-    back, _ = recovery.recover_with_iterations(cons, EOS)
 
-    scale = np.maximum(np.abs(prim), np.finfo(float).tiny)
-    rel = np.max(np.abs(back - prim) / scale, axis=-1)
-    results = [
-        _count(
-            "round trip accurate to 1e-10 per component",
-            rel <= 1e-10,
-            detail=f"max rel err {float(np.max(rel)):.3e}",
-            exit_code=RecoveryConvergenceError.exit_code,
-        )
+    def check(lanes):
+        p_in = prim[lanes]
+        cons = physics.prim_to_cons(p_in, EOS)
+        back, _ = recovery.recover_with_iterations(cons, EOS)
+        scale = np.maximum(np.abs(p_in), np.finfo(float).tiny)
+        rel = np.max(np.abs(back - p_in) / scale, axis=-1)
+
+        # Residual measured in extended precision, independent of the solver path.
+        ld = np.longdouble
+        dens = ld(cons[..., physics.DEN])
+        energy = ld(cons[..., physics.ENE])
+        m_sq = ld(cons[..., physics.MOMX]) ** 2 + ld(cons[..., physics.MOMY]) ** 2
+        p = ld(back[..., physics.PRE])
+        w = energy + p
+        gam_sq = 1.0 / (1.0 - m_sq / (w * w))
+        psi = dens * np.sqrt(gam_sq) + ld(EOS.gamma_ratio) * p * gam_sq - w
+        tol = ld(recovery.REL_TOLERANCE) * np.maximum(energy, 1.0)
+        return {"rel ok": rel <= 1e-10, "max rel": np.max(rel, keepdims=True),
+                "psi ok": np.abs(psi) <= tol, "max psi": np.max(np.abs(psi) / tol, keepdims=True)}
+
+    out = _in_chunks(check, n)
+    exit_code = RecoveryConvergenceError.exit_code
+    return [
+        _count("round trip accurate to 1e-10 per component", out["rel ok"],
+               detail=f"max rel err {float(np.max(out['max rel'])):.3e}", exit_code=exit_code),
+        _count("pressure-equation residual within tolerance", out["psi ok"],
+               detail=f"worst |psi|/tol {float(np.max(out['max psi'])):.3f}", exit_code=exit_code),
     ]
-
-    # Residual measured in extended precision, independent of the solver path.
-    ld = np.longdouble
-    dens = ld(cons[..., physics.DEN])
-    energy = ld(cons[..., physics.ENE])
-    m_sq = ld(cons[..., physics.MOMX]) ** 2 + ld(cons[..., physics.MOMY]) ** 2
-    p = ld(back[..., physics.PRE])
-    w = energy + p
-    gam_sq = 1.0 / (1.0 - m_sq / (w * w))
-    psi = dens * np.sqrt(gam_sq) + ld(EOS.gamma_ratio) * p * gam_sq - w
-    tol = ld(recovery.REL_TOLERANCE) * np.maximum(energy, 1.0)
-    results.append(
-        _count(
-            "pressure-equation residual within tolerance",
-            np.abs(psi) <= tol,
-            detail=f"worst |psi|/tol {float(np.max(np.abs(psi) / tol)):.3f}",
-            exit_code=RecoveryConvergenceError.exit_code,
-        )
-    )
-    return results
 
 
 def run_all(seed: int, samples: int):

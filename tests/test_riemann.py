@@ -41,7 +41,7 @@ def flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
 
 def subsonic_prims(rng, n, **sample_kwargs):
     """n corner quadruples with two-sided fans, drawn by `rhd2d verify`'s sampler."""
-    return verification._subsonic_corners(rng, n, **sample_kwargs)[0]
+    return verification._subsonic_corners(rng, n, **sample_kwargs)
 
 
 def fan_fluxes(corners, speeds):
@@ -200,13 +200,18 @@ class TestSubsonicSampler:
         {}, {"gamma_cap": verification.BOUNDARY_GAMMA_CAP, "guard": verification.BOUNDARY_GUARD}
     ])
     def test_speeds_are_the_fan_speeds_of_the_primitives(self, eos53, kwargs):
-        """The sampler's speeds are those of its primitives' eigenvalues, bit for bit."""
+        """The sampler keeps two-sided quadruples only, and the suite's fan input
+        is that of their primitives' eigenvalues and (U, F, G) triples, bit for bit."""
         rng = np.random.default_rng(5)
-        prims, speeds = verification._subsonic_corners(rng, 5000, **kwargs)
+        prims = verification._subsonic_corners(rng, 5000, **kwargs)
         assert [p.shape for p in prims] == [(5000, 4)] * 4
+        corners, speeds = verification._subsonic_fans(prims)
+        want_corners, want_speeds = corner_fan(eos53, prims)
         assert np.all(two_sided(speeds))
-        for got, want in zip(speeds, corner_fan(eos53, prims)[1], strict=True):
-            assert got.tobytes() == want.tobytes()
+        got = [*speeds, *(a for triple in corners for a in triple)]
+        want = [*want_speeds, *(a for triple in want_corners for a in triple)]
+        for got_part, want_part in zip(got, want, strict=True):
+            assert got_part.tobytes() == want_part.tobytes()
 
 
 def mixed_reduction_batch(rng, eos, n=100):
