@@ -14,18 +14,22 @@ round-off of the states themselves; beyond that coupling the conserved
 representation no longer determines the answer.  All draws are seeded and
 deterministic.
 
-Each suite runs in two phases.  It first draws all its samples whole, with
-every generator call in a fixed order and at a fixed size, because one
-generator feeds every suite in turn: drawing in chunks would change the
-random stream and so every sample after the first chunk.  It then checks
-the samples in chunks of at most CHUNK lanes (`_in_chunks`), so that no
-state derived from a whole draw (conserved states, speeds, fluxes,
-recovered primitives) is ever held at once.  Every check acts on each
-lane alone, so the results do not depend on CHUNK.
+A suite reserves the slot of each of its draws in the caller's random
+stream, in the order and at the size that a whole draw would take it, and
+reads each slot chunk by chunk, at most CHUNK lanes at a time, from a
+generator placed at its start (`_placed`): a copy of the caller's PCG64
+or PCG64DXSM bit generator moved there with `advance`.  One generator feeds every suite in turn, so
+this order fixes every sample.  Each value is one 64-bit output, so a
+chunk's lanes get bitwise the values that a whole draw gives them, the
+caller's generator ends where whole draws would leave it, and every check
+acts on each lane alone: no result depends on CHUNK.  Only per-chunk
+failure counts and maxima are kept (`_in_chunks`), so a suite's memory is
+set by CHUNK, not by the sample count.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 
@@ -38,7 +42,8 @@ from .physics import EosParams
 _EPS = float(np.finfo(float).eps)
 EOS = EosParams()  # the suites' equation of state
 ALPHA = 2.0  # the corner fans' wave-speed amplifier, which the PCP claim needs
-CHUNK = 8192  # lanes per check chunk; draws stay whole (see the module docstring)
+CHUNK = 8192  # lanes per chunk read and checked (see the module docstring)
+_PRIMITIVE_DRAWS = 6  # generator calls of `_primitives`, one slot each
 
 # p >= rho * gamma^2 * eps * GUARD keeps admissibility margins at least
 # ~1/GUARD above construction round-off; the recovery guard is stricter
@@ -53,8 +58,14 @@ BOUNDARY_GUARD = 1.0e10
 BOUNDARY_GAMMA_CAP = 300.0
 
 
-def sample_primitives(
-    rng: np.random.Generator,
+def sample_primitives(rng: np.random.Generator, n: int, **kwargs) -> np.ndarray:
+    """n random valid primitive states drawn whole from rng (any bit
+    generator); keywords and distribution as `_primitives`."""
+    return _primitives([rng] * _PRIMITIVE_DRAWS, n, **kwargs)
+
+
+def _primitives(
+    draws,
     n: int,
     *,
     rho_decades=(-10.0, 2.0),
@@ -64,31 +75,60 @@ def sample_primitives(
     guard=ADMISSIBILITY_GUARD,
     rho_center=None,
 ) -> np.ndarray:
-    """Random valid primitive states stressing the extreme corners.
+    """Random valid primitive states stressing the extreme corners, each of
+    the six generator calls reading n values from its own entry of `draws`.
 
     Speeds mix a uniform draw with a log tail reaching 1 - 1e-8 (or the
     gamma_cap equivalent); rho is log-uniform over `rho_decades`, optionally
     re-centered per lane via `rho_center` (decades, for scale-matched pairs);
     p is log-uniform between the conditioning floor and 10**p_max_decade.
     """
-    dec = rng.uniform(*rho_decades, n)
+    dec_rng, tail_rng, tail_speed_rng, speed_rng, angle_rng, p_rng = draws
+    dec = dec_rng.uniform(*rho_decades, n)
     rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
 
     speed_max = 1.0 - 1e-8
     if gamma_cap is not None:
         speed_max = min(speed_max, np.sqrt(1.0 - 1.0 / gamma_cap**2))
-    tail = rng.random(n) < 0.5
+    tail = tail_rng.random(n) < 0.5
     speed = np.where(
         tail,
-        1.0 - 10.0 ** rng.uniform(np.log10(1.0 - speed_max), 0.0, n),
-        rng.uniform(0.0, speed_max, n),
+        1.0 - 10.0 ** tail_speed_rng.uniform(np.log10(1.0 - speed_max), 0.0, n),
+        speed_rng.uniform(0.0, speed_max, n),
     )
-    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    angle = angle_rng.uniform(0.0, 2.0 * np.pi, n)
 
     gamma_sq = 1.0 / ((1.0 - speed) * (1.0 + speed))
     floor = np.maximum(p_min, rho * gamma_sq * _EPS * guard)
-    p = 10.0 ** rng.uniform(np.log10(floor), p_max_decade, n)
+    p = 10.0 ** p_rng.uniform(np.log10(floor), p_max_decade, n)
     return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
+
+
+def _placed(rng: np.random.Generator, size: int) -> np.random.Generator:
+    """A generator reading the `size` values that a whole draw from rng
+    would take now; rng moves past them, as that draw would leave it.
+
+    Every draw here reads one 64-bit output per value, and `advance(k)` of
+    PCG64 and PCG64DXSM skips k outputs, so the placed generator's i-th
+    value is bitwise the whole draw's lane i.  `advance` clears the buffered
+    32-bit half of the caller's generator, which is restored.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ConfigurationError(
+            "the verify suites need a PCG64 or PCG64DXSM bit generator, got "
+            f"{type(bit_generator).__name__}")
+    placed = copy.copy(bit_generator)
+    state = bit_generator.state
+    bit_generator.advance(size)
+    bit_generator.state = {**bit_generator.state, "has_uint32": state["has_uint32"],
+                           "uinteger": state["uinteger"]}
+    return np.random.Generator(placed)
+
+
+def _reserve_primitives(rng: np.random.Generator, size: int) -> list:
+    """The `draws` of `_primitives` for `size` states, placed in rng's stream."""
+    return [_placed(rng, size) for _ in range(_PRIMITIVE_DRAWS)]
 
 
 @dataclass
@@ -109,33 +149,44 @@ class SuiteResult:
         return f"{status}  {self.name}: {self.failures} failures / {self.samples} samples{extra}"
 
 
-def _count(name, ok, detail="", **kwargs) -> SuiteResult:
-    ok = np.asarray(ok)
-    return SuiteResult(name, ok.size, int(np.sum(~ok)), detail, **kwargs)
+def _count(name, tally, detail="", **kwargs) -> SuiteResult:
+    """The result of a check from its `_in_chunks` tally (lanes, failures)."""
+    return SuiteResult(name, *tally, detail, **kwargs)
 
 
-def _sample_count(samples) -> int:
-    """`samples` as an int of at least 1; raises ConfigurationError otherwise."""
+def _integer(value, name: str, least: int) -> int:
+    """`value` as an int of at least `least`; raises ConfigurationError otherwise."""
     try:
-        count = operator.index(samples)
+        count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or isinstance(samples, bool):
-        raise ConfigurationError(f"sample count must be an integer, got {samples!r}")
-    if count < 1:
-        raise ConfigurationError(f"sample count must be at least 1, got {count}")
+    if count is None or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ConfigurationError(f"{name} must be at least {least}, got {count}")
     return count
 
 
-def _in_chunks(check, n: int) -> dict:
-    """`check(lanes)` on consecutive slices of at most CHUNK of n lanes, its pieces joined.
+def _chunks(n: int):
+    """The lane counts of consecutive chunks of at most CHUNK of n lanes."""
+    return (min(CHUNK, n - start) for start in range(0, n, CHUNK))
 
-    `check` returns a dict of 1D arrays, each holding one entry per lane of
-    the slice or one per slice (a maximum taken with keepdims); the result
-    holds each key's pieces concatenated in lane order.
+
+def _in_chunks(check, chunks) -> dict:
+    """`check(chunk)` for each of `chunks` in order, its dicts folded per key.
+
+    A boolean array (one entry per lane) adds to the key's tally (lanes,
+    failures); any other value (a chunk's worst case) to its running maximum.
     """
-    pieces = [check(slice(start, start + CHUNK)) for start in range(0, n, CHUNK)]
-    return {key: np.concatenate([piece[key] for piece in pieces]) for key in pieces[0]}
+    totals = {}
+    for chunk in chunks:
+        for key, value in check(chunk).items():
+            if value.dtype == bool:
+                lanes, failures = totals.get(key, (0, 0))
+                totals[key] = (lanes + value.size, failures + int(np.count_nonzero(~value)))
+            else:
+                totals[key] = np.maximum(totals.get(key, value), value)
+    return totals
 
 
 def admissible_set_suite(rng: np.random.Generator, n: int):
@@ -145,34 +196,37 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     boundary-guarded draw at its extreme eigenvalues, then on the main
     draw at those speeds widened by delta = 1e-3, 1 and 10.
     """
-    n = _sample_count(n)
-    prim = sample_primitives(rng, n)
-    kappa = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    n = _integer(n, "sample count", 1)
+    prim = _reserve_primitives(rng, n)
+    kappa = _placed(rng, n)
     # Pair draws share a log scale so the combined margins stay resolvable.
-    centers = rng.uniform(-6.0, 1.0, n)
-    pair = [sample_primitives(rng, n, rho_decades=(-1.5, 1.5), rho_center=centers)
-            for _ in range(2)]
-    del centers
-    theta = rng.uniform(0.0, 1.0, n)
-    coeff = [10.0 ** rng.uniform(-3.0, 3.0, n) for _ in range(2)]
+    centers = _placed(rng, n)
+    pair = [_reserve_primitives(rng, n) for _ in range(2)]
+    theta = _placed(rng, n)
+    coeff = [_placed(rng, n) for _ in range(2)]
     # Probes exactly on the fan boundary draw from the boundary-guarded
     # sampler; their margins vanish quadratically there.
-    prim_b = sample_primitives(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+    prim_b = _reserve_primitives(rng, n)
 
-    def check(lanes):
-        p, p_b = prim[lanes], prim_b[lanes]
-        cons, cons_b = physics.prim_to_cons(p, EOS), physics.prim_to_cons(p_b, EOS)
+    def check(m):
+        p = _primitives(prim, m)
+        cons = physics.prim_to_cons(p, EOS)
         _, _, cs = physics.thermo(p, EOS)
-        u_0, u_1 = (physics.prim_to_cons(q[lanes], EOS) for q in pair)
-        t = theta[lanes, None]
+        scaled = 10.0 ** kappa.uniform(-6.0, 6.0, m)[:, None] * cons
+        center = centers.uniform(-6.0, 1.0, m)
+        u_0, u_1 = (physics.prim_to_cons(
+            _primitives(q, m, rho_decades=(-1.5, 1.5), rho_center=center), EOS) for q in pair)
+        t = theta.uniform(0.0, 1.0, m)[:, None]
+        c_0, c_1 = (10.0 ** g.uniform(-3.0, 3.0, m)[:, None] for g in coeff)
+        p_b = _primitives(prim_b, m, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+        cons_b = physics.prim_to_cons(p_b, EOS)
         ok = {
             "forward map lands in the admissible set": physics.is_admissible(cons),
             "sound speed bound c_s^2 < Gamma - 1": cs * cs < EOS.gamma_adiabatic - 1.0,
-            "positive scaling stays admissible": physics.is_admissible(kappa[lanes, None] * cons),
+            "positive scaling stays admissible": physics.is_admissible(scaled),
             "convex combinations stay admissible":
                 physics.is_admissible(t * u_0 + (1.0 - t) * u_1),
-            "positive combinations stay admissible":
-                physics.is_admissible(coeff[0][lanes, None] * u_0 + coeff[1][lanes, None] * u_1),
+            "positive combinations stay admissible": physics.is_admissible(c_0 * u_0 + c_1 * u_1),
         }
         speeds, speeds_b = physics.extreme_speeds(p, EOS), physics.extreme_speeds(p_b, EOS)
         for axis, axis_name in ((0, "x"), (1, "y")):
@@ -188,7 +242,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
                     physics.is_admissible(f - beta * u))
         return ok
 
-    return [_count(name, ok) for name, ok in _in_chunks(check, n).items()]
+    return [_count(name, tally) for name, tally in _in_chunks(check, _chunks(n)).items()]
 
 
 def _corner_speeds(prims):
@@ -201,25 +255,26 @@ def _corner_speeds(prims):
 
 
 def _subsonic_corners(rng, n, **sample_kwargs):
-    """The primitives, in (ld, rd, lu, ru) order, of the first n two-sided
-    corner quadruples of batches drawn until there are n."""
-    prims, kept, size = [np.empty((n, 4)) for _ in range(4)], 0, max(n, 4096)
+    """Yields, chunk by chunk, the primitives (ld, rd, lu, ru) of the first
+    n two-sided corner quadruples of batches drawn until there are n.
+
+    Each batch of max(n, 4096) lanes takes its whole slots in rng's stream,
+    but its lanes are read and tested only up to the chunk that completes n.
+    """
+    kept, size = 0, max(n, 4096)
     while kept < n:
-        centers = rng.uniform(-6.0, 1.0, size)
-        batch = [sample_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
-                                   **sample_kwargs) for _ in range(4)]
-        del centers
-
-        def two_sided(lanes):
-            s_l, s_r, s_d, s_u = _corner_speeds([prim[lanes] for prim in batch])
-            return {"keep": (s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0)}
-
-        take = np.flatnonzero(_in_chunks(two_sided, size)["keep"])[:n - kept]
-        for out, prim in zip(prims, batch):
-            out[kept:kept + take.size] = prim[take]
-        kept += take.size
-        del batch  # a whole batch is never held while the next is drawn
-    return prims
+        centers = _placed(rng, size)
+        batch = [_reserve_primitives(rng, size) for _ in range(4)]
+        for m in _chunks(size):
+            center = centers.uniform(-6.0, 1.0, m)
+            prims = [_primitives(draws, m, rho_decades=(-1.0, 1.0), rho_center=center,
+                                 **sample_kwargs) for draws in batch]
+            s_l, s_r, s_d, s_u = _corner_speeds(prims)
+            take = np.flatnonzero((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))[:n - kept]
+            kept += take.size
+            yield [prim[take] for prim in prims]
+            if kept == n:
+                break
 
 
 def _subsonic_fans(prims):
@@ -284,38 +339,36 @@ def quadrant_fan_states(corners, speeds):
 
 def corner_solver_suite(rng: np.random.Generator, n: int):
     """Admissibility of the corner intermediate state and its quadrant parts."""
-    n = _sample_count(n)
-    prims = _subsonic_corners(rng, n)
+    n = _integer(n, "sample count", 1)
 
-    def corner_state(lanes):
-        fans = _subsonic_fans([prim[lanes] for prim in prims])
+    def corner_state(prims):
         return {f"corner intermediate state admissible (alpha = {ALPHA:g})":
-                physics.is_admissible(hll_state_2d(*fans))}
+                physics.is_admissible(hll_state_2d(*_subsonic_fans(prims)))}
 
-    results = [_count(name, ok) for name, ok in _in_chunks(corner_state, n).items()]
-    del prims
+    results = [_count(name, tally)
+               for name, tally in _in_chunks(corner_state, _subsonic_corners(rng, n)).items()]
 
-    # The quadrant composites touch the fan boundary (the slowest corner sits
-    # exactly at speed / alpha), so they draw from the boundary-guarded
-    # sampler like the eigenvalue-extreme probes above.
-    prims_b = _subsonic_corners(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
-
-    def quadrants(lanes):
-        parts = quadrant_fan_states(*_subsonic_fans([prim[lanes] for prim in prims_b]))
+    def quadrants(prims):
+        parts = quadrant_fan_states(*_subsonic_fans(prims))
         names = ("left-down", "right-down", "left-up", "right-up")
         return {f"{name} quadrant composite admissible": physics.is_admissible(h)
                 for name, h in zip(names, parts)}
 
-    return results + [_count(name, ok) for name, ok in _in_chunks(quadrants, n).items()]
+    # The quadrant composites touch the fan boundary (the slowest corner sits
+    # exactly at speed / alpha), so they draw from the boundary-guarded
+    # sampler like the eigenvalue-extreme probes above.
+    corners_b = _subsonic_corners(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+    return results + [_count(name, tally)
+                      for name, tally in _in_chunks(quadrants, corners_b).items()]
 
 
 def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
-    n = _sample_count(n)
-    prim = sample_primitives(rng, n, gamma_cap=100.0, guard=RECOVERY_GUARD)
+    n = _integer(n, "sample count", 1)
+    prim = _reserve_primitives(rng, n)
 
-    def check(lanes):
-        p_in = prim[lanes]
+    def check(m):
+        p_in = _primitives(prim, m, gamma_cap=100.0, guard=RECOVERY_GUARD)
         cons = physics.prim_to_cons(p_in, EOS)
         back, _ = recovery.recover_with_iterations(cons, EOS)
         scale = np.maximum(np.abs(p_in), np.finfo(float).tiny)
@@ -331,22 +384,22 @@ def recovery_suite(rng: np.random.Generator, n: int):
         gam_sq = 1.0 / (1.0 - m_sq / (w * w))
         psi = dens * np.sqrt(gam_sq) + ld(EOS.gamma_ratio) * p * gam_sq - w
         tol = ld(recovery.REL_TOLERANCE) * np.maximum(energy, 1.0)
-        return {"rel ok": rel <= 1e-10, "max rel": np.max(rel, keepdims=True),
-                "psi ok": np.abs(psi) <= tol, "max psi": np.max(np.abs(psi) / tol, keepdims=True)}
+        return {"rel ok": rel <= 1e-10, "max rel": np.max(rel),
+                "psi ok": np.abs(psi) <= tol, "max psi": np.max(np.abs(psi) / tol)}
 
-    out = _in_chunks(check, n)
+    out = _in_chunks(check, _chunks(n))
     exit_code = RecoveryConvergenceError.exit_code
     return [
         _count("round trip accurate to 1e-10 per component", out["rel ok"],
-               detail=f"max rel err {float(np.max(out['max rel'])):.3e}", exit_code=exit_code),
+               detail=f"max rel err {float(out['max rel']):.3e}", exit_code=exit_code),
         _count("pressure-equation residual within tolerance", out["psi ok"],
-               detail=f"worst |psi|/tol {float(np.max(out['max psi'])):.3f}", exit_code=exit_code),
+               detail=f"worst |psi|/tol {float(out['max psi']):.3f}", exit_code=exit_code),
     ]
 
 
 def run_all(seed: int, samples: int):
     """Every suite at the given size; returns a flat list of SuiteResults."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     results = []
     results += admissible_set_suite(rng, samples)
     results += corner_solver_suite(rng, samples)

@@ -3,10 +3,16 @@
 Everything here is written against the defining formulas with mpmath
 extended precision (50 digits), deliberately avoiding the package's numpy
 code paths.  Values returned are mpmath floats; tests compare after
-conversion to float64.
+conversion to float64.  The exception is the whole-draw samplers at the
+end: the `verify` samplers as they drew before reading their draws chunk
+by chunk, every generator call whole and in order, which fix the samples
+that the placed chunk reads must reproduce bit for bit.
 """
 
 import mpmath as mp
+import numpy as np
+
+from rhd2d import physics, riemann
 
 mp.mp.dps = 50
 
@@ -195,3 +201,45 @@ def pressure_root(cons, gamma):
     if psi(hi) == 0:
         return hi
     return mp.findroot(psi, max(hi / 2, lo), solver="secant", tol=1e-60)
+
+
+def whole_primitives(rng, n, *, rho_decades=(-10.0, 2.0), p_max_decade=3.0, p_min=1e-12,
+                     gamma_cap=None, guard=4.0e3, rho_center=None):
+    """`verification.sample_primitives` with every draw of n values whole."""
+    dec = rng.uniform(*rho_decades, n)
+    rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
+
+    speed_max = 1.0 - 1e-8
+    if gamma_cap is not None:
+        speed_max = min(speed_max, np.sqrt(1.0 - 1.0 / gamma_cap**2))
+    tail = rng.random(n) < 0.5
+    speed = np.where(
+        tail,
+        1.0 - 10.0 ** rng.uniform(np.log10(1.0 - speed_max), 0.0, n),
+        rng.uniform(0.0, speed_max, n),
+    )
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+
+    gamma_sq = 1.0 / ((1.0 - speed) * (1.0 + speed))
+    floor = np.maximum(p_min, rho * gamma_sq * np.finfo(float).eps * guard)
+    p = 10.0 ** rng.uniform(np.log10(floor), p_max_decade, n)
+    return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
+
+
+def whole_subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
+    """The primitives, in (ld, rd, lu, ru) order, of the first n two-sided
+    corner quadruples of whole batches of max(n, 4096) lanes drawn until
+    there are n: `verification._subsonic_corners` with whole draws."""
+    prims, kept, size = [np.empty((n, 4)) for _ in range(4)], 0, max(n, 4096)
+    while kept < n:
+        centers = rng.uniform(-6.0, 1.0, size)
+        batch = [whole_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
+                                  **sample_kwargs) for _ in range(4)]
+        lams = [physics.extreme_speeds(prim, eos) for prim in batch]
+        s_l, s_r = riemann.fan_speeds(*zip(*(lam[0] for lam in lams)), alpha)
+        s_d, s_u = riemann.fan_speeds(*zip(*(lam[1] for lam in lams)), alpha)
+        take = np.flatnonzero((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))[:n - kept]
+        for out, prim in zip(prims, batch):
+            out[kept:kept + take.size] = prim[take]
+        kept += take.size
+    return prims

@@ -40,8 +40,10 @@ def flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
 
 
 def subsonic_prims(rng, n, **sample_kwargs):
-    """n corner quadruples with two-sided fans, drawn by `rhd2d verify`'s sampler."""
-    return verification._subsonic_corners(rng, n, **sample_kwargs)
+    """n corner quadruples with two-sided fans, drawn by `rhd2d verify`'s sampler
+    and joined from its chunks."""
+    pieces = verification._subsonic_corners(rng, n, **sample_kwargs)
+    return [np.concatenate(prim) for prim in zip(*pieces)]
 
 
 def fan_fluxes(corners, speeds):
@@ -203,7 +205,7 @@ class TestSubsonicSampler:
         """The sampler keeps two-sided quadruples only, and the suite's fan input
         is that of their primitives' eigenvalues and (U, F, G) triples, bit for bit."""
         rng = np.random.default_rng(5)
-        prims = verification._subsonic_corners(rng, 5000, **kwargs)
+        prims = subsonic_prims(rng, 5000, **kwargs)
         assert [p.shape for p in prims] == [(5000, 4)] * 4
         corners, speeds = verification._subsonic_fans(prims)
         want_corners, want_speeds = corner_fan(eos53, prims)
