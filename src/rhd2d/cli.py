@@ -39,7 +39,7 @@ def _items(text: str) -> tuple:
 def _emit(text: str) -> tuple:
     names = _items(text)
     if not set(names) <= set(_EMIT_CHOICES):
-        raise ValueError(text)
+        raise ConfigurationError(text)
     return names
 
 
@@ -47,7 +47,7 @@ def _count(text: str) -> int:
     """An integer of at least 1."""
     value = int(text)
     if value < 1:
-        raise ValueError(text)
+        raise ConfigurationError(text)
     return value
 
 
@@ -342,8 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, config = parse_config(list(argv))
         return _COMMANDS[command][0](config)
-    # A package error carries its exit code and label; any other (a bad value,
-    # an --out it cannot make, a mesh too large to allocate) ends as RhdError.
+    # A package error carries its exit code and label; any other (an --out it
+    # cannot make, a mesh too large to allocate, a ValueError from numpy)
+    # ends as RhdError.
     except (RhdError, ValueError, OSError, MemoryError) as exc:
         failure = exc if isinstance(exc, RhdError) else RhdError
         print(f"{failure.label}: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Exception types raised across the solver.
 
-Solver internals should always raise one of the classes below rather than
-bare built-ins when the failure is meaningful to a caller.  Each class
-carries the exit code and stderr label with which the command line ends on
-it, and this is their one table: the PCP audit's one type exits 3,
-recovery and admissibility failures 4, any other error 2.
+Every failure that the package raises is one of the classes below, never a
+bare built-in, so `except RhdError` catches them all; a scan of the
+package's raise statements (`tests/test_raised_errors.py`) keeps it so.
+Each class carries the exit code and stderr label with which the command
+line ends on it, and this is their one table: the PCP audit's one type
+exits 3, recovery and admissibility failures 4, any other error 2.
 """
 
 
@@ -16,7 +17,9 @@ class RhdError(Exception):
 
 
 class ConfigurationError(RhdError, ValueError):
-    """Invalid run configuration (grid, boundary pairing, option ranges)."""
+    """Invalid input of any kind: a run configuration (grid, boundary
+    pairing, setting text), a state or equation of state, an axis, or an
+    option out of its range."""
 
 
 class SuperluminalError(RhdError, ValueError):

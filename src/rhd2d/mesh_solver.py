@@ -95,8 +95,10 @@ class Grid:
         try:
             counts = tuple(map(operator.index, (self.n_x, self.n_y)))
         except TypeError:
+            counts = None
+        if counts is None or any(isinstance(n, bool) for n in (self.n_x, self.n_y)):
             raise ConfigurationError(f"cell counts must be integers, got {self.n_x!r}, "
-                                     f"{self.n_y!r}") from None
+                                     f"{self.n_y!r}")
         if min(counts) < 1:
             raise ConfigurationError("cell counts must be positive")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SuperluminalError
+from .errors import ConfigurationError, SuperluminalError
 
 # Primitive component indices: rest-mass density, velocity, gas pressure.
 RHO, VX, VY, PRE = 0, 1, 2, 3
@@ -35,7 +35,7 @@ class EosParams:
     def __post_init__(self):
         g = self.gamma_adiabatic
         if not (1.0 < g <= 2.0):
-            raise ValueError(f"adiabatic index must lie in (1, 2], got {g}")
+            raise ConfigurationError(f"adiabatic index must lie in (1, 2], got {g}")
 
     @property
     def gamma_ratio(self) -> float:
@@ -71,16 +71,16 @@ def _speed_squared(vel_x, vel_y):
 def primitive(rho, vel_x, vel_y, pressure) -> np.ndarray:
     """Stack and validate a primitive state (rho, u, v, p).
 
-    Raises SuperluminalError for |u| >= 1 and ValueError for non-positive
-    density or pressure.
+    Raises SuperluminalError for |u| >= 1 and ConfigurationError for
+    non-positive density or pressure.
     """
     rho, vel_x, vel_y, pressure = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (rho, vel_x, vel_y, pressure))
     )
     if not np.all(rho > 0.0):
-        raise ValueError("rest-mass density must be positive")
+        raise ConfigurationError("rest-mass density must be positive")
     if not np.all(pressure > 0.0):
-        raise ValueError("pressure must be positive")
+        raise ConfigurationError("pressure must be positive")
     _speed_squared(vel_x, vel_y)
     return stack_planes([rho, vel_x, vel_y, pressure])
 
@@ -128,7 +128,7 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np
     prim = np.asarray(prim, dtype=float)
     cons = np.asarray(cons, dtype=float)
     if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
+        raise ConfigurationError(f"axis must be 0 (x) or 1 (y), got {axis}")
     u_n = prim[..., VX + axis]
     p = prim[..., PRE]
     flux = np.multiply(cons, u_n[..., None], out=out)
@@ -140,7 +140,7 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np
 def eigenvalues(prim: np.ndarray, eos: EosParams, axis: int) -> EigenSpeeds:
     """(lam1, lam4) along one axis: that axis's pair of `extreme_speeds`."""
     if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
+        raise ConfigurationError(f"axis must be 0 (x) or 1 (y), got {axis}")
     return EigenSpeeds(*extreme_speeds(prim, eos)[axis])
 
 

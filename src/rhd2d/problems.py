@@ -91,7 +91,8 @@ def vortex(t, x, y):
     bump = VORTEX_ALPHA * np.exp(1.0 - r_sq)
     base = 1.0 - bump
     if not np.all(base > 0.0):
-        raise ValueError("vortex density base is non-positive; strength constant too large")
+        raise ConfigurationError(
+            "vortex density base is non-positive; strength constant too large")
     rho = base ** (1.0 / (g - 1.0))
 
     # Rotation profile from the radial balance dp/dr = rho h (1 + beta r^2)
@@ -270,7 +271,7 @@ def convergence_orders(errors) -> list:
     """log2 ratios of successive errors on meshes refined by factor two."""
     errors = [float(e) for e in errors]
     if any(e <= 0.0 for e in errors):
-        raise ValueError("convergence order undefined for non-positive errors")
+        raise ConfigurationError("convergence order undefined for non-positive errors")
     return [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
 
 

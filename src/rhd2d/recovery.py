@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics
-from .errors import AdmissibilityError, RecoveryConvergenceError
+from .errors import AdmissibilityError, ConfigurationError, RecoveryConvergenceError
 from .physics import DEN, ENE, MOMX, MOMY, EosParams, _lane_exponent, _square_dd, _two_sum
 
 _EPS = float(np.finfo(float).eps)
@@ -37,7 +37,7 @@ class RecoveryOptions:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ConfigurationError("max_iterations must be at least 1")
 
 
 DEFAULT_OPTIONS = RecoveryOptions()

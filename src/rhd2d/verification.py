@@ -58,12 +58,6 @@ BOUNDARY_GUARD = 1.0e10
 BOUNDARY_GAMMA_CAP = 300.0
 
 
-def sample_primitives(rng: np.random.Generator, n: int, **kwargs) -> np.ndarray:
-    """n random valid primitive states drawn whole from rng (any bit
-    generator); keywords and distribution as `_primitives`."""
-    return _primitives([rng] * _PRIMITIVE_DRAWS, n, **kwargs)
-
-
 def _primitives(
     draws,
     n: int,
@@ -147,11 +141,6 @@ class SuiteResult:
         status = "pass" if self.passed else "FAIL"
         extra = f"  ({self.detail})" if self.detail else ""
         return f"{status}  {self.name}: {self.failures} failures / {self.samples} samples{extra}"
-
-
-def _count(name, tally, detail="", **kwargs) -> SuiteResult:
-    """The result of a check from its `_in_chunks` tally (lanes, failures)."""
-    return SuiteResult(name, *tally, detail, **kwargs)
 
 
 def _integer(value, name: str, least: int) -> int:
@@ -242,7 +231,7 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
                     physics.is_admissible(f - beta * u))
         return ok
 
-    return [_count(name, tally) for name, tally in _in_chunks(check, _chunks(n)).items()]
+    return [SuiteResult(name, *tally) for name, tally in _in_chunks(check, _chunks(n)).items()]
 
 
 def _corner_speeds(prims):
@@ -345,7 +334,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
         return {f"corner intermediate state admissible (alpha = {ALPHA:g})":
                 physics.is_admissible(hll_state_2d(*_subsonic_fans(prims)))}
 
-    results = [_count(name, tally)
+    results = [SuiteResult(name, *tally)
                for name, tally in _in_chunks(corner_state, _subsonic_corners(rng, n)).items()]
 
     def quadrants(prims):
@@ -358,7 +347,7 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
     # exactly at speed / alpha), so they draw from the boundary-guarded
     # sampler like the eigenvalue-extreme probes above.
     corners_b = _subsonic_corners(rng, n, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
-    return results + [_count(name, tally)
+    return results + [SuiteResult(name, *tally)
                       for name, tally in _in_chunks(quadrants, corners_b).items()]
 
 
@@ -390,10 +379,10 @@ def recovery_suite(rng: np.random.Generator, n: int):
     out = _in_chunks(check, _chunks(n))
     exit_code = RecoveryConvergenceError.exit_code
     return [
-        _count("round trip accurate to 1e-10 per component", out["rel ok"],
-               detail=f"max rel err {float(out['max rel']):.3e}", exit_code=exit_code),
-        _count("pressure-equation residual within tolerance", out["psi ok"],
-               detail=f"worst |psi|/tol {float(out['max psi']):.3f}", exit_code=exit_code),
+        SuiteResult("round trip accurate to 1e-10 per component", *out["rel ok"],
+                    detail=f"max rel err {float(out['max rel']):.3e}", exit_code=exit_code),
+        SuiteResult("pressure-equation residual within tolerance", *out["psi ok"],
+                    detail=f"worst |psi|/tol {float(out['max psi']):.3f}", exit_code=exit_code),
     ]
 
 

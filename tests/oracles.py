@@ -6,7 +6,8 @@ code paths.  Values returned are mpmath floats; tests compare after
 conversion to float64.  The exception is the whole-draw samplers at the
 end: the `verify` samplers as they drew before reading their draws chunk
 by chunk, every generator call whole and in order, which fix the samples
-that the placed chunk reads must reproduce bit for bit.
+that the placed chunk reads must reproduce bit for bit; `whole_primitives`
+is also the random-state sampler of the other test modules.
 """
 
 import mpmath as mp
@@ -205,7 +206,9 @@ def pressure_root(cons, gamma):
 
 def whole_primitives(rng, n, *, rho_decades=(-10.0, 2.0), p_max_decade=3.0, p_min=1e-12,
                      gamma_cap=None, guard=4.0e3, rho_center=None):
-    """`verification.sample_primitives` with every draw of n values whole."""
+    """n random valid primitive states from rng (any bit generator), every
+    draw of n values whole: the distribution of `verification._primitives`,
+    whose six generator calls all read from rng in turn."""
     dec = rng.uniform(*rho_decades, n)
     rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
 

@@ -80,6 +80,18 @@ def test_flag_and_file_line_agree(tmp_path, command, key):
     assert (from_flag is not None) == (key in _READS[command])
 
 
+@pytest.mark.parametrize("command, key, text", [
+    ("run", "emit", "field,bogus"), ("converge", "levels", "0"), ("verify", "samples", "-3"),
+])
+def test_out_of_range_list_and_count_rejected(tmp_path, command, key, text):
+    """A flag and a file line alike, each named with its origin."""
+    base = [command, *_BASE[command]]
+    with pytest.raises(ConfigurationError, match=f"argument {_TABLE[key][0]}: bad value"):
+        _parse([*base, _TABLE[key][0], text])
+    with pytest.raises(ConfigurationError, match=f"run.cfg:1: bad value for '{key}'"):
+        _parse(base, tmp_path, f"{key} = {text}\n")
+
+
 class TestUnreadSettingsRejected:
     def test_converge_grid_shape(self, tmp_path, capsys):
         argv = ["converge", "--problem", "sine", "--nx", "10", "--ny", "30"]

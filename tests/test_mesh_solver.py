@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import assert_close
-from rhd2d import cli, mesh_solver, physics, problems, verification
+from rhd2d import cli, mesh_solver, physics, problems
 from rhd2d.errors import AdmissibilityError, ConfigurationError, PcpAuditError
 from rhd2d.mesh_solver import (
     GHOST,
@@ -83,8 +83,10 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(*args)
 
-    @pytest.mark.parametrize("counts", [(2.5, 4), (4, 4.0), ("4", 4), (4, None)])
+    @pytest.mark.parametrize("counts", [(2.5, 4), (4, 4.0), ("4", 4), (4, None),
+                                        (True, 4), (4, False)])
     def test_cell_counts_must_be_integers(self, counts):
+        """A bool is an int to `operator.index`, but not a cell count."""
         with pytest.raises(ConfigurationError, match="cell counts must be integers"):
             Grid(*counts, 0.0, 1.0, 0.0, 1.0)
 
@@ -310,7 +312,7 @@ class TestAssembleFluxes:
             bcs = spec.boundaries
         else:
             rng = np.random.default_rng(4)  # 4 one-sided corners, 1 supersonic face
-            states = verification.sample_primitives(rng, n_x * n_y, gamma_cap=10.0)
+            states = oracles.whole_primitives(rng, n_x * n_y, gamma_cap=10.0)
             field = Field.from_primitives(grid, lambda x, y: states.reshape(n_x, n_y, 4), eos53)
             bcs = periodic_boundaries()
         fill_ghosts(field, bcs, eos53)
@@ -487,8 +489,8 @@ class TestStrips:
 
     def random_problem(self, n_x, boundaries):
         """Random admissible states (gamma up to 10) on 0.1-wide cells."""
-        states = verification.sample_primitives(np.random.default_rng(n_x), n_x * self.N_Y,
-                                                gamma_cap=10.0)
+        states = oracles.whole_primitives(np.random.default_rng(n_x), n_x * self.N_Y,
+                                          gamma_cap=10.0)
         return problems.ProblemSpec(0.0, 0.1 * n_x, 0.0, 0.1 * self.N_Y, physics.EosParams(),
                                     boundaries, 0.1,
                                     lambda x, y: states.reshape(n_x, self.N_Y, 4))
@@ -542,6 +544,57 @@ class TestStrips:
             public = assemble_fluxes(Field(grid, cells), dt, spec.eos, config, prim)
             for flux, public_flux in zip(fluxes, public):
                 assert np.array_equal(flux, public_flux)
+
+
+class TestExactInvariants:
+    """A periodic shift of the initial cells, and a power-of-two scaling of
+    rho and p (which scales D, m and E exactly), commute with run() bit for
+    bit, in both modes and at one-row strips as well as whole-mesh ones."""
+
+    N, SHIFT, SCALE = 16, (5, 3), -700
+    SIDES = {
+        "periodic": periodic_boundaries(),
+        "outflow": BoundarySpec(),
+        "reflect-outflow": BoundarySpec("reflect", "outflow", "reflect", "outflow"),
+    }
+
+    def final_cells(self, monkeypatch, strip, mode, boundaries, states):
+        """run()'s interior cells after five steps from `states` on the unit square."""
+        spec = problems.ProblemSpec(0.0, 1.0, 0.0, 1.0, physics.EosParams(), boundaries, 0.06,
+                                    lambda x, y: states)
+        grid = Grid(self.N, self.N, 0.0, 1.0, 0.0, 1.0)
+        monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip)
+        assert (mesh_solver._FluxBuffers(grid).rows == 1) == (strip == 40)
+        result = run(spec, grid, SolverConfig(mode=mode), spec.t_end)
+        assert result.diagnostics.steps == 5
+        return result.field.interior
+
+    def meshes(self):
+        for seed in range(3):
+            yield oracles.whole_primitives(np.random.default_rng(seed), self.N * self.N,
+                                           gamma_cap=10.0).reshape(self.N, self.N, 4)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strip", [8192, 40])
+    def test_periodic_shift(self, monkeypatch, strip, mode):
+        for states in self.meshes():
+            cells = self.final_cells(monkeypatch, strip, mode, self.SIDES["periodic"], states)
+            shifted = self.final_cells(monkeypatch, strip, mode, self.SIDES["periodic"],
+                                       np.roll(states, self.SHIFT, axis=(0, 1)))
+            assert np.array_equal(shifted, np.roll(cells, self.SHIFT, axis=(0, 1)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strip", [8192, 40])
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_power_of_two_scaling(self, monkeypatch, sides, strip, mode):
+        """Inflow is left out: its beam state is not scaled."""
+        for states in self.meshes():
+            scaled = states.copy()
+            for component in (physics.RHO, physics.PRE):
+                scaled[..., component] = np.ldexp(states[..., component], self.SCALE)
+            cells = self.final_cells(monkeypatch, strip, mode, self.SIDES[sides], states)
+            got = self.final_cells(monkeypatch, strip, mode, self.SIDES[sides], scaled)
+            assert np.array_equal(got, np.ldexp(cells, self.SCALE))
 
 
 class TestPlanarLayout:

@@ -29,7 +29,8 @@ speeds), so every cell sees exactly one coloured cell per stencil offset.
 import numpy as np
 import pytest
 
-from rhd2d import mesh_solver, physics, verification
+import oracles
+from rhd2d import mesh_solver, physics
 from rhd2d.mesh_solver import (
     MODES,
     Field,
@@ -52,7 +53,7 @@ ROUND_OFF = 1e-12  # the weights are dimensionless and of order one
 
 
 def reproduction_states(rng, n):
-    return verification.sample_primitives(
+    return oracles.whole_primitives(
         rng, n, rho_decades=(-0.5, 0.5), gamma_cap=10.0, p_min=1e-2, p_max_decade=1.0
     )
 
@@ -60,7 +61,7 @@ def reproduction_states(rng, n):
 def drifting_states(rng, n):
     """Six decades of density, pressures down to 1e-6 and u_x >= 0: about
     four in five cells have lam1 > 0 along x, so many fans are one-signed."""
-    prim = verification.sample_primitives(
+    prim = oracles.whole_primitives(
         rng, n, rho_decades=(-3.0, 3.0), gamma_cap=100.0, p_min=1e-6, p_max_decade=1.0
     )
     prim[..., physics.VX] = np.abs(prim[..., physics.VX])

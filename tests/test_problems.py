@@ -60,6 +60,12 @@ class TestVortex:
         assert 1e-15 <= prim[physics.RHO] <= 1e-13
         assert 1e-21 <= prim[physics.PRE] <= 1e-18
 
+    @pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.array([0.0, np.nan]))])
+    def test_non_finite_coordinate_rejected(self, x, y):
+        """A NaN coordinate gives a NaN density base, which the positivity check rejects."""
+        with pytest.raises(ConfigurationError, match="vortex density base is non-positive"):
+            vortex(0.0, x, y)
+
     def test_isentropic(self, rng):
         x = rng.uniform(-4, 4, 50)
         y = rng.uniform(-4, 4, 50)
@@ -274,7 +280,7 @@ class TestConvergenceOrders:
         assert convergence_orders([0.5]) == []
 
     def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="non-positive errors"):
             convergence_orders([0.1, 0.0])
 
 

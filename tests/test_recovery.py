@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import assert_close
 from rhd2d import physics, problems, verification
-from rhd2d.errors import AdmissibilityError, RecoveryConvergenceError
+from rhd2d.errors import AdmissibilityError, ConfigurationError, RecoveryConvergenceError
 from rhd2d.mesh_solver import (
     Grid,
     SolverConfig,
@@ -34,7 +34,7 @@ class TestOptions:
 
     @pytest.mark.parametrize("kwargs", [{"max_iterations": -1}, {"max_iterations": 0}])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="max_iterations"):
             RecoveryOptions(**kwargs)
 
 
@@ -102,24 +102,24 @@ class TestRecovery:
 
     def test_forward_map_closure(self, rng, eos53):
         """prim_to_cons(recover(cons)) reproduces cons to 10x the tolerance."""
-        prim = verification.sample_primitives(rng, 5_000, gamma_cap=100.0,
-                                              guard=verification.RECOVERY_GUARD)
+        prim = oracles.whole_primitives(rng, 5_000, gamma_cap=100.0,
+                                        guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         again = physics.prim_to_cons(recover_with_iterations(cons, eos53)[0], eos53)
         scale = np.maximum(np.max(np.abs(cons), axis=-1, keepdims=True), 1e-300)
         assert np.max(np.abs(again - cons) / scale) <= 1e-11
 
     def test_velocity_from_momentum(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 2_000, gamma_cap=50.0,
-                                              guard=verification.RECOVERY_GUARD)
+        prim = oracles.whole_primitives(rng, 2_000, gamma_cap=50.0,
+                                        guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         back, _ = recover_with_iterations(cons, eos53)
         w = cons[:, physics.ENE] + back[:, physics.PRE]
         assert_close(back[:, physics.VX], cons[:, physics.MOMX] / w, rel=1e-14, abs_tol=1e-300)
 
     def test_hint_matches_cold_start(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 2_000, gamma_cap=50.0,
-                                              guard=verification.RECOVERY_GUARD)
+        prim = oracles.whole_primitives(rng, 2_000, gamma_cap=50.0,
+                                        guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         cold, _ = recover_with_iterations(cons, eos53)
         hinted, _ = recover_with_iterations(cons, eos53, pressure_hint=prim[:, physics.PRE])
@@ -148,8 +148,8 @@ class TestLaneIndependence:
 
     @pytest.fixture
     def mixed_batch(self, rng, eos53):
-        prim = verification.sample_primitives(rng, 120, gamma_cap=100.0,
-                                              guard=verification.RECOVERY_GUARD)
+        prim = oracles.whole_primitives(rng, 120, gamma_cap=100.0,
+                                        guard=verification.RECOVERY_GUARD)
         prim[::17, 1:3] = 0.0  # zero momentum: an endpoint of the bracket is the root
         return prim, physics.prim_to_cons(prim, eos53)
 
@@ -244,8 +244,8 @@ class TestRoundTripSuite:
 
     def test_residual_certificate(self, rng, eos53):
         """|psi(p)| <= rtol * max(E, 1) measured in extended precision."""
-        prim = verification.sample_primitives(rng, 5_000, gamma_cap=100.0,
-                                              guard=verification.RECOVERY_GUARD)
+        prim = oracles.whole_primitives(rng, 5_000, gamma_cap=100.0,
+                                        guard=verification.RECOVERY_GUARD)
         cons = physics.prim_to_cons(prim, eos53)
         back, _ = recover_with_iterations(cons, eos53)
         ld = np.longdouble

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from conftest import assert_close
 from rhd2d import physics, riemann, verification
-from rhd2d.verification import hll_state_1d, hll_state_2d, quadrant_fan_states, sample_primitives
+from rhd2d.verification import hll_state_1d, hll_state_2d, quadrant_fan_states
 
 SOD_LEFT = physics.primitive(1.0, 0.0, 0.0, 1.0)
 SOD_RIGHT = physics.primitive(0.125, 0.0, 0.0, 0.1)
@@ -79,8 +79,8 @@ class TestWaveSpeeds1D:
         assert s_minus == lam.lam1 and s_plus == lam.lam4
 
     def test_ordering(self, rng, eos53):
-        left = sample_primitives(rng, 2_000)
-        right = sample_primitives(rng, 2_000)
+        left = oracles.whole_primitives(rng, 2_000)
+        right = oracles.whole_primitives(rng, 2_000)
         s_minus, s_plus = pair_speeds(eos53, (left, right), 0)
         assert np.all(s_minus < s_plus)
 
@@ -101,7 +101,7 @@ class TestWaveSpeeds2D:
         assert s_l != -s_r
 
     def test_alpha_scaling_exact(self, rng, eos53):
-        prims = [sample_primitives(rng, 500) for _ in range(4)]
+        prims = [oracles.whole_primitives(rng, 500) for _ in range(4)]
         one = corner_fan(eos53, prims, alpha=1.0)[1]
         two = corner_fan(eos53, prims, alpha=2.0)[1]
         assert np.array_equal(two[0], 2.0 * one[0])
@@ -162,7 +162,7 @@ class TestHll1D:
         n = 40
         regimes = ("subsonic", "right_supersonic", "left_supersonic", "equal", "empty")
         regime = np.repeat(regimes, n)
-        left, right = sample_primitives(rng, 5 * n), sample_primitives(rng, 5 * n)
+        left, right = oracles.whole_primitives(rng, 5 * n), oracles.whole_primitives(rng, 5 * n)
         equal = regime == "equal"
         right[equal] = left[equal]
         (u_l, f_l, _), (u_r, f_r, _) = ufg(eos53, left), ufg(eos53, right)

@@ -63,14 +63,6 @@ class TestSeedAndGenerator:
             suite(rng, 10)
         assert rng.random(4).tobytes() == untouched.random(4).tobytes()
 
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
-                                               np.random.MT19937, np.random.SFC64,
-                                               np.random.Philox])
-    def test_sample_primitives_draws_whole_from_any_generator(self, bit_generator):
-        got = verification.sample_primitives(np.random.Generator(bit_generator(2)), 50, **BOUNDARY)
-        want = oracles.whole_primitives(np.random.Generator(bit_generator(2)), 50, **BOUNDARY)
-        assert got.tobytes() == want.tobytes()
-
 
 def whole_admissible(rng, n):
     """The states the admissible-set suite tests, from whole draws in its order."""
