@@ -296,7 +296,8 @@ def _cmd_verify(config: RunConfig) -> int:
     results = verification.run_all(seed=config.seed, samples=config.samples)
     for result in results:
         print(result.line())
-    _optional_report(config, {r.name.replace(" ", "_"): r.failures for r in results}, "verify.txt")
+    entries = {"_".join(r.name.replace("=", " ").split()): r.failures for r in results}
+    _optional_report(config, entries, "verify.txt")
     failed = [r.exit_code for r in results if not r.passed]
     if failed:
         return max(failed)

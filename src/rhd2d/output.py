@@ -12,6 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from . import problems, recovery
+from .errors import ConfigurationError
 from .mesh_solver import Field
 from .physics import EosParams
 
@@ -89,12 +90,12 @@ def write_schlieren(field: Field, eos: EosParams, path) -> None:
 
 
 def write_report(entries: Mapping, path) -> None:
-    """Flat `key = value` report in insertion order."""
+    """Flat `key = value` report in insertion order; each key is one token
+    with no `=` or `#`, so the line splits back at its first `=`."""
     lines = []
     for key, value in entries.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {_fmt(value)}")
-        else:
-            lines.append(f"{key} = {value}")
+        if key.split() != [key] or "=" in key or "#" in key:
+            raise ConfigurationError(f"report key {key!r} is not one token without '=' or '#'")
+        lines.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

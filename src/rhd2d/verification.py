@@ -14,22 +14,19 @@ round-off of the states themselves; beyond that coupling the conserved
 representation no longer determines the answer.  All draws are seeded and
 deterministic.
 
-A suite reserves the slot of each of its draws in the caller's random
-stream, in the order and at the size that a whole draw would take it, and
-reads each slot chunk by chunk, at most CHUNK lanes at a time, from a
-generator placed at its start (`_placed`): a copy of the caller's PCG64
-or PCG64DXSM bit generator moved there with `advance`.  One generator feeds every suite in turn, so
-this order fixes every sample.  Each value is one 64-bit output, so a
-chunk's lanes get bitwise the values that a whole draw gives them, the
-caller's generator ends where whole draws would leave it, and every check
-acts on each lane alone: no result depends on CHUNK.  Only per-chunk
-failure counts and maxima are kept (`_in_chunks`), so a suite's memory is
-set by CHUNK, not by the sample count.
+Each suite draws its samples chunk by chunk, at most CHUNK lanes at a
+time, straight from the caller's generator in the suite's order, and checks
+each chunk at once; the corner sampler draws whole chunks of CHUNK lanes
+and keeps their two-sided lanes until it has enough.  One generator, of any
+kind, feeds every suite in turn, so the seed, the sample count and CHUNK
+together fix every sample: CHUNK is part of the definition of the sample
+set, like the seed.  Only per-chunk failure counts and maxima are kept
+(`_in_chunks`), so a suite's memory is set by CHUNK, not by the sample
+count.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass
 
@@ -42,8 +39,7 @@ from .physics import EosParams
 _EPS = float(np.finfo(float).eps)
 EOS = EosParams()  # the suites' equation of state
 ALPHA = 2.0  # the corner fans' wave-speed amplifier, which the PCP claim needs
-CHUNK = 8192  # lanes per chunk read and checked (see the module docstring)
-_PRIMITIVE_DRAWS = 6  # generator calls of `_primitives`, one slot each
+CHUNK = 8192  # lanes per chunk drawn and checked (see the module docstring)
 
 # p >= rho * gamma^2 * eps * GUARD keeps admissibility margins at least
 # ~1/GUARD above construction round-off; the recovery guard is stricter
@@ -59,7 +55,7 @@ BOUNDARY_GAMMA_CAP = 300.0
 
 
 def _primitives(
-    draws,
+    rng: np.random.Generator,
     n: int,
     *,
     rho_decades=(-10.0, 2.0),
@@ -69,60 +65,31 @@ def _primitives(
     guard=ADMISSIBILITY_GUARD,
     rho_center=None,
 ) -> np.ndarray:
-    """Random valid primitive states stressing the extreme corners, each of
-    the six generator calls reading n values from its own entry of `draws`.
+    """n random valid primitive states stressing the extreme corners.
 
     Speeds mix a uniform draw with a log tail reaching 1 - 1e-8 (or the
     gamma_cap equivalent); rho is log-uniform over `rho_decades`, optionally
     re-centered per lane via `rho_center` (decades, for scale-matched pairs);
     p is log-uniform between the conditioning floor and 10**p_max_decade.
     """
-    dec_rng, tail_rng, tail_speed_rng, speed_rng, angle_rng, p_rng = draws
-    dec = dec_rng.uniform(*rho_decades, n)
+    dec = rng.uniform(*rho_decades, n)
     rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
 
     speed_max = 1.0 - 1e-8
     if gamma_cap is not None:
         speed_max = min(speed_max, np.sqrt(1.0 - 1.0 / gamma_cap**2))
-    tail = tail_rng.random(n) < 0.5
+    tail = rng.random(n) < 0.5
     speed = np.where(
         tail,
-        1.0 - 10.0 ** tail_speed_rng.uniform(np.log10(1.0 - speed_max), 0.0, n),
-        speed_rng.uniform(0.0, speed_max, n),
+        1.0 - 10.0 ** rng.uniform(np.log10(1.0 - speed_max), 0.0, n),
+        rng.uniform(0.0, speed_max, n),
     )
-    angle = angle_rng.uniform(0.0, 2.0 * np.pi, n)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
 
     gamma_sq = 1.0 / ((1.0 - speed) * (1.0 + speed))
     floor = np.maximum(p_min, rho * gamma_sq * _EPS * guard)
-    p = 10.0 ** p_rng.uniform(np.log10(floor), p_max_decade, n)
+    p = 10.0 ** rng.uniform(np.log10(floor), p_max_decade, n)
     return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
-
-
-def _placed(rng: np.random.Generator, size: int) -> np.random.Generator:
-    """A generator reading the `size` values that a whole draw from rng
-    would take now; rng moves past them, as that draw would leave it.
-
-    Every draw here reads one 64-bit output per value, and `advance(k)` of
-    PCG64 and PCG64DXSM skips k outputs, so the placed generator's i-th
-    value is bitwise the whole draw's lane i.  `advance` clears the buffered
-    32-bit half of the caller's generator, which is restored.
-    """
-    bit_generator = rng.bit_generator
-    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ConfigurationError(
-            "the verify suites need a PCG64 or PCG64DXSM bit generator, got "
-            f"{type(bit_generator).__name__}")
-    placed = copy.copy(bit_generator)
-    state = bit_generator.state
-    bit_generator.advance(size)
-    bit_generator.state = {**bit_generator.state, "has_uint32": state["has_uint32"],
-                           "uinteger": state["uinteger"]}
-    return np.random.Generator(placed)
-
-
-def _reserve_primitives(rng: np.random.Generator, size: int) -> list:
-    """The `draws` of `_primitives` for `size` states, placed in rng's stream."""
-    return [_placed(rng, size) for _ in range(_PRIMITIVE_DRAWS)]
 
 
 @dataclass
@@ -186,28 +153,21 @@ def admissible_set_suite(rng: np.random.Generator, n: int):
     draw at those speeds widened by delta = 1e-3, 1 and 10.
     """
     n = _integer(n, "sample count", 1)
-    prim = _reserve_primitives(rng, n)
-    kappa = _placed(rng, n)
-    # Pair draws share a log scale so the combined margins stay resolvable.
-    centers = _placed(rng, n)
-    pair = [_reserve_primitives(rng, n) for _ in range(2)]
-    theta = _placed(rng, n)
-    coeff = [_placed(rng, n) for _ in range(2)]
-    # Probes exactly on the fan boundary draw from the boundary-guarded
-    # sampler; their margins vanish quadratically there.
-    prim_b = _reserve_primitives(rng, n)
 
     def check(m):
-        p = _primitives(prim, m)
+        p = _primitives(rng, m)
         cons = physics.prim_to_cons(p, EOS)
         _, _, cs = physics.thermo(p, EOS)
-        scaled = 10.0 ** kappa.uniform(-6.0, 6.0, m)[:, None] * cons
-        center = centers.uniform(-6.0, 1.0, m)
-        u_0, u_1 = (physics.prim_to_cons(
-            _primitives(q, m, rho_decades=(-1.5, 1.5), rho_center=center), EOS) for q in pair)
-        t = theta.uniform(0.0, 1.0, m)[:, None]
-        c_0, c_1 = (10.0 ** g.uniform(-3.0, 3.0, m)[:, None] for g in coeff)
-        p_b = _primitives(prim_b, m, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
+        scaled = 10.0 ** rng.uniform(-6.0, 6.0, m)[:, None] * cons
+        # Pair draws share a log scale so the combined margins stay resolvable.
+        center = rng.uniform(-6.0, 1.0, m)
+        u_0, u_1 = (physics.prim_to_cons(_primitives(
+            rng, m, rho_decades=(-1.5, 1.5), rho_center=center), EOS) for _ in range(2))
+        t = rng.uniform(0.0, 1.0, m)[:, None]
+        c_0, c_1 = (10.0 ** rng.uniform(-3.0, 3.0, m)[:, None] for _ in range(2))
+        # Probes exactly on the fan boundary draw from the boundary-guarded
+        # sampler; their margins vanish quadratically there.
+        p_b = _primitives(rng, m, gamma_cap=BOUNDARY_GAMMA_CAP, guard=BOUNDARY_GUARD)
         cons_b = physics.prim_to_cons(p_b, EOS)
         ok = {
             "forward map lands in the admissible set": physics.is_admissible(cons),
@@ -244,38 +204,32 @@ def _corner_speeds(prims):
 
 
 def _subsonic_corners(rng, n, **sample_kwargs):
-    """Yields, chunk by chunk, the primitives (ld, rd, lu, ru) of the first
-    n two-sided corner quadruples of batches drawn until there are n.
-
-    Each batch of max(n, 4096) lanes takes its whole slots in rng's stream,
-    but its lanes are read and tested only up to the chunk that completes n.
-    """
-    kept, size = 0, max(n, 4096)
+    """Yields, chunk by chunk, the primitives (ld, rd, lu, ru) and fan speeds
+    (s_left, s_right, s_down, s_up) of the two-sided corner quadruples among
+    chunks of CHUNK lanes drawn until there are n."""
+    kept = 0
     while kept < n:
-        centers = _placed(rng, size)
-        batch = [_reserve_primitives(rng, size) for _ in range(4)]
-        for m in _chunks(size):
-            center = centers.uniform(-6.0, 1.0, m)
-            prims = [_primitives(draws, m, rho_decades=(-1.0, 1.0), rho_center=center,
-                                 **sample_kwargs) for draws in batch]
-            s_l, s_r, s_d, s_u = _corner_speeds(prims)
-            take = np.flatnonzero((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))[:n - kept]
-            kept += take.size
-            yield [prim[take] for prim in prims]
-            if kept == n:
-                break
+        center = rng.uniform(-6.0, 1.0, CHUNK)
+        prims = [_primitives(rng, CHUNK, rho_decades=(-1.0, 1.0), rho_center=center,
+                             **sample_kwargs) for _ in range(4)]
+        speeds = _corner_speeds(prims)
+        s_l, s_r, s_d, s_u = speeds
+        take = np.flatnonzero((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))[:n - kept]
+        kept += take.size
+        yield [prim[take] for prim in prims], [s[take] for s in speeds]
 
 
-def _subsonic_fans(prims):
-    """Corner-solver input of two-sided corner primitives: four (U, F, G)
-    triples and the fan speeds."""
+def _subsonic_fans(chunk):
+    """Corner-solver input of a `_subsonic_corners` chunk: the four (U, F, G)
+    triples of its primitives, and its fan speeds."""
+    prims, speeds = chunk
     corners = []
     for prim in prims:
         cons = physics.prim_to_cons(prim, EOS)
         corners.append(
             (cons, physics.physical_flux(prim, cons, 0), physics.physical_flux(prim, cons, 1))
         )
-    return corners, _corner_speeds(prims)
+    return corners, speeds
 
 
 def hll_state_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
@@ -330,15 +284,15 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
     """Admissibility of the corner intermediate state and its quadrant parts."""
     n = _integer(n, "sample count", 1)
 
-    def corner_state(prims):
+    def corner_state(chunk):
         return {f"corner intermediate state admissible (alpha = {ALPHA:g})":
-                physics.is_admissible(hll_state_2d(*_subsonic_fans(prims)))}
+                physics.is_admissible(hll_state_2d(*_subsonic_fans(chunk)))}
 
     results = [SuiteResult(name, *tally)
                for name, tally in _in_chunks(corner_state, _subsonic_corners(rng, n)).items()]
 
-    def quadrants(prims):
-        parts = quadrant_fan_states(*_subsonic_fans(prims))
+    def quadrants(chunk):
+        parts = quadrant_fan_states(*_subsonic_fans(chunk))
         names = ("left-down", "right-down", "left-up", "right-up")
         return {f"{name} quadrant composite admissible": physics.is_admissible(h)
                 for name, h in zip(names, parts)}
@@ -354,10 +308,9 @@ def corner_solver_suite(rng: np.random.Generator, n: int):
 def recovery_suite(rng: np.random.Generator, n: int):
     """Round-trip accuracy and residual size of the pressure recovery."""
     n = _integer(n, "sample count", 1)
-    prim = _reserve_primitives(rng, n)
 
     def check(m):
-        p_in = _primitives(prim, m, gamma_cap=100.0, guard=RECOVERY_GUARD)
+        p_in = _primitives(rng, m, gamma_cap=100.0, guard=RECOVERY_GUARD)
         cons = physics.prim_to_cons(p_in, EOS)
         back, _ = recovery.recover_with_iterations(cons, EOS)
         scale = np.maximum(np.abs(p_in), np.finfo(float).tiny)

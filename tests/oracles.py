@@ -3,11 +3,12 @@
 Everything here is written against the defining formulas with mpmath
 extended precision (50 digits), deliberately avoiding the package's numpy
 code paths.  Values returned are mpmath floats; tests compare after
-conversion to float64.  The exception is the whole-draw samplers at the
-end: the `verify` samplers as they drew before reading their draws chunk
-by chunk, every generator call whole and in order, which fix the samples
-that the placed chunk reads must reproduce bit for bit; `whole_primitives`
-is also the random-state sampler of the other test modules.
+conversion to float64.  The exception is the samplers at the end, written
+with numpy as plain whole draws: `whole_primitives` draws n states in one
+go (the random-state sampler of the test modules), and
+`whole_subsonic_corners` follows the `verify` corner sampler's chunk rule.
+Called once per chunk, in the suites' order, they give bit for bit the
+samples that the `verify` suites draw chunk by chunk.
 """
 
 import mpmath as mp
@@ -206,9 +207,8 @@ def pressure_root(cons, gamma):
 
 def whole_primitives(rng, n, *, rho_decades=(-10.0, 2.0), p_max_decade=3.0, p_min=1e-12,
                      gamma_cap=None, guard=4.0e3, rho_center=None):
-    """n random valid primitive states from rng (any bit generator), every
-    draw of n values whole: the distribution of `verification._primitives`,
-    whose six generator calls all read from rng in turn."""
+    """n random valid primitive states from rng (any bit generator): the six
+    draws of `verification._primitives`, in its order, each of n values."""
     dec = rng.uniform(*rho_decades, n)
     rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
 
@@ -229,14 +229,14 @@ def whole_primitives(rng, n, *, rho_decades=(-10.0, 2.0), p_max_decade=3.0, p_mi
     return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
 
 
-def whole_subsonic_corners(rng, n, eos, alpha, **sample_kwargs):
+def whole_subsonic_corners(rng, n, eos, alpha, chunk, **sample_kwargs):
     """The primitives, in (ld, rd, lu, ru) order, of the first n two-sided
-    corner quadruples of whole batches of max(n, 4096) lanes drawn until
-    there are n: `verification._subsonic_corners` with whole draws."""
-    prims, kept, size = [np.empty((n, 4)) for _ in range(4)], 0, max(n, 4096)
+    corner quadruples of batches of `chunk` lanes drawn until there are n:
+    the chunk rule of `verification._subsonic_corners`."""
+    prims, kept = [np.empty((n, 4)) for _ in range(4)], 0
     while kept < n:
-        centers = rng.uniform(-6.0, 1.0, size)
-        batch = [whole_primitives(rng, size, rho_decades=(-1.0, 1.0), rho_center=centers,
+        centers = rng.uniform(-6.0, 1.0, chunk)
+        batch = [whole_primitives(rng, chunk, rho_decades=(-1.0, 1.0), rho_center=centers,
                                   **sample_kwargs) for _ in range(4)]
         lams = [physics.extreme_speeds(prim, eos) for prim in batch]
         s_l, s_r = riemann.fan_speeds(*zip(*(lam[0] for lam in lams)), alpha)

@@ -262,6 +262,13 @@ class TestCutsAndSchlieren:
         assert lines[1] == "l1_error = 0.5"
         assert lines[2] == "mode = multidimensional"
 
+    @pytest.mark.parametrize("key", ["", "two words", "a=b", "a#b", "tab\there", "end\n"])
+    def test_report_keys_must_be_single_tokens(self, tmp_path, key):
+        """A key that `key = value` cannot split back at its first `=` is refused."""
+        with pytest.raises(ConfigurationError, match="report key"):
+            output.write_report({"steps": 12, key: 1}, tmp_path / "report.txt")
+        assert not (tmp_path / "report.txt").exists()
+
 
 class TestParseConfig:
     def test_defaults(self):
@@ -461,6 +468,18 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+    def test_verify_report_splits_at_the_first_equals_sign(self, tmp_path, capsys):
+        """One key per printed suite line, each read back whole by the rule of
+        the config files: split at the first `=` and strip."""
+        assert cli.main(["verify", "--samples", "50", "--out", str(tmp_path)]) == 0
+        suites = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("pass ")]
+        pairs = [line.split("=", 1) for line in (tmp_path / "verify.txt").read_text().splitlines()]
+        keys = [key.strip() for key, _ in pairs]
+        assert len(suites) == 28 and len(set(keys)) == len(keys) == 28
+        assert all(value.strip() == "0" for _, value in pairs)
+        assert all(key.split() == [key] and "=" not in key and "#" not in key for key in keys)
 
     def test_compare_symmetry(self, tmp_path, capsys):
         code = cli.main([

@@ -39,11 +39,16 @@ def flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
                                        np.empty_like(f_l), np.empty_like(f_l))
 
 
-def subsonic_prims(rng, n, **sample_kwargs):
-    """n corner quadruples with two-sided fans, drawn by `rhd2d verify`'s sampler
-    and joined from its chunks."""
+def subsonic_sample(rng, n, **sample_kwargs):
+    """The primitives and fan speeds of n corner quadruples with two-sided
+    fans, drawn by `rhd2d verify`'s sampler and joined from its chunks."""
     pieces = verification._subsonic_corners(rng, n, **sample_kwargs)
-    return [np.concatenate(prim) for prim in zip(*pieces)]
+    return [[np.concatenate(lanes) for lanes in zip(*part)] for part in zip(*pieces)]
+
+
+def subsonic_prims(rng, n, **sample_kwargs):
+    """The primitives of `subsonic_sample`."""
+    return subsonic_sample(rng, n, **sample_kwargs)[0]
 
 
 def fan_fluxes(corners, speeds):
@@ -202,12 +207,14 @@ class TestSubsonicSampler:
         {}, {"gamma_cap": verification.BOUNDARY_GAMMA_CAP, "guard": verification.BOUNDARY_GUARD}
     ])
     def test_speeds_are_the_fan_speeds_of_the_primitives(self, eos53, kwargs):
-        """The sampler keeps two-sided quadruples only, and the suite's fan input
-        is that of their primitives' eigenvalues and (U, F, G) triples, bit for bit."""
+        """The sampler keeps two-sided quadruples only, and the speeds it yields
+        and the suite's fan input are those of their primitives' eigenvalues and
+        (U, F, G) triples, bit for bit."""
         rng = np.random.default_rng(5)
-        prims = subsonic_prims(rng, 5000, **kwargs)
-        assert [p.shape for p in prims] == [(5000, 4)] * 4
-        corners, speeds = verification._subsonic_fans(prims)
+        prims, sampled_speeds = subsonic_sample(rng, 10_000, **kwargs)
+        assert [p.shape for p in prims] == [(10_000, 4)] * 4
+        corners, speeds = verification._subsonic_fans((prims, sampled_speeds))
+        assert speeds is sampled_speeds
         want_corners, want_speeds = corner_fan(eos53, prims)
         assert np.all(two_sided(speeds))
         got = [*speeds, *(a for triple in corners for a in triple)]

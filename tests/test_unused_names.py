@@ -1,5 +1,6 @@
 """Every top-level name in the package is used by the package: no function,
-class or constant exists only for tests."""
+class or constant exists only for tests.  And every module loads each name
+that it imports."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,28 @@ def unused_names(sources: dict):
     ]
 
 
+def unused_imports(sources: dict):
+    """(module, line, name) of each name that a module of the `sources`
+    imports but never loads; `__init__` (whose imports are re-exports) and
+    `from __future__` exempt."""
+    found = []
+    for module, text in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in bound if name not in loaded]
+    return sorted(found)
+
+
 def test_the_scan_finds_an_unused_name():
     sources = {
         "a": "from . import b\nX = 1\nY, Z = 2, 3\n__all__ = []\n"
@@ -59,4 +82,22 @@ def test_every_top_level_name_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     unused = [f"{module}.py:{line}: {name}" for module, line, name in unused_names(sources)]
+    assert unused == []
+
+
+def test_the_scan_finds_an_unused_import():
+    sources = {
+        "__init__": "from .a import f\nimport sys\n",
+        "a": "from __future__ import annotations\nimport os\nimport sys as system\n"
+             "import numpy.linalg\nfrom typing import Mapping, Optional\n"
+             "def f(x: Mapping):\n    import json\n    return numpy.linalg.norm(x)\n",
+    }
+    assert unused_imports(sources) == [("a", 2, "os"), ("a", 3, "system"), ("a", 5, "Optional"),
+                                       ("a", 7, "json")]
+
+
+def test_every_import_is_loaded():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    unused = [f"{module}.py:{line}: {name}" for module, line, name in unused_imports(sources)]
     assert unused == []

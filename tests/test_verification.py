@@ -1,7 +1,7 @@
-"""The `verify` suites' contract: seeds, sample counts and generators are
-checked up front, each chunk reads bitwise what a whole draw gives its
-lanes, the caller's generator ends where whole draws leave it, and memory
-does not grow with the sample count."""
+"""The `verify` suites' contract: seeds and sample counts are checked up
+front, each chunk draws its lanes straight from the caller's generator (of
+any kind) in the suite's order, a seed and a sample count fix every
+result, and memory does not grow with the sample count."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rhd2d import physics, verification
+from rhd2d import physics, riemann, verification
 from rhd2d.errors import ConfigurationError
 
 SUITES = (verification.run_all,
@@ -55,13 +55,13 @@ class TestSeedAndGenerator:
     @pytest.mark.parametrize("suite", [verification.admissible_set_suite,
                                        verification.corner_solver_suite,
                                        verification.recovery_suite])
-    def test_generators_that_cannot_be_placed_are_rejected_before_any_draw(
-            self, suite, bit_generator):
-        """MT19937 and SFC64 have no `advance`; Philox's counts 4-word blocks."""
-        rng, untouched = (np.random.Generator(bit_generator(1)) for _ in range(2))
-        with pytest.raises(ConfigurationError, match=bit_generator.__name__):
-            suite(rng, 10)
-        assert rng.random(4).tobytes() == untouched.random(4).tobytes()
+    def test_every_bit_generator_runs_the_suites(self, suite, bit_generator):
+        results = suite(np.random.Generator(bit_generator(1)), 2000)
+        assert results and all(r.samples == 2000 and r.passed for r in results), results
+
+    @pytest.mark.parametrize("seed, samples", [(1, 1), (7, 20), (20260808, 3000)])
+    def test_a_seed_and_a_sample_count_fix_the_results(self, seed, samples):
+        assert summary(seed, samples) == summary(seed, samples)
 
 
 def whole_admissible(rng, n):
@@ -89,22 +89,32 @@ def whole_admissible(rng, n):
 
 
 def whole_corner(rng, n):
-    """The states the corner suite tests, from whole draws in its order."""
-    prims = oracles.whole_subsonic_corners(rng, n, EOS, ALPHA)
-    states = [verification.hll_state_2d(*verification._subsonic_fans(prims))]
-    prims_b = oracles.whole_subsonic_corners(rng, n, EOS, ALPHA, **BOUNDARY)
-    return states + list(verification.quadrant_fan_states(*verification._subsonic_fans(prims_b)))
+    """The states the corner suite tests, drawn by the corner sampler's chunk
+    rule with whole draws, in its order."""
+    fans = []
+    for kwargs in ({}, BOUNDARY):
+        prims = oracles.whole_subsonic_corners(rng, n, EOS, ALPHA, verification.CHUNK, **kwargs)
+        lams = [physics.extreme_speeds(prim, EOS) for prim in prims]
+        speeds = [*riemann.fan_speeds(*zip(*(lam[0] for lam in lams)), ALPHA),
+                  *riemann.fan_speeds(*zip(*(lam[1] for lam in lams)), ALPHA)]
+        fans.append(verification._subsonic_fans((prims, speeds)))
+    return [verification.hll_state_2d(*fans[0]), *verification.quadrant_fan_states(*fans[1])]
 
 
 def whole_recovery(rng, n):
-    """The conserved states the recovery suite recovers, from one whole draw."""
+    """The conserved states the recovery suite recovers, from whole draws."""
     prim = oracles.whole_primitives(rng, n, gamma_cap=100.0, guard=verification.RECOVERY_GUARD)
     return [physics.prim_to_cons(prim, EOS)]
 
 
-WHOLE_SUITES = ((verification.admissible_set_suite, whole_admissible),
+def per_chunk(whole):
+    """`whole` called once per chunk of n lanes, in order, its states joined."""
+    return lambda rng, n: [s for m in verification._chunks(n) for s in whole(rng, m)]
+
+
+WHOLE_SUITES = ((verification.admissible_set_suite, per_chunk(whole_admissible)),
                 (verification.corner_solver_suite, whole_corner),
-                (verification.recovery_suite, whole_recovery))
+                (verification.recovery_suite, per_chunk(whole_recovery)))
 
 
 def sorted_bits(states):
@@ -132,27 +142,19 @@ def checked_states(monkeypatch, run):
 
 
 class TestChunks:
-    """Each chunk reads its lanes' values from their place in the stream, so
-    the suites test exactly the states of whole draws.  4095 and 4097
-    straddle the corner sampler's 4096-lane batches; 8193 straddles the
-    default chunk."""
+    """Each chunk draws its lanes straight from the caller's generator, so
+    whole draws made once per chunk give the suites' states bit for bit."""
 
-    @pytest.mark.parametrize("samples", [1, 7, 4095, 4097, 8193])
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_seams_change_no_result(self, monkeypatch, seed, samples):
-        rng = np.random.default_rng(seed)
-        want_states = sorted_bits([s for _, whole in WHOLE_SUITES for s in whole(rng, samples)])
-        chunks = [8192, 7]
-        if samples <= 7:
-            chunks.append(1)  # lane by lane, the corner batches included
-        results = []
-        for chunk in chunks:
-            monkeypatch.setattr(verification, "CHUNK", chunk)
-            got, got_states = checked_states(monkeypatch, lambda: summary(seed, samples))
-            assert len(got) == 28
-            assert np.array_equal(got_states, want_states), chunk
-            results.append(got)
-        assert all(got == results[0] for got in results)
+    @pytest.mark.parametrize("chunk, samples", [(7, 1), (7, 7), (7, 20), (7, 50), (8192, 8193)])
+    def test_chunks_draw_what_whole_draws_per_chunk_give(self, monkeypatch, chunk, samples):
+        """The suites run one by one on one generator, as `run_all` and
+        perfbench's traced `verify` call them."""
+        monkeypatch.setattr(verification, "CHUNK", chunk)
+        rng, want = (np.random.default_rng(3) for _ in range(2))
+        for suite, whole in WHOLE_SUITES:
+            _, got = checked_states(monkeypatch, lambda: suite(rng, samples))
+            assert np.array_equal(got, sorted_bits(whole(want, samples))), suite.__name__
+            assert rng.bit_generator.state == want.bit_generator.state, suite.__name__
 
     def test_chunk_results_fold_into_counts_and_maxima(self):
         """Every suite passes at these sizes, so only this shows a lost failure."""
@@ -161,52 +163,17 @@ class TestChunks:
 
         assert verification._in_chunks(check, [3, 5, 2]) == {"ok": (10, 4), "worst": 5.0}
 
+    @pytest.mark.parametrize("chunk, samples", [(7, 1), (7, 50), (8192, 8193)])
     @pytest.mark.parametrize("kwargs", [{}, BOUNDARY])
-    def test_corner_sampler_is_chunk_free(self, monkeypatch, kwargs):
-        """Two 5000-lane batches fill 5000 quadruples whatever the chunk, and
-        the refill batch is read only up to the chunk that completes them."""
-        want_rng = np.random.default_rng(3)
-        want = oracles.whole_subsonic_corners(want_rng, 5000, EOS, ALPHA, **kwargs)
-        read = []
-        corner_speeds = verification._corner_speeds
-
-        def counted(prims):
-            read.append(len(prims[0]))
-            return corner_speeds(prims)
-
-        monkeypatch.setattr(verification, "_corner_speeds", counted)
-        for chunk in (7, 1000, 5001):
-            monkeypatch.setattr(verification, "CHUNK", chunk)
-            read.clear()
-            rng = np.random.default_rng(3)
-            pieces = list(verification._subsonic_corners(rng, 5000, **kwargs))
-            got = [np.concatenate(prim) for prim in zip(*pieces)]
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], chunk
-            assert rng.bit_generator.state == want_rng.bit_generator.state, chunk
-            assert sum(len(piece[0]) for piece in pieces) == 5000
-            assert sum(read) > 5000, chunk  # a refill batch is read
-            if chunk < 5000:
-                assert sum(read) < 10_000, chunk  # and stops partway
-
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
-    def test_suites_leave_the_stream_where_whole_draws_do(self, bit_generator):
-        """The suites run one by one on one generator, as perfbench's traced
-        `verify` calls them, with a buffered 32-bit half drawn before."""
-        rng, want = (np.random.Generator(bit_generator(11)) for _ in range(2))
-        for g in (rng, want):
-            g.integers(2**32, dtype=np.uint32)
-        for suite, whole in WHOLE_SUITES:
-            suite(rng, 5000)
-            whole(want, 5000)
-            assert rng.bit_generator.state == want.bit_generator.state, suite.__name__
-
-    def test_pcg64dxsm_reads_the_whole_draws_states(self, monkeypatch):
-        """PCG64DXSM's `advance` also counts 64-bit outputs."""
-        rng, want = (np.random.Generator(np.random.PCG64DXSM(5)) for _ in range(2))
-        monkeypatch.setattr(verification, "CHUNK", 7)
-        for suite, whole in WHOLE_SUITES:
-            _, got = checked_states(monkeypatch, lambda: suite(rng, 30))
-            assert np.array_equal(got, sorted_bits(whole(want, 30))), suite.__name__
+    def test_corner_sampler_yields_exactly_n_two_sided_quadruples(self, monkeypatch, kwargs,
+                                                                  chunk, samples):
+        monkeypatch.setattr(verification, "CHUNK", chunk)
+        pieces = list(verification._subsonic_corners(np.random.default_rng(5), samples, **kwargs))
+        for prims, speeds in pieces:
+            assert len({len(a) for a in (*prims, *speeds)}) == 1
+            s_l, s_r, s_d, s_u = speeds
+            assert np.all((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))
+        assert sum(len(prims[0]) for prims, _ in pieces) == samples
 
 
 def traced_peak(samples):
