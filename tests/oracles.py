@@ -7,8 +7,8 @@ conversion to float64.  The exception is the samplers at the end, written
 with numpy as plain whole draws: `whole_primitives` draws n states in one
 go (the random-state sampler of the test modules), and
 `whole_subsonic_corners` follows the `verify` corner sampler's chunk rule.
-Called once per chunk, in the suites' order, they give bit for bit the
-samples that the `verify` suites draw chunk by chunk.
+Called in the suites' order, `whole_primitives` once per chunk, they give
+bit for bit the samples that the `verify` suites draw chunk by chunk.
 """
 
 import mpmath as mp
@@ -230,10 +230,11 @@ def whole_primitives(rng, n, *, rho_decades=(-10.0, 2.0), p_max_decade=3.0, p_mi
 
 
 def whole_subsonic_corners(rng, n, eos, alpha, chunk, **sample_kwargs):
-    """The primitives, in (ld, rd, lu, ru) order, of the first n two-sided
-    corner quadruples of batches of `chunk` lanes drawn until there are n:
-    the chunk rule of `verification._subsonic_corners`."""
-    prims, kept = [np.empty((n, 4)) for _ in range(4)], 0
+    """The primitives (ld, rd, lu, ru) and fan speeds (s_left, s_right,
+    s_down, s_up) of the first n two-sided corner quadruples of batches of
+    `chunk` lanes drawn until there are n: the chunk rule of
+    `verification._subsonic_corners`."""
+    prims, speeds, kept = [np.empty((n, 4)) for _ in range(4)], [np.empty(n) for _ in range(4)], 0
     while kept < n:
         centers = rng.uniform(-6.0, 1.0, chunk)
         batch = [whole_primitives(rng, chunk, rho_decades=(-1.0, 1.0), rho_center=centers,
@@ -242,7 +243,7 @@ def whole_subsonic_corners(rng, n, eos, alpha, chunk, **sample_kwargs):
         s_l, s_r = riemann.fan_speeds(*zip(*(lam[0] for lam in lams)), alpha)
         s_d, s_u = riemann.fan_speeds(*zip(*(lam[1] for lam in lams)), alpha)
         take = np.flatnonzero((s_l < 0.0) & (s_r > 0.0) & (s_d < 0.0) & (s_u > 0.0))[:n - kept]
-        for out, prim in zip(prims, batch):
-            out[kept:kept + take.size] = prim[take]
+        for out, lanes in zip(prims + speeds, batch + [s_l, s_r, s_d, s_u]):
+            out[kept:kept + take.size] = lanes[take]
         kept += take.size
-    return prims
+    return prims, speeds

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rhd2d import physics, riemann, verification
+from rhd2d import physics, verification
 from rhd2d.errors import ConfigurationError
 
 SUITES = (verification.run_all,
@@ -91,13 +91,8 @@ def whole_admissible(rng, n):
 def whole_corner(rng, n):
     """The states the corner suite tests, drawn by the corner sampler's chunk
     rule with whole draws, in its order."""
-    fans = []
-    for kwargs in ({}, BOUNDARY):
-        prims = oracles.whole_subsonic_corners(rng, n, EOS, ALPHA, verification.CHUNK, **kwargs)
-        lams = [physics.extreme_speeds(prim, EOS) for prim in prims]
-        speeds = [*riemann.fan_speeds(*zip(*(lam[0] for lam in lams)), ALPHA),
-                  *riemann.fan_speeds(*zip(*(lam[1] for lam in lams)), ALPHA)]
-        fans.append(verification._subsonic_fans((prims, speeds)))
+    fans = [verification._subsonic_fans(oracles.whole_subsonic_corners(
+        rng, n, EOS, ALPHA, verification.CHUNK, **kwargs)) for kwargs in ({}, BOUNDARY)]
     return [verification.hll_state_2d(*fans[0]), *verification.quadrant_fan_states(*fans[1])]
 
 
