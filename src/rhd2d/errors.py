@@ -57,9 +57,9 @@ class RecoveryConvergenceError(RhdError, RuntimeError):
 
 
 class PcpAuditError(RhdError, RuntimeError):
-    """A step failed the PCP audit: a dt above `compute_dt`'s bound at
-    sigma = 1 in `assemble_fluxes`, or an updated cell, named by `index` and
-    `state`, outside the admissible set in `step`."""
+    """A step failed the PCP audit: a dt below 0, NaN or above `compute_dt`'s
+    bound at sigma = 1 in `assemble_fluxes`, or an updated cell, named by
+    `index` and `state`, outside the admissible set in `step`."""
 
     exit_code = 3
     label = "PCP audit failure"

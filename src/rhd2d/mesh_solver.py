@@ -25,15 +25,13 @@ evaluates the extreme signal speeds of both axes in one pass
 from them.  These, the update and its audit span the whole mesh.  Flux
 assembly, whose every face depends only on the 3x3 cells around it,
 runs in strips of cell rows, each from the ghosted slab of its rows and
-their two neighbour rows (`STRIP_CELLS` bounds a slab).  run() keeps one
-set of flux buffers for the whole run: the mesh's two composite flux
-arrays, into which each strip writes its rows, and one slab's worth of
-every other 4-component array of flux assembly (the physical fluxes, the
-jumps, the edge fluxes, the second differences and crosses, the corner
-workspace).  So the flux work arrays are sized by a strip, not by the
-mesh, and a steady step allocates only per-lane scalars of one strip.
-Like the fields, these arrays keep the (..., 4) shape and store each
-component as one contiguous plane.
+their two neighbour rows (`STRIP_CELLS` bounds a slab), and writes each
+strip's rows into the mesh's two composite flux arrays.  So every other
+flux work array (the physical fluxes, the jumps, the edge fluxes, the
+second differences and crosses, the corner terms) is one slab's
+temporary, sized by a strip, not by the mesh.  Like the fields, these
+arrays keep the (..., 4) shape and store each component as one
+contiguous plane.
 
 Fluxes are written into arrays before any cell is touched, so results do
 not depend on traversal order or on the strip height.  The jumps of U and
@@ -175,7 +173,7 @@ class SolverConfig:
     The admissibility guarantee requires cfl_sigma <= 0.5 and alpha = 2;
     other values are allowed for experiments.  pcp_audit checks each
     updated cell, and a caller's own dt passed to assemble_fluxes against
-    compute_dt's bound at sigma = 1; run()'s dt is compute_dt's at
+    0 and compute_dt's bound at sigma = 1; run()'s dt is compute_dt's at
     cfl_sigma <= 1, which never exceeds that bound.
     """
 
@@ -313,39 +311,6 @@ def _step_bound(grid: Grid, alpha: float, speeds) -> float:
     return limit
 
 
-class _FluxBuffers:
-    """The work arrays of flux assembly, kept between calls.
-
-    `fluxes` holds the mesh's composite fluxes (fhat, ghat), into which
-    each strip of at most `rows` cell rows writes its rows.  Every other
-    array lives in a named pool the size of one strip's ghosted slab, not
-    of the mesh; `planes` views the pool's head as a (..., 4) array whose
-    components are planes in (x, y) order, as `Field.cells` stores them,
-    seen along `axis` as np.swapaxes sees it.  Writing each step into pages
-    already touched spares the allocator their trimming and re-faulting.
-    The pools are rows of one block, which the allocator maps and unmaps
-    whole instead of scattering a dozen chunks over a heap that the next
-    run has to grow around.  The fluxes of one call are only valid until
-    the next call on the same buffers.
-    """
-
-    # Split mode uses the first five pools.
-    NAMES = ("flux", "du", "df", "cross0", "cross1", "edge0", "edge1", "d2u", "d2f0", "d2f1")
-
-    def __init__(self, grid: Grid):
-        columns = grid.n_y + 2 * GHOST
-        self.rows = max(1, STRIP_CELLS // columns - 2 * GHOST)
-        size = 4 * (min(self.rows, grid.n_x) + 2 * GHOST) * columns
-        self._pools = dict(zip(self.NAMES, np.empty((len(self.NAMES), size))))
-        self.fluxes = tuple(physics.stack_planes(np.empty((4, *shape)))
-                            for shape in ((grid.n_x + 1, grid.n_y), (grid.n_x, grid.n_y + 1)))
-
-    def planes(self, name: str, shape, axis: int = 0) -> np.ndarray:
-        natural = tuple(shape[::-1]) if axis else tuple(shape)
-        pool = self._pools[name][:4 * math.prod(natural)]
-        return np.swapaxes(physics.stack_planes(pool.reshape(4, *natural)), 0, axis)
-
-
 def assemble_fluxes(
     field: Field,
     dt: float,
@@ -357,28 +322,34 @@ def assemble_fluxes(
 
     Ghosts must be filled, `prim` must hold the recovered primitives of the
     full ghosted array, and dt must come from compute_dt (the corner
-    contributions are weighted by dt).  With config.pcp_audit on, a dt
-    above compute_dt's bound at sigma = 1 raises PcpAuditError, in either
-    mode; at or below it every composite weight is >= 0.  run(), whose dt
-    is compute_dt's at sigma <= 1, skips this check, surveys the speeds
-    once per step for its dt and its fluxes, and keeps one set of work
-    arrays (`_FluxBuffers`); here they, the returned fluxes among them,
-    belong to this call alone.  Returns (fhat, ghat) with shapes
+    contributions are weighted by dt).  With config.pcp_audit on, a dt not
+    in [0, compute_dt's bound at sigma = 1], NaN among them, raises
+    PcpAuditError in either mode; within it every composite weight is >= 0.
+    run(), whose dt is compute_dt's at sigma <= 1, skips this check,
+    surveys the speeds once per step for its dt and its fluxes, and keeps
+    its two composite flux arrays for the whole run; the fluxes returned
+    here are this call's own.  Returns (fhat, ghat) with shapes
     (n_x+1, n_y, 4) and (n_x, n_y+1, 4).
     """
     speeds = extreme_speeds(prim, eos)
     if config.pcp_audit:
         bound = _step_bound(field.grid, config.alpha, speeds)
-        if dt > bound:
+        if not 0.0 <= dt <= bound:
             raise PcpAuditError(
-                f"dt = {dt:.6e} exceeds compute_dt's bound {bound:.6e} at sigma = 1 "
-                f"(sigma = {config.cfl_sigma}, alpha = {config.alpha})",
+                f"dt = {dt:.6e} lies outside [0, {bound:.6e}], compute_dt's bound at "
+                f"sigma = 1 (sigma = {config.cfl_sigma}, alpha = {config.alpha})",
                 cfl_sigma=config.cfl_sigma, alpha=config.alpha)
-    return _assemble_fluxes(_FluxBuffers(field.grid), field, dt, config, prim, speeds)
+    return _assemble_fluxes(_flux_arrays(field.grid), field, dt, config, prim, speeds)
 
 
-def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
-    """assemble_fluxes without its dt check, writing into `buffers`.
+def _flux_arrays(grid: Grid):
+    """Uninitialised composite fluxes (fhat, ghat) of the mesh, planar."""
+    return tuple(physics.stack_planes(np.empty((4, *shape)))
+                 for shape in ((grid.n_x + 1, grid.n_y), (grid.n_x, grid.n_y + 1)))
+
+
+def _assemble_fluxes(fluxes, field, dt, config, prim, speeds):
+    """assemble_fluxes without its dt check, writing into `fluxes` (fhat, ghat).
 
     Strip [a, b) of cell rows is assembled from the ghosted rows a .. b+1
     of the cells, the primitives and the speeds, and writes the x-faces
@@ -387,17 +358,18 @@ def _assemble_fluxes(buffers, field, dt, config, prim, speeds):
     whole mesh, so the fluxes do not depend on the strip height; the x-face
     row b that two strips share is computed by both with the same bits.
     """
-    fhat, ghat = buffers.fluxes
+    fhat, ghat = fluxes
     n_x = field.grid.n_x
-    for a in range(0, n_x, buffers.rows):
-        b = min(a + buffers.rows, n_x)
+    rows = max(1, STRIP_CELLS // (field.grid.n_y + 2 * GHOST) - 2 * GHOST)
+    for a in range(0, n_x, rows):
+        b = min(a + rows, n_x)
         slab = slice(a, b + 2 * GHOST)
-        _assemble_strip(buffers, field.grid, dt, config, field.cells[slab], prim[slab],
+        _assemble_strip(field.grid, dt, config, field.cells[slab], prim[slab],
                         [[s[slab] for s in axis] for axis in speeds], (fhat[a:b + 1], ghat[a:b]))
     return fhat, ghat
 
 
-def _assemble_strip(buffers, grid, dt, config, cons, prim, speeds, out):
+def _assemble_strip(grid, dt, config, cons, prim, speeds, out):
     """The composite fluxes of the ghosted slab `cons`, written into `out`.
 
     Both axes run through the same code on np.swapaxes views whose first
@@ -425,61 +397,49 @@ def _assemble_strip(buffers, grid, dt, config, cons, prim, speeds, out):
                       np.maximum(s_plus[low], s_plus[:, 1:]))
             np.minimum(corner[0][low], corner[0][:, 1:], out=s_minus[inner])
             np.maximum(corner[1][low], corner[1][:, 1:], out=s_plus[inner])
-        flux = physical_flux(prim, cons, axis, out=buffers.planes("flux", cons.shape[:-1]))
+        flux = physical_flux(prim, cons, axis)
         u, f = (np.swapaxes(a, 0, axis) for a in (cons, flux))
-        faces = (u.shape[0] - 1, u.shape[1])
-        du = np.subtract(u[1:], u[:-1], out=buffers.planes("du", faces, axis))
-        df = np.subtract(f[1:], f[:-1], out=buffers.planes("df", faces, axis))
+        du = u[1:] - u[:-1]
+        df = f[1:] - f[:-1]
         # Only the interior rows' face fluxes are used, and they go straight
-        # into `out`.  The crosses' pool is free until they are taken, so it
-        # holds the products k df.
+        # into `out`.
         hll_flux_from_jumps(
             f[:-1][inner], f[1:][inner], du[inner], df[inner],
             hll_coefficients(s_minus[inner], s_plus[inner]),
             out=np.swapaxes(out[axis], 0, axis),
-            workspace=buffers.planes(f"cross{axis}", (faces[0], faces[1] - 2 * GHOST), axis),
         )
         del s_minus, s_plus
         if not multidimensional:
             continue
 
         coefficient = hll_coefficients(*corner)
-        vertices = (faces[0], faces[1] - 1)
-        edge = hll_flux_from_jumps(
-            f[:-1][low], f[1:][low], du[low], df[low], coefficient,
-            out=buffers.planes(f"edge{axis}", vertices, axis),
-            workspace=buffers.planes(f"cross{axis}", vertices, axis),
-        )
+        edge = hll_flux_from_jumps(f[:-1][low], f[1:][low], du[low], df[low], coefficient)
         if axis == 0:
-            d2u = np.subtract(du[:, 1:], du[low], out=buffers.planes("d2u", vertices))
-        d2f = np.subtract(df[:, 1:], df[low], out=buffers.planes(f"d2f{axis}", vertices, axis))
-        cross = np.subtract(f[:-1, 1:], f[:-1, :-1],
-                            out=buffers.planes(f"cross{axis}", vertices, axis))
-        d2fs.append(np.swapaxes(d2f, 0, axis))
-        crosses.append(np.swapaxes(cross, 0, axis))
+            d2u = du[:, 1:] - du[low]
+        d2fs.append(np.swapaxes(df[:, 1:] - df[low], 0, axis))
+        crosses.append(np.swapaxes(f[:-1, 1:] - f[:-1, :-1], 0, axis))
         corner_speeds.append(tuple(np.swapaxes(s, 0, axis) for s in corner))
         coefficients.append(FanCoefficients(*(np.swapaxes(c, 0, axis) for c in coefficient)))
         edges.append(np.swapaxes(edge, 0, axis))
+        # Free this axis's fluxes and jumps before the next axis forms its own.
+        del flux, u, f, du, df
 
     if not multidimensional:
         return
-    # The physical fluxes are spent, so their pool is the corner workspace.
-    corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients,
-                                workspace=buffers.planes("flux", d2u.shape[:-1]))
+    corner_flux = corner_fluxes(edges, crosses, d2u, d2fs, coefficients)
 
     # Composite: each face blends its 1D flux with the corner fluxes of the
     # two fan triangles that sweep across it during dt, one-signed fans
     # included.  In each axis's view the second index runs across the face,
     # so [:, :-1] is the corner on its low side and [:, 1:] the high side.
-    # `out` holds the 1D fluxes until both terms are formed; the jumps are
-    # spent, so their pools take the low-side terms.
-    for axis, across, pool in ((0, grid.dy, "du"), (1, grid.dx, "df")):
+    # `out` holds the 1D fluxes until both terms are formed.
+    for axis, across in ((0, grid.dy), (1, grid.dx)):
         f1, f2d = (np.swapaxes(a, 0, axis) for a in (out[axis], corner_flux[axis]))
         t_minus, t_plus = (np.swapaxes(s, 0, axis) for s in corner_speeds[1 - axis])
         plus_low = np.maximum(t_plus[:, :-1], 0.0)
         minus_high = np.minimum(t_minus[:, 1:], 0.0)
         weight_scale = dt / (2.0 * across)
-        low_term = np.subtract(f2d[:, :-1], f1, out=buffers.planes(pool, f1.shape[:-1], axis))
+        low_term = f2d[:, :-1] - f1
         low_term *= (weight_scale * plus_low)[..., None]
         high_term = f2d[:, 1:]  # the corner fluxes are spent after this term
         high_term -= f1
@@ -591,7 +551,7 @@ def run(
     # + 0.0 turns -0.0 into 0.0, so no snapshot time or header reads -0
     targets = sorted({float(t) + 0.0 for t in (*snapshot_times, t_end)})
     pressure_hint = None
-    buffers = _FluxBuffers(grid)
+    fluxes = _flux_arrays(grid)
 
     # With t_end = 0 the only target is 0: no step runs, the snapshot fires
     # once, and the diagnostics observe the initial interior below.
@@ -609,7 +569,7 @@ def run(
             if dt >= remaining:
                 dt = remaining
                 diag.dt_clamped_steps += 1
-            fluxes = _assemble_fluxes(buffers, field, dt, config, prim, speeds)
+            _assemble_fluxes(fluxes, field, dt, config, prim, speeds)
             del speeds
             step(field, dt, fluxes, config)
             fill_ghosts(field, problem.boundaries, eos)

@@ -7,8 +7,7 @@ axes, so a single state, a batch, or a whole ghosted mesh can be passed
 alike, whatever its memory layout.  The arrays this package builds keep
 the (..., 4) shape but store each component as one contiguous plane
 (`stack_planes`), so per-lane scalars broadcast over the component axis
-and each component is read as one run of memory.  All functions are pure,
-except that `physical_flux` writes into an `out` array when given one.
+and each component is read as one run of memory.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -119,11 +118,10 @@ def prim_to_cons(prim: np.ndarray, eos: EosParams) -> np.ndarray:
     return stack_planes([dens, wtot * prim[..., VX], wtot * prim[..., VY], wtot - prim[..., PRE]])
 
 
-def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np.ndarray:
+def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int) -> np.ndarray:
     """Physical flux along one axis: (D u_l, m u_l + p e_l, (E + p) u_l).
 
-    `cons` must be the conserved image of `prim`.  `out`, when given, is a
-    float array of the flux's shape that receives and returns the flux.
+    `cons` must be the conserved image of `prim`.
     """
     prim = np.asarray(prim, dtype=float)
     cons = np.asarray(cons, dtype=float)
@@ -131,7 +129,7 @@ def physical_flux(prim: np.ndarray, cons: np.ndarray, axis: int, out=None) -> np
         raise ConfigurationError(f"axis must be 0 (x) or 1 (y), got {axis}")
     u_n = prim[..., VX + axis]
     p = prim[..., PRE]
-    flux = np.multiply(cons, u_n[..., None], out=out)
+    flux = cons * u_n[..., None]
     flux[..., MOMX + axis] += p
     flux[..., ENE] += p * u_n
     return flux

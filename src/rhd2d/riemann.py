@@ -25,8 +25,8 @@ corner fan's intermediate state and its quadrant composites, which the
 paper's PCP lemma is about and the mesh never forms, are what `rhd2d
 verify` checks; they live in `verification`.  All functions broadcast over
 leading axes and are pure, except that `corner_fluxes` writes its result
-into the edge fluxes it is given and into its `workspace`, and that
-`hll_flux_from_jumps` writes into its `out` and `workspace`.
+into the edge fluxes it is given, and that `hll_flux_from_jumps` writes
+into its `out` when given one.
 """
 
 from __future__ import annotations
@@ -78,23 +78,23 @@ def hll_coefficients(s_minus, s_plus) -> FanCoefficients:
     return FanCoefficients(sl, kr, sr, w, right)
 
 
-def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out, workspace):
+def hll_flux_from_jumps(f_l, f_r, du, df, coefficients, out=None):
     """Clipped HLL flux f_l + kr du - k df from the jumps du = u_r - u_l,
     df = f_r - f_l and the fan's `hll_coefficients`.
 
     Exact in floating point: equal states (du = df = 0) and sl = 0 (k = 0,
     so supersonic rightward fans and empty fans) give f_l, and the `right`
-    lanes get f_r by a masked copy.  `out` receives the flux and `workspace`
-    the product k df, each an array of the flux's shape.
+    lanes get f_r by a masked copy.  `out`, when given, is an array of the
+    flux's shape that receives and returns the flux.
     """
     flux = np.multiply(coefficients.kr[..., None], du, out=out)
     flux += f_l
-    flux -= np.multiply(coefficients.k[..., None], df, out=workspace)
+    flux -= coefficients.k[..., None] * df
     np.copyto(flux, f_r, where=coefficients.right[..., None])
     return flux
 
 
-def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace):
+def corner_fluxes(edges, crosses, d2u, d2fs, coefficients):
     """(flux_x, flux_y) of corner fans from their shared jumps, without checks.
 
     For the fan of (U, F, G) triples ld, rd, lu, ru with speeds
@@ -125,8 +125,6 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace):
     PCP certificate of `mesh_solver` fails at alpha = 2 whatever the CFL
     number.  The paper's own corner-flux
     equation is not at hand to check this coefficient against.
-    `workspace`, an array of an edge flux's shape, holds each term before
-    it is added.
     """
     for flux, cross, d2f, d2f_across, along, across in zip(
         edges, crosses, d2fs, d2fs[::-1], coefficients, coefficients[::-1]
@@ -138,5 +136,5 @@ def corner_fluxes(edges, crosses, d2u, d2fs, coefficients, workspace):
             (-(along.kr * across.w), d2f_across),
         )
         for coefficient, jump in terms:
-            flux += np.multiply(coefficient[..., None], jump, out=workspace)
+            flux += coefficient[..., None] * jump
     return edges

@@ -59,8 +59,6 @@ def _primitives(
     n: int,
     *,
     rho_decades=(-10.0, 2.0),
-    p_max_decade=3.0,
-    p_min=1e-12,
     gamma_cap=None,
     guard=ADMISSIBILITY_GUARD,
     rho_center=None,
@@ -70,7 +68,7 @@ def _primitives(
     Speeds mix a uniform draw with a log tail reaching 1 - 1e-8 (or the
     gamma_cap equivalent); rho is log-uniform over `rho_decades`, optionally
     re-centered per lane via `rho_center` (decades, for scale-matched pairs);
-    p is log-uniform between the conditioning floor and 10**p_max_decade.
+    p is log-uniform between the conditioning floor (1e-12 at least) and 1e3.
     """
     dec = rng.uniform(*rho_decades, n)
     rho = 10.0 ** (dec if rho_center is None else rho_center + dec)
@@ -87,8 +85,8 @@ def _primitives(
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
 
     gamma_sq = 1.0 / ((1.0 - speed) * (1.0 + speed))
-    floor = np.maximum(p_min, rho * gamma_sq * _EPS * guard)
-    p = 10.0 ** rng.uniform(np.log10(floor), p_max_decade, n)
+    floor = np.maximum(1e-12, rho * gamma_sq * _EPS * guard)
+    p = 10.0 ** rng.uniform(np.log10(floor), 3.0, n)
     return physics.primitive(rho, speed * np.cos(angle), speed * np.sin(angle), p)
 
 

@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +25,6 @@ from rhd2d.mesh_solver import (
     step,
 )
 from rhd2d.recovery import DEFAULT_OPTIONS, recover_with_iterations
-
-try:
-    import resource
-except ImportError:  # not a Unix
-    resource = None
-
 
 def uniform_field(grid, eos, prim=(1.0, 0.0, 0.0, 1.0)):
     return Field.from_primitives(grid, lambda x, y: np.broadcast_to(
@@ -387,10 +377,11 @@ class TestAssembleFluxes:
 
     def test_peak_memory_budget(self):
         """One call's peak traced allocation on rp2 64x64, in units of one
-        ghosted (n+2)^2 x 4 array.  It measures 17.68 for this call, which
-        computes the speeds itself and allocates the flux buffers for itself
-        alone (one strip covers 64 rows).  A call of run()'s, on its kept
-        buffers and with the speeds passed in, allocates 4.75."""
+        ghosted (n+2)^2 x 4 array.  It measures 16.20 for this call, which
+        computes the speeds itself and allocates its two composite flux
+        arrays (one strip covers 64 rows); 8.84 in dimension-split mode.
+        It measured 17.68 when each call also allocated ten work pools of
+        a strip's slab."""
         spec = problems.problem_by_name("rp2")
         grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, spec.eos)
@@ -404,59 +395,15 @@ class TestAssembleFluxes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / field.cells.nbytes <= 17.7
-
-    def test_run_keeps_its_flux_buffers(self, monkeypatch):
-        """run() makes one set of flux buffers and writes every 4-component
-        array of flux assembly into it: on rp2 64x64, one strip, each call's
-        peak traced allocation, in units of one ghosted (n+2)^2 x 4 array,
-        measures 4.75 (per-lane scalars), where one more 4-component
-        temporary adds 1.  At 200x200 the pools hold one strip's slab, not
-        the mesh, and a call's peak measures 0.94."""
-        made, peaks = [], []
-        buffers, assemble = mesh_solver._FluxBuffers, mesh_solver._assemble_fluxes
-
-        def counted(grid):
-            made.append(buffers(grid))
-            return made[-1]
-
-        def measured(*args):
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            fluxes = assemble(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-            return fluxes
-
-        monkeypatch.setattr(mesh_solver, "_FluxBuffers", counted)
-        monkeypatch.setattr(mesh_solver, "_assemble_fluxes", measured)
-        spec = problems.problem_by_name("rp2")
-        grid = Grid(64, 64, -1.0, 1.0, -1.0, 1.0)
-        tracemalloc.start()
-        try:
-            field = run(spec, grid, SolverConfig(), t_end=0.05).field
-        finally:
-            tracemalloc.stop()
-        assert len(made) == 1 and len(peaks) >= 4
-        assert max(peaks) / field.cells.nbytes <= 5.2, peaks
-
-        made.clear()
-        peaks.clear()
-        grid = spec.default_grid(200)
-        tracemalloc.start()
-        try:
-            field = run(spec, grid, SolverConfig(), t_end=0.01).field
-        finally:
-            tracemalloc.stop()
-        (kept,) = made
-        slab = (kept.rows + 2 * GHOST) * (grid.n_y + 2 * GHOST)
-        assert slab <= mesh_solver.STRIP_CELLS and kept.rows < grid.n_x // 4
-        assert sum(pool.nbytes for pool in kept._pools.values()) == len(kept.NAMES) * 4 * slab * 8
-        assert len(peaks) >= 4 and max(peaks) / field.cells.nbytes <= 1.0, peaks
+        assert peak / field.cells.nbytes <= 16.2
 
     def test_run_peak_memory_budget(self):
         """run()'s peak traced allocation over 5 steps of rp2 at 200x200, in
-        units of one ghosted (n+2)^2 x 4 array, measures 13.50, set by
-        recovery; flux buffers that spanned the mesh would add about 8."""
+        units of one ghosted (n+2)^2 x 4 array, measures 11.52, set by
+        recovery: run() keeps its two composite flux arrays, and every
+        other flux work array spans one strip (38 rows).  It measured 13.55
+        with ten kept pools of a strip's slab, and flux work arrays that
+        spanned the mesh added about 8."""
         spec = problems.problem_by_name("rp2")
         tracemalloc.start()
         try:
@@ -465,12 +412,27 @@ class TestAssembleFluxes:
         finally:
             tracemalloc.stop()
         assert result.diagnostics.steps == 5
-        assert peak / result.field.cells.nbytes <= 13.6
+        assert peak / result.field.cells.nbytes <= 11.55
 
 
 def strip_cells(rows, n_y):
     """The STRIP_CELLS at which flux assembly takes strips of `rows` rows."""
     return (rows + 2 * GHOST) * (n_y + 2 * GHOST)
+
+
+ASSEMBLE_STRIP = mesh_solver._assemble_strip
+
+
+def strip_heights(monkeypatch):
+    """The list to which each later strip of flux assembly appends its cell rows."""
+    heights = []
+
+    def recorded(grid, dt, config, cons, *rest):
+        heights.append(cons.shape[0] - 2 * GHOST)
+        return ASSEMBLE_STRIP(grid, dt, config, cons, *rest)
+
+    monkeypatch.setattr(mesh_solver, "_assemble_strip", recorded)
+    return heights
 
 
 class TestStrips:
@@ -498,15 +460,16 @@ class TestStrips:
     def run_in_strips(self, monkeypatch, rows, spec, grid, mode):
         """run()'s final cells and each step's fluxes, in strips of `rows` rows."""
         monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip_cells(rows, grid.n_y))
-        assert mesh_solver._FluxBuffers(grid).rows == rows
-        fluxes = []
+        heights, fluxes = strip_heights(monkeypatch), []
 
         def recorded(field, dt, step_fluxes, config):
             fluxes.append([flux.copy() for flux in step_fluxes])
             return step(field, dt, step_fluxes, config)
 
         monkeypatch.setattr(mesh_solver, "step", recorded)
-        return run(spec, grid, SolverConfig(mode=mode), spec.t_end).field.cells, fluxes
+        cells = run(spec, grid, SolverConfig(mode=mode), spec.t_end).field.cells
+        assert max(heights) == min(rows, grid.n_x)
+        return cells, fluxes
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("sides", SIDES)
@@ -530,8 +493,8 @@ class TestStrips:
         monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip_cells(self.ROWS, grid.n_y))
         assemble, calls = mesh_solver._assemble_fluxes, []
 
-        def recorded(buffers, field, dt, config, prim, speeds):
-            fluxes = assemble(buffers, field, dt, config, prim, speeds)
+        def recorded(arrays, field, dt, config, prim, speeds):
+            fluxes = assemble(arrays, field, dt, config, prim, speeds)
             calls.append((field.cells.copy(), dt, prim.copy(), [f.copy() for f in fluxes]))
             return fluxes
 
@@ -564,9 +527,10 @@ class TestExactInvariants:
                                     lambda x, y: states)
         grid = Grid(self.N, self.N, 0.0, 1.0, 0.0, 1.0)
         monkeypatch.setattr(mesh_solver, "STRIP_CELLS", strip)
-        assert (mesh_solver._FluxBuffers(grid).rows == 1) == (strip == 40)
+        heights = strip_heights(monkeypatch)
         result = run(spec, grid, SolverConfig(mode=mode), spec.t_end)
         assert result.diagnostics.steps == 5
+        assert (max(heights) == 1) == (strip == 40)
         return result.field.interior
 
     def meshes(self):
@@ -648,64 +612,6 @@ class TestPlanarLayout:
         assert np.array_equal(cells, cells_i)
 
 
-# Mean minor page faults of one steady rp2 step at 200x200, in a process
-# that has finished one run before.  Measured 0 on a 2-core x86-64 Linux
-# machine with glibc 2.36; about 2,500 when each step allocated its flux
-# arrays afresh and glibc trimmed and re-faulted some 11 MB of heap per step.
-MAX_FAULTS_PER_STEP = 300
-
-# A short run, then the minor faults of 5 steps of a second run's loop
-# after 2 warm-up steps, printed.
-_FAULT_PROBE = """
-import resource
-import numpy as np
-from rhd2d import mesh_solver, problems
-
-spec = problems.problem_by_name("rp2")
-grid = spec.default_grid(200)
-mesh_solver.run(spec, grid, mesh_solver.SolverConfig(), 0.005)
-faults = []
-step = mesh_solver.step
-
-class Enough(Exception):
-    pass
-
-def counted(*args):
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-    if len(faults) == 8:
-        raise Enough
-    return step(*args)
-
-mesh_solver.step = counted
-try:
-    mesh_solver.run(spec, grid, mesh_solver.SolverConfig(), spec.t_end)
-except Enough:
-    print(*np.diff(faults)[2:])
-"""
-
-
-@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
-                    reason="counts the minor page faults of glibc's allocator")
-def test_steady_steps_touch_no_fresh_pages():
-    """rp2 at 200x200: after 2 warm-up steps, 5 steps of run()'s loop take
-    at most MAX_FAULTS_PER_STEP minor page faults each on average.
-
-    The probe runs in a fresh interpreter, since how glibc trims its heap
-    depends on what the process allocated before.  It runs a short job
-    first, as a benchmark's later repetitions and a convergence study's
-    later levels have: freeing that run's flux buffers raises glibc's
-    dynamic mmap and trim thresholds above the step's temporaries.  A
-    process's first run still takes about 1,000 faults per step at this
-    size, from the per-lane temporaries of recovery and flux assembly,
-    which glibc trims; test_run_keeps_its_flux_buffers guards the flux
-    arrays themselves."""
-    src = str(Path(mesh_solver.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
-    per_step = [int(word) for word in done.stdout.split()]
-    assert len(per_step) == 5 and np.mean(per_step) < MAX_FAULTS_PER_STEP, per_step
-
-
 class TestStep:
     def test_uniform_field_unchanged_100_steps(self, eos53):
         grid = Grid(8, 8, 0.0, 1.0, 0.0, 1.0)
@@ -773,8 +679,10 @@ class TestStep:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_audit_bound_is_compute_dt_at_sigma_one(self, eos53, mode):
-        """dt equal to compute_dt's bound at sigma = 1 passes the audit and one
-        ulp above it raises, in either mode; with the audit off neither does."""
+        """dt equal to compute_dt's bound at sigma = 1 passes the audit, and so
+        does 0, where every corner weight is 0; one ulp above the bound, a
+        negative dt (negative corner weights) and NaN raise, in either mode.
+        With the audit off neither the bound nor one ulp above it raises."""
         spec = problems.problem_by_name("rp1")
         grid = Grid(8, 8, -1.0, 1.0, -1.0, 1.0)
         field = Field.from_primitives(grid, spec.initial, eos53)
@@ -783,10 +691,12 @@ class TestStep:
         bound = compute_dt(field, eos53, 1.0, 2.0, prim)
         above = float(np.nextafter(bound, np.inf))
         audited = SolverConfig(cfl_sigma=1.0, mode=mode)
-        assemble_fluxes(field, bound, eos53, audited, prim)
-        with pytest.raises(PcpAuditError) as err:
-            assemble_fluxes(field, above, eos53, audited, prim)
-        assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
+        for dt in (bound, 0.0):
+            assemble_fluxes(field, dt, eos53, audited, prim)
+        for dt in (above, -1e-3, -math.inf, math.nan):
+            with pytest.raises(PcpAuditError) as err:
+                assemble_fluxes(field, dt, eos53, audited, prim)
+            assert (err.value.cfl_sigma, err.value.alpha) == (1.0, 2.0)
         for dt in (bound, above):
             assemble_fluxes(field, dt, eos53, replace(audited, pcp_audit=False), prim)
 

@@ -35,8 +35,7 @@ def two_sided(speeds):
 def flux_1d(u_l, f_l, u_r, f_r, s_minus, s_plus):
     """The mesh's 1D HLL flux of two states: `hll_flux_from_jumps` on their jumps."""
     coefficients = riemann.hll_coefficients(s_minus, s_plus)
-    return riemann.hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients,
-                                       np.empty_like(f_l), np.empty_like(f_l))
+    return riemann.hll_flux_from_jumps(f_l, f_r, u_r - u_l, f_r - f_l, coefficients)
 
 
 def subsonic_sample(rng, n, **sample_kwargs):
@@ -59,15 +58,12 @@ def fan_fluxes(corners, speeds):
     du_down, df_down = u_rd - u_ld, f_rd - f_ld
     du_left, dg_left = u_lu - u_ld, g_lu - g_ld
     edges = (
-        riemann.hll_flux_from_jumps(f_ld, f_rd, du_down, df_down, coefficients[0],
-                                    np.empty_like(f_ld), np.empty_like(f_ld)),
-        riemann.hll_flux_from_jumps(g_ld, g_lu, du_left, dg_left, coefficients[1],
-                                    np.empty_like(g_ld), np.empty_like(g_ld)),
+        riemann.hll_flux_from_jumps(f_ld, f_rd, du_down, df_down, coefficients[0]),
+        riemann.hll_flux_from_jumps(g_ld, g_lu, du_left, dg_left, coefficients[1]),
     )
     d2u = (u_ru - u_lu) - du_down
     d2fs = ((f_ru - f_lu) - df_down, (g_ru - g_rd) - dg_left)
-    return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients,
-                                 np.empty_like(edges[0]))
+    return riemann.corner_fluxes(edges, (f_lu - f_ld, g_rd - g_ld), d2u, d2fs, coefficients)
 
 
 class TestWaveSpeeds1D:
