@@ -26,6 +26,7 @@ from rhd2d.mesh_solver import (
 )
 from rhd2d.recovery import DEFAULT_OPTIONS, recover_with_iterations
 
+
 def uniform_field(grid, eos, prim=(1.0, 0.0, 0.0, 1.0)):
     return Field.from_primitives(grid, lambda x, y: np.broadcast_to(
         np.asarray(prim), np.broadcast_shapes(x.shape, y.shape) + (4,)), eos)
